@@ -423,7 +423,18 @@ impl SimCache {
 
     /// `l2c::prepare(test, augment)`, once per distinct test content.
     pub fn prepared(&self, test: &LitmusTest, augment: bool) -> Arc<PreparedSource> {
-        let key = (test.fingerprint(), augment);
+        self.prepared_keyed(test, test.fingerprint(), augment)
+    }
+
+    /// [`SimCache::prepared`] with the test's content fingerprint already
+    /// rendered (the pipeline's per-test scope holds it).
+    pub(crate) fn prepared_keyed(
+        &self,
+        test: &LitmusTest,
+        fingerprint: u128,
+        augment: bool,
+    ) -> Arc<PreparedSource> {
+        let key = (fingerprint, augment);
         let (v, hit) = self
             .prepared
             .get_or_compute(key, || Arc::new(l2c::prepare(test, augment)));
@@ -495,8 +506,24 @@ impl SimCache {
         model: &CatModel,
         config: &SimConfig,
     ) -> Result<Arc<SimResult>> {
+        self.target_leg_keyed(target, target.fingerprint(), &target.name, model, config)
+    }
+
+    /// [`SimCache::target_leg`] with the target's content fingerprint
+    /// already rendered (the pipeline memoises it per distinct extraction).
+    /// Faults fire with `name`, the work item's own derived name, since a
+    /// memoised `target` carries the name of the profile that extracted it
+    /// first.
+    pub(crate) fn target_leg_keyed(
+        &self,
+        target: &LitmusTest,
+        fingerprint: u128,
+        name: &str,
+        model: &CatModel,
+        config: &SimConfig,
+    ) -> Result<Arc<SimResult>> {
         let key = LegKey {
-            test: target.fingerprint(),
+            test: fingerprint,
             model: model_fingerprint(model),
             config: sim_config_fingerprint(config),
         };
@@ -508,7 +535,7 @@ impl SimCache {
                     return stored.map(|sim| Arc::new(sim.into_result()));
                 }
             }
-            fault::fire(FaultLeg::Target, &target.name);
+            fault::fire(FaultLeg::Target, name);
             let computed = simulate(target, model, config);
             if let Some((store, pkey)) = store {
                 self.persist(&store, pkey, &computed);

@@ -11,9 +11,10 @@ use crate::cache::{lock_unpoisoned, CacheStats, SimCache};
 use crate::fault::{self, RetryPolicy};
 use crate::journal::{CampaignJournal, ItemKey, ItemOutcome, ItemRecord, JournalStats, ShardSpec};
 use crate::persist::PersistStore;
-use crate::pipeline::{PipelineConfig, Telechat, TestReport, TestVerdict};
+use crate::pipeline::{PipelineConfig, Telechat, TestReport, TestScope, TestVerdict};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use telechat_common::{fnv1a64, Arch, Error, Result};
@@ -519,9 +520,10 @@ pub fn run_campaign_source(
         return Ok(empty);
     }
 
-    /// One frontier entry: a test, the profile index to run, and — for a
-    /// lead item — the follower profile indices to release on completion.
-    type Item = (std::sync::Arc<LitmusTest>, usize, Vec<usize>);
+    /// One frontier entry: a pulled test, the profile index to run, and —
+    /// for a lead item — the follower profile indices to release on
+    /// completion.
+    type Item = (Arc<Pulled>, usize, Vec<usize>);
 
     /// The shared frontier: queued (test, profile) items, refilled from
     /// the source one test at a time when it runs dry, plus the count of
@@ -541,7 +543,7 @@ pub fn run_campaign_source(
     struct FollowerRelease<'a, 'b> {
         frontier: &'a Mutex<Frontier<'b>>,
         idle: &'a Condvar,
-        test: std::sync::Arc<LitmusTest>,
+        pulled: Arc<Pulled>,
         followers: Vec<usize>,
     }
 
@@ -551,7 +553,7 @@ pub fn run_campaign_source(
             // Cache-hot: ahead of queued leads (front of the deque, in the
             // original profile order).
             for p in self.followers.drain(..).rev() {
-                fr.queue.push_front((self.test.clone(), p, Vec::new()));
+                fr.queue.push_front((self.pulled.clone(), p, Vec::new()));
             }
             fr.outstanding_leads -= 1;
             drop(fr);
@@ -596,8 +598,12 @@ pub fn run_campaign_source(
                                     // sharded-out items belong to another
                                     // shard and are skipped; journaled items
                                     // replay their recorded outcome now.
+                                    let pulled = Arc::new(Pulled {
+                                        scope: TestScope::new(test),
+                                        covered: AtomicBool::new(false),
+                                    });
                                     let tfp = (spec.journal.is_some() || !shard.is_whole())
-                                        .then(|| test.fingerprint());
+                                        .then(|| pulled.scope.fingerprint());
                                     let mut pending = Vec::with_capacity(profiles.len());
                                     let mut replays = Vec::new();
                                     for (p, pfp) in profile_fps.iter().enumerate() {
@@ -638,7 +644,6 @@ pub fn run_campaign_source(
                                             );
                                         }
                                     }
-                                    let test = std::sync::Arc::new(test);
                                     if cache.is_some() && pending.len() > 1 {
                                         // Source-leg-first: queue the lead,
                                         // defer the followers until the lead
@@ -646,10 +651,10 @@ pub fn run_campaign_source(
                                         fr.outstanding_leads += 1;
                                         let lead = pending[0];
                                         let followers = pending.split_off(1);
-                                        fr.queue.push_back((test, lead, followers));
+                                        fr.queue.push_back((pulled, lead, followers));
                                     } else {
                                         for p in pending {
-                                            fr.queue.push_back((test.clone(), p, Vec::new()));
+                                            fr.queue.push_back((pulled.clone(), p, Vec::new()));
                                         }
                                     }
                                 }
@@ -663,9 +668,10 @@ pub fn run_campaign_source(
                             }
                         }
                     };
-                    let Some((test, p, followers)) = item else {
+                    let Some((pulled, p, followers)) = item else {
                         return;
                     };
+                    let test = pulled.scope.test();
                     telechat_obs::add(telechat_obs::Counter::CampaignWorkItems, 1);
                     let _span = telechat_obs::span_with("work-item", || {
                         format!("{}:{}", test.name, profiles[p].profile_name())
@@ -674,7 +680,7 @@ pub fn run_campaign_source(
                         let release = FollowerRelease {
                             frontier: &frontier,
                             idle: &idle,
-                            test: test.clone(),
+                            pulled: pulled.clone(),
                             followers,
                         };
                         // Populate the shared prepare + source-leg entries,
@@ -688,13 +694,13 @@ pub fn run_campaign_source(
                         // happens in the item run below) — a warm-up must
                         // never take down the worker.
                         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            tool.simulate_source(&test)
+                            tool.simulate_source_in(&pulled.scope)
                         }));
                         drop(release);
                     }
                     let compiler = &profiles[p];
                     let key = (compiler.target.arch, compiler.id.family, compiler.opt);
-                    let mut outcome = run_isolated(&tool, &test, compiler, deadline);
+                    let mut outcome = run_isolated(&tool, &pulled, compiler, deadline);
                     // Supervised retries, only when the failure provably came
                     // from an injected *transient* fault: production failures
                     // stay deterministic (a flaky-looking leg is a bug, not
@@ -712,7 +718,7 @@ pub fn run_campaign_source(
                         }
                         telechat_obs::add(telechat_obs::Counter::CampaignRetries, 1);
                         spec.retry.pause(attempts);
-                        outcome = run_isolated(&tool, &test, compiler, deadline);
+                        outcome = run_isolated(&tool, &pulled, compiler, deadline);
                         attempts += 1;
                     }
                     match &outcome {
@@ -746,10 +752,14 @@ pub fn run_campaign_source(
                     {
                         let mut res = lock_unpoisoned(&result);
                         if spec.metrics {
+                            // Every report of a test carries the same
+                            // source outcome set: hash it once per test.
                             if let Ok(report) = &outcome {
-                                let mut h = 0u64;
-                                h = fnv1a64(h, report.source_outcomes.to_string().as_bytes());
-                                lock_unpoisoned(&outcome_sets).insert(h);
+                                if !pulled.covered.swap(true, Ordering::Relaxed) {
+                                    let h =
+                                        fnv1a64(0, report.source_outcomes.to_string().as_bytes());
+                                    lock_unpoisoned(&outcome_sets).insert(h);
+                                }
                             }
                         }
                         if matches!(binned, ItemOutcome::Positive { .. }) {
@@ -761,7 +771,7 @@ pub fn run_campaign_source(
                         if let Some(journal) = &spec.journal {
                             journal.record(&ItemRecord {
                                 key: ItemKey {
-                                    test: test.fingerprint(),
+                                    test: pulled.scope.fingerprint(),
                                     profile: profile_fps[p],
                                 },
                                 arch: key.0,
@@ -800,6 +810,15 @@ pub fn run_campaign_source(
     Ok(result)
 }
 
+/// A test pulled from the source, shared by all of its work items and
+/// dropped with the last one: the pipeline scope (the test, its
+/// fingerprint and its extraction memo) and whether its source outcome set
+/// has been counted for coverage.
+struct Pulled {
+    scope: TestScope,
+    covered: AtomicBool,
+}
+
 /// Folds one binned work-item outcome into a result's cells — the one
 /// aggregation the live driver, the journal replay path and the shard
 /// merge all share, so the three can never drift apart.
@@ -830,24 +849,24 @@ pub(crate) fn apply_outcome(
 /// campaign completes; the faulted item is a typed error cell.
 fn run_isolated(
     tool: &Telechat,
-    test: &Arc<LitmusTest>,
+    pulled: &Arc<Pulled>,
     compiler: &Compiler,
     deadline: Option<Duration>,
 ) -> Result<TestReport> {
     let Some(limit) = deadline else {
-        return catch_run(tool, test, compiler);
+        return catch_run(tool, &pulled.scope, compiler);
     };
     let (done, took) = std::sync::mpsc::channel();
     let watched = {
         let tool = tool.clone();
-        let test = test.clone();
+        let pulled = pulled.clone();
         let compiler = *compiler;
         // The watchdog thread re-parents under the caller's work-item
         // span, so leg spans stay nested even when the item is watched.
         let parent = telechat_obs::current();
         std::thread::spawn(move || {
             let _trace = telechat_obs::adopt(parent);
-            let _ = done.send(catch_run(&tool, &test, &compiler));
+            let _ = done.send(catch_run(&tool, &pulled.scope, &compiler));
         })
     };
     match took.recv_timeout(limit) {
@@ -864,10 +883,12 @@ fn run_isolated(
     }
 }
 
-/// `tool.run` with panics converted to [`Error::Panicked`].
-fn catch_run(tool: &Telechat, test: &LitmusTest, compiler: &Compiler) -> Result<TestReport> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tool.run(test, compiler)))
-        .unwrap_or_else(|panic| Err(Error::Panicked(panic_message(panic.as_ref()))))
+/// `tool.run_in` with panics converted to [`Error::Panicked`].
+fn catch_run(tool: &Telechat, scope: &TestScope, compiler: &Compiler) -> Result<TestReport> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        tool.run_in(scope, compiler)
+    }))
+    .unwrap_or_else(|panic| Err(Error::Panicked(panic_message(panic.as_ref()))))
 }
 
 /// Best-effort extraction of a panic payload's message.

@@ -11,21 +11,30 @@
 //! process-wide `telechat_cat::ModelRegistry`, so each bundled `.cat`
 //! program is parsed and staged once per process rather than once per
 //! `Telechat`/run.
+//!
+//! # Per-test extraction memo
+//!
+//! Every run goes through a [`TestScope`]: the test plus a memo of its
+//! extractions keyed by the compiled object and register map. Profiles
+//! that compile a test to the same code share one extraction. The campaign
+//! driver shares one scope between all of a test's work items;
+//! [`Telechat::run`] uses a fresh one per call.
 
-use crate::cache::{SimCache, SourceLeg};
+use crate::cache::{lock_unpoisoned, SimCache, SourceLeg};
 use crate::fault::{self, FaultLeg};
 use crate::l2c::{self, PreparedSource};
 use crate::mapping::StateMapping;
 use crate::mcompare::{mcompare_shared, Comparison, SourceObservables};
 use crate::s2l::{self, S2lOptions};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use telechat_cat::{CatModel, ModelRegistry};
-use telechat_common::{Error, OutcomeSet, Result};
+use telechat_common::{Error, OutcomeSet, Reg, Result, ThreadId};
 use telechat_compiler::{CompileOutput, Compiler};
 use telechat_exec::{simulate, SimConfig, SimResult};
 use telechat_isa::AsmTest;
 use telechat_litmus::LitmusTest;
+use telechat_objfile::ObjectFile;
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -100,6 +109,109 @@ pub struct TestReport {
     pub asm_test: AsmTest,
 }
 
+/// One test's share of the pipeline, reused by every compiler profile the
+/// test runs under: the test, its content fingerprint (rendered at most
+/// once) and the **extraction memo**.
+///
+/// With the test and the pipeline's `augment`/`optimise` settings fixed,
+/// extraction (`StateMapping::build` + [`s2l::object_to_litmus`] + the
+/// target test's fingerprint) depends only on the compiled object and the
+/// compiler's register map, and small litmus tests compile to the same
+/// object under many profiles. The memo compares `(object, reg_map)` by
+/// equality, so each distinct pair is extracted once; a hit only clones
+/// the assembly test and renames it to its own `"{profile}.{test}"`.
+///
+/// A scope belongs to one test under one pipeline configuration. It is
+/// per test rather than per campaign because every hit comes from the
+/// same test's profiles, while a campaign-wide memo would hold every
+/// test's entries until the campaign ends.
+#[derive(Debug)]
+pub struct TestScope {
+    test: LitmusTest,
+    fingerprint: OnceLock<u128>,
+    memo: Mutex<Vec<Memoised>>,
+}
+
+/// One memo entry: the key, and the (possibly failed) extraction.
+#[derive(Debug)]
+struct Memoised {
+    object: ObjectFile,
+    reg_map: Vec<(ThreadId, Reg, Reg)>,
+    extracted: Result<Arc<Extracted>>,
+}
+
+/// One distinct extraction. `asm` and `litmus` carry the name of the
+/// profile that first extracted it; each item renames its own copy.
+#[derive(Debug)]
+struct Extracted {
+    mapping: StateMapping,
+    asm: AsmTest,
+    litmus: LitmusTest,
+    /// The target test's content fingerprint, rendered on the first
+    /// cached target leg.
+    fingerprint: OnceLock<u128>,
+}
+
+impl Extracted {
+    fn fingerprint(&self) -> u128 {
+        *self.fingerprint.get_or_init(|| self.litmus.fingerprint())
+    }
+}
+
+impl TestScope {
+    /// A fresh scope for `test`, with an empty memo.
+    pub fn new(test: LitmusTest) -> TestScope {
+        TestScope {
+            test,
+            fingerprint: OnceLock::new(),
+            memo: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The test this scope belongs to.
+    pub fn test(&self) -> &LitmusTest {
+        &self.test
+    }
+
+    /// The test's canonical content fingerprint
+    /// (`LitmusTest::fingerprint`), rendered on first use.
+    pub fn fingerprint(&self) -> u128 {
+        *self.fingerprint.get_or_init(|| self.test.fingerprint())
+    }
+
+    /// How many distinct `(object, reg_map)` pairs have been extracted.
+    pub fn extractions(&self) -> usize {
+        lock_unpoisoned(&self.memo).len()
+    }
+
+    /// The extraction of `compiled`, computed by `extract` on the first
+    /// request for its `(object, reg_map)` and shared after. Errors are
+    /// memoised too: extraction is deterministic. The lock is held while
+    /// extracting, so each pair is extracted exactly once however many
+    /// workers share the scope.
+    fn extraction(
+        &self,
+        compiled: CompileOutput,
+        extract: impl FnOnce(&CompileOutput) -> Result<Extracted>,
+    ) -> Result<Arc<Extracted>> {
+        let mut memo = lock_unpoisoned(&self.memo);
+        if let Some(m) = memo
+            .iter()
+            .find(|m| m.reg_map == compiled.reg_map && m.object == compiled.object)
+        {
+            return m.extracted.clone();
+        }
+        let extracted = extract(&compiled).map(Arc::new);
+        telechat_obs::add(telechat_obs::Counter::S2lExtractions, 1);
+        memo.push(Memoised {
+            object: compiled.object,
+            reg_map: compiled.reg_map,
+            extracted: extracted.clone(),
+        });
+        extracted
+    }
+}
+
 /// The Téléchat tool: a source model plus pipeline configuration.
 ///
 /// ```no_run
@@ -163,13 +275,15 @@ impl Telechat {
         &self.source_model
     }
 
-    /// The prepared source for `test` under this pipeline's augmentation
-    /// setting — served from the cache (once per distinct test content)
-    /// when one is attached.
-    fn prepare(&self, test: &LitmusTest) -> Arc<PreparedSource> {
+    /// The prepared source for the scope's test under this pipeline's
+    /// augmentation setting — served from the cache (once per distinct
+    /// test content) when one is attached.
+    fn prepare(&self, scope: &TestScope) -> Arc<PreparedSource> {
         match &self.cache {
-            Some(cache) => cache.prepared(test, self.config.augment),
-            None => Arc::new(l2c::prepare(test, self.config.augment)),
+            Some(cache) => {
+                cache.prepared_keyed(scope.test(), scope.fingerprint(), self.config.augment)
+            }
+            None => Arc::new(l2c::prepare(scope.test(), self.config.augment)),
         }
     }
 
@@ -199,15 +313,78 @@ impl Telechat {
         }
     }
 
-    /// The target leg: the compiled test simulated under `model`.
-    fn target_leg(&self, target: &LitmusTest, model: &CatModel) -> Result<Arc<SimResult>> {
+    /// The target leg: the extracted test simulated under `model`. Faults
+    /// fire with the item's own derived `name`, not the memoised one.
+    fn target_leg(
+        &self,
+        extracted: &Extracted,
+        name: &str,
+        model: &CatModel,
+    ) -> Result<Arc<SimResult>> {
         match &self.cache {
-            Some(cache) => cache.target_leg(target, model, &self.config.sim),
+            Some(cache) => cache.target_leg_keyed(
+                &extracted.litmus,
+                extracted.fingerprint(),
+                name,
+                model,
+                &self.config.sim,
+            ),
             None => {
-                fault::fire(FaultLeg::Target, &target.name);
-                Ok(Arc::new(simulate(target, model, &self.config.sim)?))
+                fault::fire(FaultLeg::Target, name);
+                Ok(Arc::new(simulate(
+                    &extracted.litmus,
+                    model,
+                    &self.config.sim,
+                )?))
             }
         }
+    }
+
+    /// Steps 2–3 of Fig. 5: prepare the scope's test, then compile it.
+    fn prepare_and_compile(
+        &self,
+        scope: &TestScope,
+        compiler: &Compiler,
+    ) -> Result<(Arc<PreparedSource>, CompileOutput)> {
+        let prepared = {
+            let _span = telechat_obs::span("prepare");
+            self.prepare(scope)
+        };
+        let _span = telechat_obs::span("compile");
+        let compiled = compiler.compile(&prepared.test)?;
+        Ok((prepared, compiled))
+    }
+
+    /// Step 4 of Fig. 5 for one compiled object: the state mapping and the
+    /// assembly and litmus forms of the extracted test, named `name`.
+    fn extract_object(
+        &self,
+        test: &LitmusTest,
+        name: &str,
+        prepared: &PreparedSource,
+        compiled: &CompileOutput,
+    ) -> Result<Extracted> {
+        let mapping = StateMapping::build(
+            prepared.observed_keys.iter().cloned(),
+            &prepared.augmented,
+            &compiled.reg_map,
+        );
+        let (asm, litmus) = s2l::object_to_litmus(
+            &compiled.object,
+            name,
+            &test.condition,
+            &test.observed,
+            &mapping,
+            S2lOptions {
+                optimise: self.config.optimise,
+            },
+        )?;
+        Ok(Extracted {
+            mapping,
+            asm,
+            litmus,
+            fingerprint: OnceLock::new(),
+        })
     }
 
     /// Steps 2–4 of Fig. 5 without simulation: prepare, compile, extract.
@@ -228,31 +405,16 @@ impl Telechat {
         AsmTest,
         LitmusTest,
     )> {
-        let prepared = {
-            let _span = telechat_obs::span("prepare");
-            self.prepare(test)
-        };
-        let compiled = {
-            let _span = telechat_obs::span("compile");
-            compiler.compile(&prepared.test)?
-        };
+        let (prepared, compiled) =
+            self.prepare_and_compile(&TestScope::new(test.clone()), compiler)?;
         let _span = telechat_obs::span("extract");
-        let mapping = StateMapping::build(
-            prepared.observed_keys.iter().cloned(),
-            &prepared.augmented,
-            &compiled.reg_map,
-        );
         let name = format!("{}.{}", compiled.profile, test.name);
-        let (asm, litmus) = s2l::object_to_litmus(
-            &compiled.object,
-            &name,
-            &test.condition,
-            &test.observed,
-            &mapping,
-            S2lOptions {
-                optimise: self.config.optimise,
-            },
-        )?;
+        let Extracted {
+            mapping,
+            asm,
+            litmus,
+            ..
+        } = self.extract_object(test, &name, &prepared, &compiled)?;
         Ok((prepared, compiled, mapping, asm, litmus))
     }
 
@@ -265,7 +427,28 @@ impl Telechat {
     /// extraction failures. Cached legs replay the original error for
     /// every profile, exactly as the uncached driver fails each one.
     pub fn run(&self, test: &LitmusTest, compiler: &Compiler) -> Result<TestReport> {
-        let (prepared, _compiled, mapping, asm, target_litmus) = self.extract(test, compiler)?;
+        self.run_in(&TestScope::new(test.clone()), compiler)
+    }
+
+    /// [`Telechat::run`] for the scope's test, sharing the scope's
+    /// extraction memo: a profile whose compiled object and register map
+    /// were already extracted in `scope` reuses that extraction. The report
+    /// is the one `run` gives.
+    ///
+    /// # Errors
+    ///
+    /// As [`Telechat::run`]; a memoised extraction error replays.
+    pub fn run_in(&self, scope: &TestScope, compiler: &Compiler) -> Result<TestReport> {
+        let test = scope.test();
+        let (prepared, compiled) = self.prepare_and_compile(scope, compiler)?;
+        // This item's own name; a memo hit carries the first profile's.
+        let name = format!("{}.{}", compiled.profile, test.name);
+        let extracted = {
+            let _span = telechat_obs::span("extract");
+            scope.extraction(compiled, |compiled| {
+                self.extract_object(test, &name, &prepared, compiled)
+            })?
+        };
 
         // Step 3: simulate the source under the source model (shared
         // across profiles through the cache).
@@ -278,8 +461,8 @@ impl Telechat {
         // (shared across profiles that extracted identical code).
         let target_result: Arc<SimResult> = {
             let _span = telechat_obs::span("target-sim");
-            let target_model = self.target_model(&target_litmus)?;
-            self.target_leg(&target_litmus, &target_model)?
+            let target_model = self.target_model(&extracted.litmus)?;
+            self.target_leg(&extracted, &name, &target_model)?
         };
 
         // Both legs succeeded: absorb their simulation accounting into the
@@ -327,7 +510,11 @@ impl Telechat {
         // Step 5: mcompare — only the target half runs per profile.
         let cmp: Comparison = {
             let _span = telechat_obs::span("compare");
-            mcompare_shared(&source.observables, &target_result.outcomes, &mapping)
+            mcompare_shared(
+                &source.observables,
+                &target_result.outcomes,
+                &extracted.mapping,
+            )
         };
 
         let verdict = if source.result.has_flag("race") {
@@ -352,7 +539,10 @@ impl Telechat {
             negative: cmp.negative,
             source_time: source.result.elapsed,
             target_time: target_result.elapsed,
-            asm_test: asm,
+            asm_test: AsmTest {
+                name,
+                ..extracted.asm.clone()
+            },
         })
     }
 
@@ -364,7 +554,12 @@ impl Telechat {
     ///
     /// Propagates simulation failures.
     pub fn simulate_source(&self, test: &LitmusTest) -> Result<Arc<SimResult>> {
-        let prepared = self.prepare(test);
+        self.simulate_source_in(&TestScope::new(test.clone()))
+    }
+
+    /// [`Telechat::simulate_source`] for the scope's test.
+    pub(crate) fn simulate_source_in(&self, scope: &TestScope) -> Result<Arc<SimResult>> {
+        let prepared = self.prepare(scope);
         self.source_leg(&prepared).map(|leg| leg.result)
     }
 }

@@ -238,6 +238,7 @@ counters! {
     CampaignWorkItems => ("campaign.work_items", Deterministic),
     CampaignPositives => ("campaign.positives", Deterministic),
     CampaignResumed => ("campaign.resumed", Deterministic),
+    S2lExtractions => ("s2l.extractions", Deterministic),
     SimCandidates => ("sim.candidates", Deterministic),
     SimAllowed => ("sim.allowed", Deterministic),
     SimPruned => ("sim.pruned_candidates", Deterministic),
@@ -1387,6 +1388,7 @@ mod tests {
 
     #[test]
     fn local_metrics_are_per_thread_and_ungated() {
+        let _g = lock(&SERIAL);
         ENABLED.store(false, Ordering::Relaxed);
         let base = local_get(LocalMetric::FullTraversals);
         local_add(LocalMetric::FullTraversals, 2);

@@ -65,8 +65,9 @@ P1 (atomic_int* x, atomic_int* y) {
 exists (P0:r0=1 /\ P1:r0=1)
 "#;
 
-/// The fault registry is process-global: the retry tests serialise on this
-/// and disarm via a drop guard, as in `tests/failure_isolation.rs`.
+/// The fault registry is process-global: the retry tests arm faults on SB,
+/// which every test here runs, so all of them serialise on this. The retry
+/// tests also disarm via a drop guard, as in `tests/failure_isolation.rs`.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 struct Disarm;
@@ -128,6 +129,7 @@ fn mem_with(image: Vec<u8>) -> MemBackend {
 
 #[test]
 fn resume_is_byte_identical_at_every_cut_point_and_thread_invariant() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tests = suite(&[SB, LB_FENCES]);
     let config = PipelineConfig::default();
     let fp = campaign_fingerprint(0, &small_spec(1), &config);
@@ -194,6 +196,7 @@ fn resume_is_byte_identical_at_every_cut_point_and_thread_invariant() {
 
 #[test]
 fn resume_matrix_campaign_and_sim_threads_cold_and_warm_store() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tests = suite(&[SB, MP_REL_ACQ, LB_FENCES]);
     let config = PipelineConfig::default();
     let fp = campaign_fingerprint(0, &wide_spec(1), &config);
@@ -350,6 +353,7 @@ fn exhausted_retries_escalate_to_a_typed_error_and_heal_on_resume() {
 
 #[test]
 fn shards_cover_disjointly_and_merge_reproduces_the_unsharded_table() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tests = suite(&[SB, MP_REL_ACQ, LB_FENCES]);
     let config = PipelineConfig::default();
     let baseline = run_campaign(&tests, &wide_spec(1), &config).unwrap();
@@ -413,6 +417,7 @@ fn shards_cover_disjointly_and_merge_reproduces_the_unsharded_table() {
 
 #[test]
 fn a_journal_for_the_wrong_shard_is_a_typed_configuration_error() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tests = suite(&[SB]);
     let config = PipelineConfig::default();
     let fp = campaign_fingerprint(0, &small_spec(1), &config);

@@ -1,0 +1,200 @@
+//! Per-test extraction memo pins: running a test's profiles through one
+//! shared [`TestScope`] gives, for every profile, the report a fresh
+//! [`Telechat::run`] gives; the scope extracts each distinct compiled
+//! `(object, reg_map)` exactly once, in a campaign at every thread count
+//! too; and target-leg faults still see each item's own profile name.
+//!
+//! Every test here takes [`SERIAL`]: one arms a process-global fault and
+//! one opens the process-global metrics window.
+
+use std::sync::Mutex;
+
+use telechat_compiler::Compiler;
+use telechat_repro::core::fault::{self, EngineFault, FaultAction, FaultLeg};
+use telechat_repro::core::{
+    prepare, run_campaign, CampaignSpec, PipelineConfig, SimCache, Telechat, TestReport, TestScope,
+};
+use telechat_repro::diy::Config;
+use telechat_repro::litmus::LitmusTest;
+use telechat_repro::objfile::ObjectFile;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+struct Disarm;
+
+impl Drop for Disarm {
+    fn drop(&mut self) {
+        fault::disarm_all();
+    }
+}
+
+/// Four diy tests spread over the `c11` sweep.
+fn tests() -> Vec<LitmusTest> {
+    let all = Config::c11().generate();
+    all.iter().step_by(all.len() / 4).take(4).cloned().collect()
+}
+
+/// The Table IV profiles.
+fn profiles() -> Vec<Compiler> {
+    CampaignSpec::table_iv("rc11").profiles()
+}
+
+/// The distinct `(object, reg_map)` pairs `test` compiles to across
+/// `profiles`, counted without the pipeline.
+fn distinct_pairs(test: &LitmusTest, profiles: &[Compiler]) -> usize {
+    let prepared = prepare(test, PipelineConfig::default().augment);
+    let mut seen: Vec<(ObjectFile, Vec<_>)> = Vec::new();
+    for compiler in profiles {
+        if let Ok(out) = compiler.compile(&prepared.test) {
+            let key = (out.object, out.reg_map);
+            if !seen.contains(&key) {
+                seen.push(key);
+            }
+        }
+    }
+    seen.len()
+}
+
+/// Every field of a report but the two wall-clock times.
+fn assert_same_report(memo: &TestReport, fresh: &TestReport) {
+    assert_eq!(memo.test_name, fresh.test_name);
+    assert_eq!(memo.profile, fresh.profile);
+    assert_eq!(memo.verdict, fresh.verdict, "{}", memo.profile);
+    assert_eq!(memo.source_outcomes, fresh.source_outcomes);
+    assert_eq!(
+        memo.target_outcomes, fresh.target_outcomes,
+        "{}",
+        memo.profile
+    );
+    assert_eq!(memo.positive, fresh.positive);
+    assert_eq!(memo.negative, fresh.negative);
+    assert_eq!(memo.asm_test, fresh.asm_test, "{}", memo.profile);
+}
+
+#[test]
+fn memoised_reports_equal_fresh_runs_field_for_field() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let fresh_tool = Telechat::new("rc11").unwrap();
+    let profiles = profiles();
+    for test in tests() {
+        // One scope for all 54 profiles, with and without the cache.
+        for cached in [false, true] {
+            let mut tool = Telechat::new("rc11").unwrap();
+            if cached {
+                tool = tool.with_cache(SimCache::shared());
+            }
+            let scope = TestScope::new(test.clone());
+            for compiler in &profiles {
+                let memo = tool.run_in(&scope, compiler);
+                let fresh = fresh_tool.run(&test, compiler);
+                match (memo, fresh) {
+                    (Ok(memo), Ok(fresh)) => {
+                        assert_eq!(
+                            memo.asm_test.name,
+                            format!("{}.{}", compiler.profile_name(), test.name),
+                            "a memo hit carries its own profile's name"
+                        );
+                        assert_same_report(&memo, &fresh);
+                    }
+                    (Err(memo), Err(fresh)) => assert_eq!(memo, fresh),
+                    (memo, fresh) => panic!(
+                        "{} {}: memoised {memo:?} vs fresh {fresh:?}",
+                        test.name,
+                        compiler.profile_name()
+                    ),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn each_distinct_compiled_pair_is_extracted_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let tool = Telechat::new("rc11").unwrap();
+    let profiles = profiles();
+    let tests = tests();
+    let mut expected = 0u64;
+    for test in &tests {
+        let scope = TestScope::new(test.clone());
+        for compiler in &profiles {
+            let _ = tool.run_in(&scope, compiler);
+        }
+        let distinct = distinct_pairs(test, &profiles);
+        assert_eq!(scope.extractions(), distinct, "{}", test.name);
+        assert!(
+            distinct < profiles.len(),
+            "{}: profiles share compiled code, so the memo saves work",
+            test.name
+        );
+        expected += distinct as u64;
+    }
+
+    // A campaign shares one scope between a test's items: the counter is
+    // the same sum at every worker count, with the cache on or off.
+    for (threads, cache) in [(1, true), (2, true), (4, true), (2, false)] {
+        let spec = CampaignSpec {
+            threads,
+            cache,
+            metrics: true,
+            ..CampaignSpec::table_iv("rc11")
+        };
+        let result = run_campaign(&tests, &spec, &PipelineConfig::default()).unwrap();
+        let report = result.obs.as_ref().unwrap();
+        assert_eq!(
+            report.counter("s2l.extractions"),
+            Some(expected),
+            "threads={threads} cache={cache}"
+        );
+    }
+}
+
+#[test]
+fn target_faults_fire_with_the_items_own_profile_name() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _disarm = Disarm;
+    let profiles = profiles();
+    let test = tests().remove(0);
+    let prepared = prepare(&test, PipelineConfig::default().augment);
+    // Two profiles that compile the test to the same object and register
+    // map, so the second one is a memo hit.
+    let compiled: Vec<_> = profiles
+        .iter()
+        .map(|c| c.compile(&prepared.test).ok())
+        .collect();
+    let (first, second) = (0..profiles.len())
+        .flat_map(|i| (i + 1..profiles.len()).map(move |j| (i, j)))
+        .find(|&(i, j)| match (&compiled[i], &compiled[j]) {
+            (Some(a), Some(b)) => a.object == b.object && a.reg_map == b.reg_map,
+            _ => false,
+        })
+        .expect("some profiles share compiled code");
+    let derived = format!("{}.{}", profiles[second].profile_name(), test.name);
+
+    // Uncached, and with a cache that has not simulated the target yet:
+    // both compute the second profile's target leg.
+    for cached in [false, true] {
+        let scope = TestScope::new(test.clone());
+        let lead = Telechat::new("rc11").unwrap();
+        lead.run_in(&scope, &profiles[first]).unwrap();
+        let mut tool = Telechat::new("rc11").unwrap();
+        if cached {
+            tool = tool.with_cache(SimCache::shared());
+        }
+        fault::arm(EngineFault {
+            leg: FaultLeg::Target,
+            test_contains: derived.clone(),
+            action: FaultAction::Panic,
+            fires: 1,
+            transient: false,
+        });
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tool.run_in(&scope, &profiles[second])
+        }))
+        .expect_err("the fault fires on the memo hit");
+        let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(message.contains(&derived), "cached={cached}: {message}");
+        assert_eq!(scope.extractions(), 1, "the second profile hit the memo");
+        fault::disarm_all();
+    }
+}

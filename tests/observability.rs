@@ -148,6 +148,18 @@ fn attribution_and_histograms_invariant_across_configs() {
         counters.iter().any(|(n, _)| n == "coverage.source_outcome_sets"),
         "distinct source-outcome-set fingerprint count is reported"
     );
+    // Extractions are counted per distinct compiled object of a test, so
+    // the per-test memo shares work and the count sits in the
+    // deterministic set compared across every configuration below.
+    let extractions = counters
+        .iter()
+        .find(|(n, _)| n == "s2l.extractions")
+        .map(|(_, v)| *v);
+    assert!(
+        matches!(extractions, Some(n) if n > 0 && n < base.compiled_tests as u64),
+        "s2l.extractions {extractions:?} of {} work items",
+        base.compiled_tests
+    );
     assert!(
         hists.contains("sim.combo_candidates"),
         "per-combo DFS-size histogram is reported: {hists}"
