@@ -673,7 +673,7 @@ pub fn run_campaign_source(
                     };
                     let test = pulled.scope.test();
                     telechat_obs::add(telechat_obs::Counter::CampaignWorkItems, 1);
-                    let _span = telechat_obs::span_with("work-item", || {
+                    let _span = telechat_obs::span_with(telechat_obs::WORK_ITEM, || {
                         format!("{}:{}", test.name, profiles[p].profile_name())
                     });
                     if !followers.is_empty() {
@@ -694,6 +694,7 @@ pub fn run_campaign_source(
                         // happens in the item run below) — a warm-up must
                         // never take down the worker.
                         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            let _span = telechat_obs::span("warm-up");
                             tool.simulate_source_in(&pulled.scope)
                         }));
                         drop(release);

@@ -463,7 +463,7 @@ fn campaign(o: &Opts) -> Result<i32> {
         std::io::Write::flush(&mut file).map_err(io)?;
         eprintln!(
             "trace: {} span(s), {} metric row(s) -> {}",
-            report.spans.len(),
+            report.span_count(),
             report.counters.len(),
             path.display()
         );

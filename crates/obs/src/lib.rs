@@ -21,9 +21,13 @@
 //! itself with [`adopt`]. Span ids are *stable*: `id = fnv1a64(parent,
 //! name, key)`, so the id of "the source-sim leg of test X" is the same in
 //! every run at every thread count; completed spans are buffered
-//! thread-locally and flushed to a capped global sink, and [`finish`]
-//! normalises their order (depth, name, key, id, start) so the JSONL trace
-//! is diffable even though the OS scheduled the threads differently.
+//! thread-locally and flushed to a capped global sink. [`finish`] rebases
+//! their starts to the window origin but does not sort them: it derives
+//! the per-phase rows in one pass over the flush order, which no total or
+//! histogram depends on. [`ObsReport::spans`] and
+//! [`ObsReport::write_jsonl`] give the normalised order (depth, name, key,
+//! id, start), so the JSONL trace is diffable even though the OS scheduled
+//! the threads differently.
 //!
 //! **Counters** live in a fixed process-wide registry ([`Counter`]), each
 //! tagged with a determinism [`Class`]:
@@ -41,7 +45,7 @@
 //! [`LocalMetric`]s: thread-local cells, always counted, never gated.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -90,30 +94,13 @@ pub fn finish() -> ObsReport {
     ENABLED.store(false, Ordering::Relaxed);
     flush_thread();
     let mut spans: Vec<SpanEvent> = std::mem::take(&mut *lock(&EVENTS));
-    // Normalise: start times relative to the earliest span, order by the
-    // stable key — scheduling decides none of the output.
+    // Start times relative to the earliest span. The flush order stays:
+    // only [`ObsReport::spans`] readers pay for the stable order.
     let origin = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
     for s in &mut spans {
         s.start_ns -= origin;
     }
-    spans.sort_by(|a, b| {
-        (a.depth, a.name, &a.key, a.id, a.start_ns).cmp(&(b.depth, b.name, &b.key, b.id, b.start_ns))
-    });
-
-    let mut phases: Vec<PhaseRow> = Vec::new();
-    for s in &spans {
-        match phases.iter_mut().find(|p| p.name == s.name) {
-            Some(p) => {
-                p.count += 1;
-                p.total_ns += u128::from(s.dur_ns);
-            }
-            None => phases.push(PhaseRow {
-                name: s.name.to_string(),
-                count: 1,
-                total_ns: u128::from(s.dur_ns),
-            }),
-        }
-    }
+    let (phases, phase_hists) = tally_phases(&spans);
 
     let mut counters: Vec<CounterRow> = Counter::ALL
         .iter()
@@ -149,21 +136,10 @@ pub fn finish() -> ObsReport {
             hist: h.clone(),
         })
         .collect();
-    for s in &spans {
-        match hists
-            .iter_mut()
-            .find(|h| h.name.strip_prefix("phase.") == Some(s.name))
-        {
-            Some(row) => row.hist.record(s.dur_ns),
-            None => {
-                let mut h = Histogram::new();
-                h.record(s.dur_ns);
-                hists.push(HistRow {
-                    name: format!("phase.{}", s.name),
-                    class: Class::Scheduling,
-                    hist: h,
-                });
-            }
+    for row in phase_hists {
+        match hists.iter_mut().find(|h| h.name == row.name) {
+            Some(existing) => existing.hist.merge(&row.hist),
+            None => hists.push(row),
         }
     }
     hists.sort_by(|a, b| a.name.cmp(&b.name));
@@ -175,6 +151,104 @@ pub fn finish() -> ObsReport {
         spans,
         dropped_events: DROPPED.load(Ordering::Relaxed),
     }
+}
+
+/// Name of the campaign's per-item span, whose self time [`finish`]
+/// reports as the `work-item.unattributed` row.
+pub const WORK_ITEM: &str = "work-item";
+
+/// Per-name span totals and `phase.*` latency histograms, from one pass
+/// over `spans` in any order. Rows come out by the shallowest depth their
+/// name occurs at, then by name: the order a scan of the normalised span
+/// list meets them in. A `work-item.unattributed` row follows `work-item`:
+/// the work items' time that none of their direct children covers, so the
+/// phases below a work item always sum to its total.
+fn tally_phases(spans: &[SpanEvent]) -> (Vec<PhaseRow>, Vec<HistRow>) {
+    struct Tally {
+        name: &'static str,
+        depth: u32,
+        count: u64,
+        total_ns: u128,
+        hist: Histogram,
+    }
+    let mut tallies: Vec<Tally> = Vec::new();
+    // Name literal → tally index. After the first span of each literal the
+    // lookup is an address comparison; the string comparison runs once per
+    // literal (one name spelled in two crates may be two literals).
+    let mut literals: Vec<(&'static str, usize)> = Vec::new();
+    let mut work_item: Option<usize> = None;
+    let mut work_item_ids: HashSet<u64> = HashSet::new();
+    // Summed durations of each parent id's direct children.
+    let mut child_ns: HashMap<u64, u128> = HashMap::new();
+    for s in spans {
+        let i = match literals.iter().find(|(n, _)| std::ptr::eq(*n, s.name)) {
+            Some(&(_, i)) => i,
+            None => {
+                let i = match tallies.iter().position(|t| t.name == s.name) {
+                    Some(i) => i,
+                    None => {
+                        if s.name == WORK_ITEM {
+                            work_item = Some(tallies.len());
+                        }
+                        tallies.push(Tally {
+                            name: s.name,
+                            depth: s.depth,
+                            count: 0,
+                            total_ns: 0,
+                            hist: Histogram::new(),
+                        });
+                        tallies.len() - 1
+                    }
+                };
+                literals.push((s.name, i));
+                i
+            }
+        };
+        if work_item == Some(i) {
+            work_item_ids.insert(s.id);
+        }
+        if s.depth > 0 {
+            *child_ns.entry(s.parent).or_default() += u128::from(s.dur_ns);
+        }
+        let t = &mut tallies[i];
+        t.depth = t.depth.min(s.depth);
+        t.count += 1;
+        t.total_ns += u128::from(s.dur_ns);
+        t.hist.record(s.dur_ns);
+    }
+    let unattributed = work_item.map(|w| {
+        let children: u128 = work_item_ids.iter().filter_map(|id| child_ns.get(id)).sum();
+        PhaseRow {
+            name: format!("{WORK_ITEM}.unattributed"),
+            count: tallies[w].count,
+            total_ns: tallies[w].total_ns.saturating_sub(children),
+        }
+    });
+    tallies.sort_by(|a, b| (a.depth, a.name).cmp(&(b.depth, b.name)));
+    let (mut phases, hists): (Vec<PhaseRow>, Vec<HistRow>) = tallies
+        .into_iter()
+        .map(|t| {
+            let phase = PhaseRow {
+                name: t.name.to_string(),
+                count: t.count,
+                total_ns: t.total_ns,
+            };
+            let hist = HistRow {
+                name: format!("phase.{}", t.name),
+                class: Class::Scheduling,
+                hist: t.hist,
+            };
+            (phase, hist)
+        })
+        .unzip();
+    if let Some(row) = unattributed {
+        let at = phases
+            .iter()
+            .position(|p| p.name == WORK_ITEM)
+            .map_or(phases.len(), |w| w + 1);
+        phases.insert(at, row);
+    }
+    (phases, hists)
 }
 
 // ---------------------------------------------------------------------------
@@ -808,7 +882,7 @@ pub struct HistRow {
 }
 
 /// The programmatic snapshot [`finish`] returns: counters, per-phase time
-/// and the normalised span list. Embedded by `bench_relops` into
+/// and the span events. Embedded by `bench_relops` into
 /// `BENCH_relops.json` and rendered by `CampaignResult`'s `--metrics`
 /// table.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -817,14 +891,17 @@ pub struct ObsReport {
     /// labelled attribution rows sorted by name, plus any rows absorbed
     /// afterwards ([`ObsReport::push_counter`]).
     pub counters: Vec<CounterRow>,
-    /// Wall-time per span name.
+    /// Wall-time per span name, by the shallowest depth the name occurs
+    /// at, then by name.
     pub phases: Vec<PhaseRow>,
     /// Named distributions: engine histograms merged through
     /// [`merge_hist`]/[`record_hist`] and per-phase latency histograms
     /// derived from the spans, sorted by name.
     pub hists: Vec<HistRow>,
-    /// Every completed span, normalised (relative starts, stable order).
-    pub spans: Vec<SpanEvent>,
+    /// Every completed span, starts relative to the window origin, in the
+    /// order threads flushed them (scheduling-dependent). Read through
+    /// [`ObsReport::spans`], which normalises the order.
+    spans: Vec<SpanEvent>,
     /// Spans dropped at the sink cap (0 in any sane run).
     pub dropped_events: u64,
 }
@@ -838,6 +915,23 @@ impl ObsReport {
             class,
             value,
         });
+    }
+
+    /// Every span in the normalised order `(depth, name, key, id, start)`:
+    /// stable across runs and thread counts, so traces diff cleanly. Sorts
+    /// on each call; [`ObsReport::span_count`] does not.
+    pub fn spans(&self) -> Vec<&SpanEvent> {
+        let mut spans: Vec<&SpanEvent> = self.spans.iter().collect();
+        spans.sort_by(|a, b| {
+            (a.depth, a.name, &a.key, a.id, a.start_ns)
+                .cmp(&(b.depth, b.name, &b.key, b.id, b.start_ns))
+        });
+        spans
+    }
+
+    /// Number of spans recorded.
+    pub fn span_count(&self) -> usize {
+        self.spans.len()
     }
 
     /// The value of a counter row, if present.
@@ -917,8 +1011,9 @@ impl ObsReport {
     }
 
     /// Writes the machine-readable JSONL trace: one `meta` line, one line
-    /// per span, one line per counter. Every line is a complete JSON
-    /// object (`python3 -m json.tool` validates each).
+    /// per span in the [`ObsReport::spans`] order, one line per counter.
+    /// Every line is a complete JSON object (`python3 -m json.tool`
+    /// validates each).
     ///
     /// # Errors
     ///
@@ -931,7 +1026,7 @@ impl ObsReport {
             self.counters.len(),
             self.dropped_events
         )?;
-        for s in &self.spans {
+        for s in self.spans() {
             writeln!(
                 w,
                 "{{\"type\":\"span\",\"id\":\"{:016x}\",\"parent\":\"{:016x}\",\"name\":{},\"key\":{},\"depth\":{},\"start_us\":{},\"dur_us\":{}}}",
@@ -1176,9 +1271,10 @@ mod tests {
         let report = finish();
         assert_eq!(report.counter("sim.candidates"), Some(7));
         assert_eq!(report.counter("sim.steal_tasks"), Some(2));
-        assert_eq!(report.spans.len(), 2);
-        let root = &report.spans[0];
-        let item = &report.spans[1];
+        assert_eq!(report.spans().len(), 2);
+        let spans = report.spans();
+        let root = spans[0];
+        let item = spans[1];
         assert_eq!((root.name, root.depth, root.parent), ("campaign", 0, 0));
         assert_eq!((item.name, item.depth, item.parent), ("work-item", 1, root.id));
         assert_eq!(item.id, span_id(root.id, "work-item", "SB:clang"));
@@ -1211,12 +1307,18 @@ mod tests {
         let (a, root_a) = run();
         let (b, root_b) = run();
         assert_eq!(root_a, root_b);
-        let ids = |r: &ObsReport| r.spans.iter().map(|s| (s.id, s.parent, s.depth)).collect::<Vec<_>>();
+        let ids = |r: &ObsReport| {
+            r.spans()
+                .iter()
+                .map(|s| (s.id, s.parent, s.depth))
+                .collect::<Vec<_>>()
+        };
         assert_eq!(ids(&a), ids(&b), "normalised span lists are diffable");
         // The adopted child nests under the root even though it ran on
         // another thread.
-        assert_eq!(a.spans[1].parent, root_a);
-        assert_eq!(a.spans[1].depth, 1);
+        let child = a.spans()[1];
+        assert_eq!(child.parent, root_a);
+        assert_eq!(child.depth, 1);
     }
 
     #[test]
@@ -1238,8 +1340,8 @@ mod tests {
                 spans.push(s);
             }
         }
-        assert_eq!(spans.len(), report.spans.len());
-        for (parsed, orig) in spans.iter().zip(&report.spans) {
+        assert_eq!(spans.len(), report.spans().len());
+        for (parsed, orig) in spans.iter().zip(report.spans()) {
             assert_eq!(parsed.id, orig.id);
             assert_eq!(parsed.parent, orig.parent);
             assert_eq!(parsed.depth, orig.depth);
@@ -1277,8 +1379,8 @@ mod tests {
         report.write_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let parsed: Vec<SpanEvent> = text.lines().filter_map(span_from_jsonl).collect();
-        assert_eq!(parsed.len(), report.spans.len());
-        for (p, o) in parsed.iter().zip(&report.spans) {
+        assert_eq!(parsed.len(), report.spans().len());
+        for (p, o) in parsed.iter().zip(report.spans()) {
             assert_eq!((p.id, p.parent, p.depth, p.name, &p.key), (o.id, o.parent, o.depth, o.name, &o.key));
             assert_eq!((p.start_ns, p.dur_ns), (o.start_ns / 1_000 * 1_000, o.dur_ns / 1_000 * 1_000));
         }
@@ -1356,6 +1458,103 @@ mod tests {
         add_labelled("rule.leaf.off", 7);
         record_hist("off.hist", Class::Deterministic, 1);
         assert_eq!(get_labelled("rule.leaf.off"), None);
+    }
+
+    #[test]
+    fn spans_are_normalised_whatever_order_threads_flush_in() {
+        use std::sync::Condvar;
+        let _g = lock(&SERIAL);
+        // Work-item keys share prefixes; threads 1 and 3 share a key, so
+        // their work items tie on (depth, name, key, id) and differ only in
+        // start. Every thread's combos tie on (depth, name, key).
+        let keys = ["ab", "a", "a:b", "a"];
+        // Thread `FLUSH_ORDER[r]` flushes its buffer r-th, so the sink
+        // meets `beta` at depth 3 (thread 2) before depth 1 (thread 0).
+        const FLUSH_ORDER: [usize; 4] = [2, 0, 3, 1];
+        let turn = (Mutex::new(0usize), Condvar::new());
+        begin();
+        {
+            let _root = span("campaign");
+            let root = current();
+            std::thread::scope(|scope| {
+                for (t, key) in keys.into_iter().enumerate() {
+                    let turn = &turn;
+                    scope.spawn(move || {
+                        let adopted = adopt(root);
+                        {
+                            let _item = span_with(WORK_ITEM, || key.to_string());
+                            for c in [1, 0] {
+                                let _combo = span_idx("combo", c);
+                                if t == 2 {
+                                    let _deep = span("beta");
+                                }
+                            }
+                            let _alpha = span("alpha");
+                        }
+                        if t == 0 {
+                            let _shallow = span("beta");
+                        }
+                        let rank = FLUSH_ORDER.iter().position(|&x| x == t).unwrap();
+                        let (m, cv) = turn;
+                        let mut now = cv.wait_while(lock(m), |n| *n != rank).unwrap();
+                        drop(adopted); // the stack empties: flush
+                        *now += 1;
+                        cv.notify_all();
+                    });
+                }
+            });
+        }
+        let report = finish();
+
+        let mut expected = report.spans.clone();
+        expected.sort_by_key(|s| (s.depth, s.name, s.key.clone(), s.id, s.start_ns));
+        assert_ne!(
+            report.spans, expected,
+            "the flush order is not already sorted"
+        );
+        let spans: Vec<SpanEvent> = report.spans().into_iter().cloned().collect();
+        assert_eq!(spans, expected);
+
+        let jsonl = |r: &ObsReport| {
+            let mut buf = Vec::new();
+            r.write_jsonl(&mut buf).unwrap();
+            buf
+        };
+        assert_eq!(jsonl(&report), jsonl(&report));
+
+        // Time rows: shallowest depth a name occurs at, then name, with the
+        // work items' self time right after them.
+        let times: Vec<String> = report
+            .rows()
+            .into_iter()
+            .filter(|r| r.kind == "time")
+            .map(|r| r.name)
+            .collect();
+        assert_eq!(
+            times,
+            [
+                "campaign",
+                "beta",
+                "work-item",
+                "work-item.unattributed",
+                "alpha",
+                "combo"
+            ]
+        );
+        let items: HashSet<u64> = spans
+            .iter()
+            .filter(|s| s.name == WORK_ITEM)
+            .map(|s| s.id)
+            .collect();
+        let children: u128 = spans
+            .iter()
+            .filter(|s| items.contains(&s.parent))
+            .map(|s| u128::from(s.dur_ns))
+            .sum();
+        assert_eq!(
+            report.phase_ns("work-item.unattributed"),
+            report.phase_ns(WORK_ITEM) - children
+        );
     }
 
     #[test]

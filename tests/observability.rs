@@ -241,7 +241,7 @@ fn jsonl_trace_round_trips_and_spans_nest() {
             metric_lines += 1;
         }
     }
-    assert_eq!(spans.len(), report.spans.len(), "every span round-trips");
+    assert_eq!(spans.len(), report.spans().len(), "every span round-trips");
     assert_eq!(metric_lines, report.counters.len());
     assert_eq!(hist_lines, report.hists.len(), "every histogram is traced");
 
@@ -283,10 +283,30 @@ fn jsonl_trace_round_trips_and_spans_nest() {
         "source-sim",
         "target-sim",
         "compare",
+        "warm-up",
         "combo",
     ] {
         assert!(names.contains(phase), "missing span name {phase:?}");
     }
+
+    // The phase table closes: a work item's direct children plus its
+    // unattributed self time sum to its total.
+    let children: u128 = [
+        "prepare",
+        "compile",
+        "extract",
+        "source-sim",
+        "target-sim",
+        "compare",
+        "warm-up",
+    ]
+    .iter()
+    .map(|p| report.phase_ns(p))
+    .sum();
+    assert_eq!(
+        children + report.phase_ns("work-item.unattributed"),
+        report.phase_ns("work-item")
+    );
 
     // One work item per compiled test, each keyed `test:profile`.
     let items: Vec<_> = spans.iter().filter(|s| s.name == "work-item").collect();
