@@ -32,8 +32,8 @@ use telechat_cat::CatModel;
 use telechat_common::{Arch, EventId, Result, ThreadId, XorShiftRng};
 use telechat_compiler::{Compiler, CompilerId, OptLevel, Target};
 use telechat_exec::{
-    interpret_thread, kernels, simulate, simulate_reference, value_pools, IncrementalOrder,
-    InterpBudget, Relation, SimConfig,
+    interpret_thread, simulate, simulate_reference, value_pools, IncrementalOrder, InterpBudget,
+    Relation, SimConfig,
 };
 use telechat_fuzz::{SampleConfig, Sampler};
 use telechat_litmus::{parse_c11, LitmusTest};
@@ -59,30 +59,9 @@ const PR2_BASELINE_MS: f64 = 107.0;
 /// comparable to a staged_ms measured in the same session.
 const PR5_DEEP_BASELINE_MS: f64 = 3.03;
 
-/// A scalar-vs-chunked kernel implementation pair, resolved by explicit
-/// module path so one binary measures both regardless of the `simd`
-/// feature (which only switches what the *engine* dispatches to).
-struct KernelImpl {
-    or_assign: fn(&mut [u64], &[u64]),
-    and_assign: fn(&mut [u64], &[u64]),
-}
-
-/// Index 0 is scalar, index 1 is chunked — the order of the
-/// `scalar_ns`/`chunked_ns` columns in the JSON rows.
-const KERNEL_IMPLS: [KernelImpl; 2] = [
-    KernelImpl {
-        or_assign: kernels::scalar::or_assign,
-        and_assign: kernels::scalar::and_assign,
-    },
-    KernelImpl {
-        or_assign: kernels::chunked::or_assign,
-        and_assign: kernels::chunked::and_assign,
-    },
-];
-
 /// The deep-sample shape: the first well-formed 5-thread sampler shape
 /// from this seed/config whose synthesised test exceeds 64 events (65,
-/// 4 trace combos) — the multi-word regime the kernels target. The scan
+/// 4 trace combos) — the multi-word regime of the row kernels. The scan
 /// is deterministic (seeded sampler), so every run measures the same test.
 fn deep_sample_test() -> Option<(LitmusTest, usize, u128)> {
     let cfg = SampleConfig {
@@ -303,8 +282,7 @@ fn main() -> Result<()> {
         .collect();
 
     // Best-of-3 averaged passes: a scheduler spike mid-pass inflates one
-    // average, not the minimum — the scalar-vs-chunked ratios below are
-    // meaningless if the two sides sample different noise.
+    // average, not the minimum.
     let time_micro = |f: &mut dyn FnMut()| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
@@ -344,83 +322,6 @@ fn main() -> Result<()> {
     })));
     for (op, ns) in &micro {
         println!("  micro {op:28} {ns:12.0} ns/op");
-    }
-
-    // Scalar-vs-chunked kernel rows at multi-word widths. Each op runs a
-    // full matrix pass over `nodes` rows of `stride` words (the exact row
-    // layout of `Relation` at that capacity): `union`/`inter` are one
-    // kernel call per row, `seq` is the row OR-combine — one `or_assign`
-    // per set bit of the left operand, the composition inner loop. Both
-    // implementations see identical data; `ns_per_op` is one full pass.
-    let mut kernel_rows: Vec<(&str, u32, f64, f64)> = Vec::new();
-    for nodes in [64u32, 192, 320] {
-        let stride = (nodes.next_power_of_two().max(64) / 64) as usize;
-        let words = nodes as usize * stride;
-        let mut krng = XorShiftRng::seed_from_u64(u64::from(nodes) ^ 0x5EED);
-        // ~25% bit density: dense enough that seq's OR-combine dominates,
-        // sparse enough that the zero-row skips stay exercised upstream.
-        let randm = |rng: &mut XorShiftRng| -> Vec<u64> {
-            (0..words)
-                .map(|_| rng.below(u64::MAX) & rng.below(u64::MAX))
-                .collect()
-        };
-        let a = randm(&mut krng);
-        let b = randm(&mut krng);
-        let mut per_impl = [0.0f64; 2];
-        for (ki, imp) in KERNEL_IMPLS.iter().enumerate() {
-            let mut out = a.clone();
-            per_impl[ki] = time_micro(&mut || {
-                for r in 0..nodes as usize {
-                    (imp.or_assign)(
-                        &mut out[r * stride..(r + 1) * stride],
-                        &b[r * stride..(r + 1) * stride],
-                    );
-                }
-                std::hint::black_box(&mut out);
-            });
-        }
-        kernel_rows.push(("union", nodes, per_impl[0], per_impl[1]));
-
-        for (ki, imp) in KERNEL_IMPLS.iter().enumerate() {
-            let mut out = a.clone();
-            per_impl[ki] = time_micro(&mut || {
-                for r in 0..nodes as usize {
-                    (imp.and_assign)(&mut out[r * stride..(r + 1) * stride], &b[r * stride..(r + 1) * stride]);
-                }
-                std::hint::black_box(&mut out);
-            });
-        }
-        kernel_rows.push(("inter", nodes, per_impl[0], per_impl[1]));
-
-        for (ki, imp) in KERNEL_IMPLS.iter().enumerate() {
-            let mut out = vec![0u64; words];
-            per_impl[ki] = time_micro(&mut || {
-                for r in 0..nodes as usize {
-                    let arow = &a[r * stride..(r + 1) * stride];
-                    for (w, &word) in arow.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let j = w * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            if j < nodes as usize {
-                                (imp.or_assign)(
-                                    &mut out[r * stride..(r + 1) * stride],
-                                    &b[j * stride..(j + 1) * stride],
-                                );
-                            }
-                        }
-                    }
-                }
-                std::hint::black_box(&mut out);
-            });
-        }
-        kernel_rows.push(("seq", nodes, per_impl[0], per_impl[1]));
-    }
-    for (op, nodes, scalar_ns, chunked_ns) in &kernel_rows {
-        println!(
-            "  kernel {op:6} n={nodes:<4} scalar {scalar_ns:10.0} ns  chunked {chunked_ns:10.0} ns  ({:.2}x)",
-            scalar_ns / chunked_ns
-        );
     }
 
     // Deep-sample engine row: the >64-event 5-thread sampled shape (the
@@ -759,16 +660,6 @@ fn main() -> Result<()> {
         let _ = writeln!(
             json,
             "    {{ \"op\": \"{op}\", \"nodes\": {n}, \"ns_per_op\": {ns:.1} }}{comma}"
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"kernels\": [");
-    for (i, (op, nodes, scalar_ns, chunked_ns)) in kernel_rows.iter().enumerate() {
-        let comma = if i + 1 < kernel_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{ \"op\": \"{op}\", \"nodes\": {nodes}, \"scalar_ns\": {scalar_ns:.1}, \"chunked_ns\": {chunked_ns:.1}, \"speedup\": {:.2} }}{comma}",
-            scalar_ns / chunked_ns
         );
     }
     let _ = writeln!(json, "  ],");

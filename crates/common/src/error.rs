@@ -68,15 +68,6 @@ pub enum Error {
     /// these are typed errors — serving a wrong merge would break the
     /// exactly-once guarantee.
     Journal(String),
-    /// A campaign work item kept faulting through every supervised attempt
-    /// its `RetryPolicy` allowed: the transient retries are exhausted and
-    /// the item escalates to a typed permanent failure. Like the faults it
-    /// wraps, it is never cached or persisted — a resumed campaign retries
-    /// the item from scratch.
-    RetriesExhausted {
-        /// Attempts made (the initial run plus every retry).
-        attempts: u32,
-    },
 }
 
 impl Error {
@@ -109,10 +100,7 @@ impl Error {
     pub fn is_fault(&self) -> bool {
         matches!(
             self,
-            Error::Panicked(_)
-                | Error::Deadline { .. }
-                | Error::Io(_)
-                | Error::RetriesExhausted { .. }
+            Error::Panicked(_) | Error::Deadline { .. } | Error::Io(_)
         )
     }
 }
@@ -135,9 +123,6 @@ impl fmt::Display for Error {
             }
             Error::Io(m) => write!(f, "store i/o error: {m}"),
             Error::Journal(m) => write!(f, "campaign journal: {m}"),
-            Error::RetriesExhausted { attempts } => {
-                write!(f, "work item still faulting after {attempts} supervised attempts")
-            }
         }
     }
 }
@@ -166,7 +151,6 @@ mod tests {
         assert!(Error::Panicked("boom".into()).is_fault());
         assert!(Error::Deadline { limit_ms: 50 }.is_fault());
         assert!(Error::Io("disk full".into()).is_fault());
-        assert!(Error::RetriesExhausted { attempts: 3 }.is_fault());
         assert!(!Error::Budget { steps: 10 }.is_fault());
         assert!(!Error::Deadline { limit_ms: 50 }.is_exhaustion());
     }

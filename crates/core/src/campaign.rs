@@ -8,7 +8,6 @@
 //! can consume an unbounded generator without materialising it first.
 
 use crate::cache::{lock_unpoisoned, CacheStats, SimCache};
-use crate::fault::{self, RetryPolicy};
 use crate::journal::{CampaignJournal, ItemKey, ItemOutcome, ItemRecord, JournalStats, ShardSpec};
 use crate::persist::PersistStore;
 use crate::pipeline::{PipelineConfig, Telechat, TestReport, TestScope, TestVerdict};
@@ -105,16 +104,11 @@ pub struct CampaignSpec {
     /// `compiled_tests`) still describe the full stream — cells hold only
     /// this shard's items.
     pub shard: Option<ShardSpec>,
-    /// Supervised execution for fault-class work-item failures that are
-    /// provably transient ([`fault::take_transient`]): attempts, backoff
-    /// and escalation. The default keeps the historical retry-once,
-    /// no-backoff behaviour.
-    pub retry: RetryPolicy,
 }
 
 impl Default for CampaignSpec {
     /// An empty sweep with the production defaults: sharing layer on, no
-    /// store/journal/shard, single worker, retry-once supervision.
+    /// store/journal/shard, single worker.
     fn default() -> CampaignSpec {
         CampaignSpec {
             compilers: Vec::new(),
@@ -127,7 +121,6 @@ impl Default for CampaignSpec {
             metrics: false,
             journal: None,
             shard: None,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -458,10 +451,7 @@ pub fn run_campaign_source(
     let deadline = config.sim.deadline;
     // Shard/journal sanity before any telemetry or model loading: a journal
     // opened for a different shard must never replay into this campaign.
-    let shard = spec.shard.unwrap_or_else(ShardSpec::whole);
-    if shard.count == 0 || shard.index >= shard.count {
-        return Err(Error::Journal(format!("invalid shard spec {shard}")));
-    }
+    let shard = spec.shard.unwrap_or_else(ShardSpec::whole).checked()?;
     if let Some(journal) = &spec.journal {
         if journal.shard() != shard {
             return Err(Error::Journal(format!(
@@ -690,9 +680,9 @@ pub fn run_campaign_source(
                         // their compiles in parallel with the lead's. A
                         // simulation error is cached too and replays
                         // identically for every item, so it is ignored here.
-                        // Panics are contained (the gate poisons, the retry
-                        // happens in the item run below) — a warm-up must
-                        // never take down the worker.
+                        // Panics are contained (the gate poisons, and the
+                        // item run below recomputes the leg) — a warm-up
+                        // must never take down the worker.
                         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             let _span = telechat_obs::span("warm-up");
                             tool.simulate_source_in(&pulled.scope)
@@ -701,27 +691,7 @@ pub fn run_campaign_source(
                     }
                     let compiler = &profiles[p];
                     let key = (compiler.target.arch, compiler.id.family, compiler.opt);
-                    let mut outcome = run_isolated(&tool, &pulled, compiler, deadline);
-                    // Supervised retries, only when the failure provably came
-                    // from an injected *transient* fault: production failures
-                    // stay deterministic (a flaky-looking leg is a bug, not
-                    // noise). An item still faulting with a transient marker
-                    // once the policy's attempts are exhausted escalates to
-                    // the typed permanent failure — a counted error cell,
-                    // never an unbounded retry loop.
-                    let mut attempts = 1u32;
-                    while outcome.as_ref().is_err_and(Error::is_fault)
-                        && fault::take_transient(&test.name)
-                    {
-                        if attempts >= spec.retry.max_attempts {
-                            outcome = Err(Error::RetriesExhausted { attempts });
-                            break;
-                        }
-                        telechat_obs::add(telechat_obs::Counter::CampaignRetries, 1);
-                        spec.retry.pause(attempts);
-                        outcome = run_isolated(&tool, &pulled, compiler, deadline);
-                        attempts += 1;
-                    }
+                    let outcome = run_isolated(&tool, &pulled, compiler, deadline);
                     match &outcome {
                         Err(Error::Deadline { .. }) => {
                             telechat_obs::add(telechat_obs::Counter::CampaignDeadlineKills, 1);

@@ -49,10 +49,9 @@
 //! # Faults
 //!
 //! Fault-class item failures ([`Error::is_fault`]: panics, missed
-//! deadlines, exhausted retries) are *never* journaled — like the leg
-//! store, a resumed campaign retries them from scratch, so a transient
-//! infrastructure fault heals on resume instead of being replayed
-//! forever. Journal write failures degrade to a read-only session
+//! deadlines) are *never* journaled — like the leg store, a resumed
+//! campaign recomputes them from scratch, so a transient infrastructure
+//! fault heals on resume instead of being replayed forever. Journal write failures degrade to a read-only session
 //! (counted in [`JournalStats`], surfaced once on stderr); the campaign
 //! itself never fails because its journal could not be written.
 
@@ -98,6 +97,15 @@ impl ShardSpec {
     /// The unsharded campaign: one shard covering every work item.
     pub fn whole() -> ShardSpec {
         ShardSpec { index: 0, count: 1 }
+    }
+
+    /// This spec, or a typed [`Error::Journal`] when it names no shard
+    /// (`count == 0` or `index >= count`).
+    pub(crate) fn checked(self) -> Result<ShardSpec> {
+        if self.count == 0 || self.index >= self.count {
+            return Err(Error::Journal(format!("invalid shard spec {self}")));
+        }
+        Ok(self)
     }
 
     /// True when this spec selects the whole work-item space.
@@ -539,6 +547,9 @@ impl CampaignJournal {
         backend: Box<dyn StoreBackend>,
         expect: Option<(u64, ShardSpec)>,
     ) -> Result<CampaignJournal> {
+        if let Some((_, shard)) = expect {
+            shard.checked()?;
+        }
         let image = backend
             .load()
             .map_err(|e| Error::Io(format!("journal load: {e}")))?;
@@ -1095,6 +1106,20 @@ mod tests {
             ),
         ] {
             assert!(matches!(r, Err(Error::Journal(_))), "{label}: {r:?}");
+        }
+    }
+
+    #[test]
+    fn open_refuses_a_shard_spec_that_names_no_shard() {
+        for bad in [
+            ShardSpec { index: 2, count: 2 },
+            ShardSpec { index: 0, count: 0 },
+        ] {
+            let mem = MemBackend::new();
+            let r = CampaignJournal::open_backend(Box::new(mem.clone()), 1, bad);
+            assert!(matches!(r, Err(Error::Journal(_))), "{bad}: {r:?}");
+            let written = mem.bytes().lock().unwrap().len();
+            assert_eq!(written, 0, "{bad}: no header written");
         }
     }
 }

@@ -563,11 +563,9 @@ fn encode_value(buf: &mut Vec<u8>, v: &StoredValue) -> bool {
                 }
                 // Faults are screened out above; journal errors never
                 // occur as simulation-leg results.
-                Error::Panicked(_)
-                | Error::Deadline { .. }
-                | Error::Io(_)
-                | Error::Journal(_)
-                | Error::RetriesExhausted { .. } => unreachable!(),
+                Error::Panicked(_) | Error::Deadline { .. } | Error::Io(_) | Error::Journal(_) => {
+                    unreachable!()
+                }
             }
             true
         }

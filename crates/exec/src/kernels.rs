@@ -3,382 +3,100 @@
 //! Every hot word loop of [`crate::rel`] and [`crate::incr`] — row
 //! unions/intersections/differences, the `seq` row OR-combines, the
 //! Floyd–Warshall inner loop, the `IncrementalOrder` subset probe and row
-//! OR — funnels through this module, so the loop shape is written once and
-//! the whole engine switches implementations with one cargo feature.
-//!
-//! Two implementations are always compiled:
-//!
-//! * [`scalar`] — the original one-word-at-a-time loops, bounds-checked
-//!   per word (`get(i).unwrap_or(0)` style). This is the default and the
-//!   benchmark baseline.
-//! * [`chunked`] — fixed-width chunks of [`chunked::LANES`] words
-//!   (`chunks_exact` + scalar tail), the autovectorisation-friendly shape:
-//!   the compiler turns each chunk body into `u64x4`/`u64x8` vector ops on
-//!   targets that have them, with no unstable `std::simd` needed.
-//!
-//! The `simd` cargo feature selects which implementation the engine's
-//! re-exports resolve to; the other stays compiled (and differentially
-//! tested, see the `differential` test module) so benches can measure both
-//! from one binary via explicit `kernels::scalar::*` / `kernels::chunked::*`
-//! paths.
+//! OR — funnels through this module, so each loop shape is written once.
+//! The kernels are plain one-word-at-a-time loops, bounds-checked per word
+//! (`get(i).unwrap_or(0)` style).
 //!
 //! # Semantics
 //!
 //! All kernels treat slices as zero-extended bit vectors: words past the
 //! end of the shorter operand read as `0`. Destination words with no
 //! source counterpart are therefore unchanged by OR/ANDNOT and cleared by
-//! AND — exactly the semantics of the original loops they replace.
+//! AND.
 
-/// One-word-at-a-time kernels: the pre-vectorisation loops, verbatim.
-pub mod scalar {
-    /// `dst |= src` (zero-extended).
-    #[inline]
-    pub fn or_assign(dst: &mut [u64], src: &[u64]) {
-        for (i, w) in dst.iter_mut().enumerate() {
-            *w |= src.get(i).copied().unwrap_or(0);
-        }
-    }
-
-    /// `dst |= src`, returning the number of newly set bits.
-    #[inline]
-    pub fn or_assign_added(dst: &mut [u64], src: &[u64]) -> usize {
-        let mut added = 0usize;
-        for (i, w) in dst.iter_mut().enumerate() {
-            let new = *w | src.get(i).copied().unwrap_or(0);
-            added += (new ^ *w).count_ones() as usize;
-            *w = new;
-        }
-        added
-    }
-
-    /// `dst &= src` (destination words past `src` are cleared).
-    #[inline]
-    pub fn and_assign(dst: &mut [u64], src: &[u64]) {
-        for (i, w) in dst.iter_mut().enumerate() {
-            *w &= src.get(i).copied().unwrap_or(0);
-        }
-    }
-
-    /// `dst &= !src` (zero-extended: words past `src` are unchanged).
-    #[inline]
-    pub fn andnot_assign(dst: &mut [u64], src: &[u64]) {
-        for (i, w) in dst.iter_mut().enumerate() {
-            *w &= !src.get(i).copied().unwrap_or(0);
-        }
-    }
-
-    /// Population count of the whole slice.
-    #[inline]
-    pub fn count_ones(words: &[u64]) -> usize {
-        words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// True if every word is zero.
-    #[inline]
-    pub fn is_zero(words: &[u64]) -> bool {
-        words.iter().all(|&w| w == 0)
-    }
-
-    /// True if `sup ⊇ sub` as bit sets (`sub`'s words past `sup` must be
-    /// zero).
-    #[inline]
-    pub fn is_superset(sup: &[u64], sub: &[u64]) -> bool {
-        sub.iter()
-            .enumerate()
-            .all(|(i, t)| sup.get(i).copied().unwrap_or(0) & t == *t)
+/// `dst |= src` (zero-extended).
+#[inline]
+pub fn or_assign(dst: &mut [u64], src: &[u64]) {
+    for (i, w) in dst.iter_mut().enumerate() {
+        *w |= src.get(i).copied().unwrap_or(0);
     }
 }
 
-/// Chunked kernels: [`LANES`]-word fixed-size blocks with a scalar tail.
-///
-/// The per-chunk bodies index fixed-length `chunks_exact` slices, which is
-/// the shape LLVM reliably autovectorises into full-width `u64xN` vector
-/// instructions — the "u64x4/u64x8 without `std::simd`" trick. Rows
-/// shorter than one chunk delegate straight to [`scalar`]: the chunk
-/// setup costs more than it saves there, and small litmus shapes must not
-/// pay for the wide path they can't use.
-///
-/// [`LANES`]: chunked::LANES
-pub mod chunked {
-    use super::scalar;
-
-    /// Words per chunk. 8×64 = one AVX-512 register or two AVX2 / four
-    /// NEON registers — wide enough that the tail is noise at the engine's
-    /// row widths (strides 1–8 cover litmus tests up to 512 events).
-    pub const LANES: usize = 8;
-
-    /// `dst |= src` (zero-extended).
-    #[inline]
-    pub fn or_assign(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len().min(src.len());
-        if n < LANES {
-            // Sub-chunk rows (≤448 events) gain nothing from the chunk
-            // setup; fall through to the plain loop.
-            return scalar::or_assign(dst, src);
-        }
-        let (d, s) = (&mut dst[..n], &src[..n]);
-        let mut dc = d.chunks_exact_mut(LANES);
-        let mut sc = s.chunks_exact(LANES);
-        for (dch, sch) in (&mut dc).zip(&mut sc) {
-            for i in 0..LANES {
-                dch[i] |= sch[i];
-            }
-        }
-        for (dw, sw) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-            *dw |= *sw;
-        }
+/// `dst |= src`, returning the number of newly set bits.
+#[inline]
+pub fn or_assign_added(dst: &mut [u64], src: &[u64]) -> usize {
+    let mut added = 0usize;
+    for (i, w) in dst.iter_mut().enumerate() {
+        let new = *w | src.get(i).copied().unwrap_or(0);
+        added += (new ^ *w).count_ones() as usize;
+        *w = new;
     }
+    added
+}
 
-    /// `dst |= src`, returning the number of newly set bits.
-    #[inline]
-    pub fn or_assign_added(dst: &mut [u64], src: &[u64]) -> usize {
-        let n = dst.len().min(src.len());
-        if n < LANES {
-            return scalar::or_assign_added(dst, src);
-        }
-        let (d, s) = (&mut dst[..n], &src[..n]);
-        let mut added = 0usize;
-        let mut dc = d.chunks_exact_mut(LANES);
-        let mut sc = s.chunks_exact(LANES);
-        for (dch, sch) in (&mut dc).zip(&mut sc) {
-            for i in 0..LANES {
-                let new = dch[i] | sch[i];
-                added += (new ^ dch[i]).count_ones() as usize;
-                dch[i] = new;
-            }
-        }
-        for (dw, sw) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-            let new = *dw | *sw;
-            added += (new ^ *dw).count_ones() as usize;
-            *dw = new;
-        }
-        added
-    }
-
-    /// `dst &= src` (destination words past `src` are cleared).
-    #[inline]
-    pub fn and_assign(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len().min(src.len());
-        if n < LANES {
-            return scalar::and_assign(dst, src);
-        }
-        {
-            let (d, s) = (&mut dst[..n], &src[..n]);
-            let mut dc = d.chunks_exact_mut(LANES);
-            let mut sc = s.chunks_exact(LANES);
-            for (dch, sch) in (&mut dc).zip(&mut sc) {
-                for i in 0..LANES {
-                    dch[i] &= sch[i];
-                }
-            }
-            for (dw, sw) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-                *dw &= *sw;
-            }
-        }
-        dst[n..].fill(0);
-    }
-
-    /// `dst &= !src` (zero-extended: words past `src` are unchanged).
-    #[inline]
-    pub fn andnot_assign(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len().min(src.len());
-        if n < LANES {
-            return scalar::andnot_assign(dst, src);
-        }
-        let (d, s) = (&mut dst[..n], &src[..n]);
-        let mut dc = d.chunks_exact_mut(LANES);
-        let mut sc = s.chunks_exact(LANES);
-        for (dch, sch) in (&mut dc).zip(&mut sc) {
-            for i in 0..LANES {
-                dch[i] &= !sch[i];
-            }
-        }
-        for (dw, sw) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-            *dw &= !*sw;
-        }
-    }
-
-    /// Population count of the whole slice.
-    #[inline]
-    pub fn count_ones(words: &[u64]) -> usize {
-        if words.len() < LANES {
-            return scalar::count_ones(words);
-        }
-        let mut total = 0usize;
-        let mut wc = words.chunks_exact(LANES);
-        for ch in &mut wc {
-            let mut acc = 0usize;
-            for &w in &ch[..LANES] {
-                acc += w.count_ones() as usize;
-            }
-            total += acc;
-        }
-        for &w in wc.remainder() {
-            total += w.count_ones() as usize;
-        }
-        total
-    }
-
-    /// True if every word is zero.
-    #[inline]
-    pub fn is_zero(words: &[u64]) -> bool {
-        if words.len() < LANES {
-            return scalar::is_zero(words);
-        }
-        let mut wc = words.chunks_exact(LANES);
-        for ch in &mut wc {
-            let mut acc = 0u64;
-            for &w in &ch[..LANES] {
-                acc |= w;
-            }
-            if acc != 0 {
-                return false;
-            }
-        }
-        wc.remainder().iter().all(|&w| w == 0)
-    }
-
-    /// True if `sup ⊇ sub` as bit sets (`sub`'s words past `sup` must be
-    /// zero).
-    #[inline]
-    pub fn is_superset(sup: &[u64], sub: &[u64]) -> bool {
-        let n = sup.len().min(sub.len());
-        if n < LANES {
-            return scalar::is_superset(sup, sub);
-        }
-        {
-            let (s, t) = (&sup[..n], &sub[..n]);
-            let mut sc = s.chunks_exact(LANES);
-            let mut tc = t.chunks_exact(LANES);
-            for (sch, tch) in (&mut sc).zip(&mut tc) {
-                let mut missing = 0u64;
-                for i in 0..LANES {
-                    missing |= tch[i] & !sch[i];
-                }
-                if missing != 0 {
-                    return false;
-                }
-            }
-            for (sw, tw) in sc.remainder().iter().zip(tc.remainder()) {
-                if tw & !sw != 0 {
-                    return false;
-                }
-            }
-        }
-        sub[n..].iter().all(|&w| w == 0)
+/// `dst &= src` (destination words past `src` are cleared).
+#[inline]
+pub fn and_assign(dst: &mut [u64], src: &[u64]) {
+    for (i, w) in dst.iter_mut().enumerate() {
+        *w &= src.get(i).copied().unwrap_or(0);
     }
 }
 
-#[cfg(feature = "simd")]
-pub use chunked::{
-    and_assign, andnot_assign, count_ones, is_superset, is_zero, or_assign, or_assign_added,
-};
-#[cfg(not(feature = "simd"))]
-pub use scalar::{
-    and_assign, andnot_assign, count_ones, is_superset, is_zero, or_assign, or_assign_added,
-};
+/// `dst &= !src` (zero-extended: words past `src` are unchanged).
+#[inline]
+pub fn andnot_assign(dst: &mut [u64], src: &[u64]) {
+    for (i, w) in dst.iter_mut().enumerate() {
+        *w &= !src.get(i).copied().unwrap_or(0);
+    }
+}
+
+/// Population count of the whole slice.
+#[inline]
+pub fn count_ones(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// True if every word is zero.
+#[inline]
+pub fn is_zero(words: &[u64]) -> bool {
+    words.iter().all(|&w| w == 0)
+}
+
+/// True if `sup ⊇ sub` as bit sets (`sub`'s words past `sup` must be
+/// zero).
+#[inline]
+pub fn is_superset(sup: &[u64], sub: &[u64]) -> bool {
+    sub.iter()
+        .enumerate()
+        .all(|(i, t)| sup.get(i).copied().unwrap_or(0) & t == *t)
+}
 
 #[cfg(test)]
-mod differential {
-    //! Scalar-vs-chunked equivalence on random words at every length that
-    //! exercises the chunk boundary (0, tails, exact multiples, mismatched
-    //! operand lengths) — both implementations ship in every build, so the
-    //! feature flag can never select an untested path.
-
-    use super::{chunked, scalar};
-    use telechat_common::XorShiftRng as Rng;
-
-    fn random_words(rng: &mut Rng, len: usize) -> Vec<u64> {
-        (0..len)
-            .map(|_| rng.below(u64::MAX) ^ (rng.below(4) * 0x5555_5555_5555_5555))
-            .collect()
-    }
-
-    #[test]
-    fn chunked_matches_scalar_on_random_slices() {
-        let mut rng = Rng::seed_from_u64(0xC0FFEE);
-        for case in 0..400 {
-            let dl = (case * 7 + 1) % 21;
-            let sl = (case * 5 + 2) % 21;
-            let dst0 = random_words(&mut rng, dl);
-            let src = random_words(&mut rng, sl);
-
-            let (mut a, mut b) = (dst0.clone(), dst0.clone());
-            scalar::or_assign(&mut a, &src);
-            chunked::or_assign(&mut b, &src);
-            assert_eq!(a, b, "or_assign dl={dl} sl={sl}");
-
-            let (mut a, mut b) = (dst0.clone(), dst0.clone());
-            let ca = scalar::or_assign_added(&mut a, &src);
-            let cb = chunked::or_assign_added(&mut b, &src);
-            assert_eq!((a, ca), (b, cb), "or_assign_added dl={dl} sl={sl}");
-
-            let (mut a, mut b) = (dst0.clone(), dst0.clone());
-            scalar::and_assign(&mut a, &src);
-            chunked::and_assign(&mut b, &src);
-            assert_eq!(a, b, "and_assign dl={dl} sl={sl}");
-
-            let (mut a, mut b) = (dst0.clone(), dst0.clone());
-            scalar::andnot_assign(&mut a, &src);
-            chunked::andnot_assign(&mut b, &src);
-            assert_eq!(a, b, "andnot_assign dl={dl} sl={sl}");
-
-            assert_eq!(
-                scalar::count_ones(&dst0),
-                chunked::count_ones(&dst0),
-                "count_ones dl={dl}"
-            );
-            assert_eq!(
-                scalar::is_zero(&dst0),
-                chunked::is_zero(&dst0),
-                "is_zero dl={dl}"
-            );
-            assert_eq!(
-                scalar::is_superset(&dst0, &src),
-                chunked::is_superset(&dst0, &src),
-                "is_superset dl={dl} sl={sl}"
-            );
-        }
-    }
+mod tests {
+    use super::*;
 
     #[test]
     fn edge_semantics() {
         // Zero-extension: AND clears the uncovered destination suffix,
         // OR/ANDNOT leave it alone.
-        for kernels in [
-            (
-                scalar::or_assign as fn(&mut [u64], &[u64]),
-                scalar::and_assign as fn(&mut [u64], &[u64]),
-                scalar::andnot_assign as fn(&mut [u64], &[u64]),
-            ),
-            (chunked::or_assign, chunked::and_assign, chunked::andnot_assign),
-        ] {
-            let (or_, and_, andnot_) = kernels;
-            let mut d = vec![u64::MAX; 10];
-            or_(&mut d, &[0b1]);
-            assert_eq!(d, vec![u64::MAX; 10]);
-            let mut d = vec![u64::MAX; 10];
-            and_(&mut d, &[0b1]);
-            assert_eq!(d[0], 0b1);
-            assert!(d[1..].iter().all(|&w| w == 0));
-            let mut d = vec![u64::MAX; 10];
-            andnot_(&mut d, &[0b1]);
-            assert_eq!(d[0], u64::MAX - 1);
-            assert!(d[1..].iter().all(|&w| w == u64::MAX));
-        }
+        let mut d = vec![u64::MAX; 10];
+        or_assign(&mut d, &[0b1]);
+        assert_eq!(d, vec![u64::MAX; 10]);
+        let mut d = vec![u64::MAX; 10];
+        and_assign(&mut d, &[0b1]);
+        assert_eq!(d[0], 0b1);
+        assert!(d[1..].iter().all(|&w| w == 0));
+        let mut d = vec![u64::MAX; 10];
+        andnot_assign(&mut d, &[0b1]);
+        assert_eq!(d[0], u64::MAX - 1);
+        assert!(d[1..].iter().all(|&w| w == u64::MAX));
         // Superset with a longer sub: extra non-zero words break it.
-        for sup_fn in [
-            scalar::is_superset as fn(&[u64], &[u64]) -> bool,
-            chunked::is_superset,
-        ] {
-            assert!(sup_fn(&[0b11], &[0b01, 0, 0]));
-            assert!(!sup_fn(&[0b11], &[0b01, 0b1]));
-            assert!(sup_fn(&[], &[]));
-            assert!(!sup_fn(&[], &[1]));
-        }
+        assert!(is_superset(&[0b11], &[0b01, 0, 0]));
+        assert!(!is_superset(&[0b11], &[0b01, 0b1]));
+        assert!(is_superset(&[], &[]));
+        assert!(!is_superset(&[], &[1]));
         // Empty slices.
-        assert!(scalar::is_zero(&[]) && chunked::is_zero(&[]));
-        assert_eq!(scalar::count_ones(&[]), 0);
-        assert_eq!(chunked::count_ones(&[]), 0);
+        assert!(is_zero(&[]));
+        assert_eq!(count_ones(&[]), 0);
     }
 }

@@ -9,8 +9,8 @@
 //! * the differential property tests (`tests/soundness_props.rs`) pin the
 //!   incremental engine in [`crate::enumerate`] to produce byte-identical
 //!   outcome sets against this oracle;
-//! * the old-vs-new criterion bench (`crates/bench/benches/simulation.rs`)
-//!   measures what the staged builder buys.
+//! * `bench_relops`'s `engine.reference_ms` row measures what the staged
+//!   builder buys.
 //!
 //! Use [`crate::simulate`] for real work.
 

@@ -24,19 +24,16 @@
 //! which pin every operation here to the naive pair-set semantics on
 //! randomized graphs.
 //!
-//! # Word kernels and the `simd` feature
+//! # Word kernels
 //!
 //! The word loops themselves live in [`crate::kernels`]: every row
 //! union/intersection/difference, the `seq` row OR-combines, the
 //! Floyd–Warshall inner loop and the popcount/zero-test reductions call the
-//! kernel functions rather than open-coding the loop. With the `simd` cargo
-//! feature enabled those resolve to the chunked ([`crate::kernels::chunked`])
-//! implementations — fixed [`crate::kernels::chunked::LANES`]-word blocks
-//! that LLVM autovectorises into `u64x4`/`u64x8` vector ops — and without it
-//! to the original scalar loops. `seq` and `transitive_closure` additionally
-//! skip all-zero source rows, all-zero target rows, and pivots no initial
-//! edge enters, which on the sparse deep-shape graphs of the fuzz sampler
-//! skips most of the O(n²·stride) work outright.
+//! kernel functions rather than open-coding the loop. `seq` and
+//! `transitive_closure` additionally skip all-zero source rows, all-zero
+//! target rows, and pivots no initial edge enters, which on the sparse
+//! deep-shape graphs of the fuzz sampler skips most of the O(n²·stride)
+//! work outright.
 //!
 //! # Full-traversal accounting
 //!
@@ -1298,11 +1295,8 @@ mod bitset_oracle {
     const CASES: usize = 300;
 
     /// Mixes tiny graphs with multi-word ones so the stride-growth paths
-    /// and the chunked-kernel widths are exercised, not just the one-word
-    /// fast path: 64 nodes is exactly one word, 192 and 320 straddle the
-    /// kernel chunk boundary (strides 4 and 8 at caps 256 and 512). Runs
-    /// under both feature settings in CI, so scalar and chunked kernels are
-    /// each pinned to the pair-set oracle.
+    /// are exercised, not just the one-word fast path: 64 nodes is exactly
+    /// one word, 192 and 320 span strides 4 and 8 (caps 256 and 512).
     fn for_each_pair(seed: u64, mut check: impl FnMut(PairRel, PairRel)) {
         let mut rng = Rng::seed_from_u64(seed);
         for case in 0..CASES {

@@ -1,9 +1,9 @@
 //! Unified tracing + metrics for the simulation and campaign engines.
 //!
-//! Like `criterion-shim`, this crate is hand-rolled in-tree (the build
-//! environment vendors no registry crates): a deliberately small subset of
-//! the tracing-library surface, shaped around what the campaign driver,
-//! the pipeline and the enumeration engine actually need.
+//! This crate is hand-rolled in-tree (the build environment vendors no
+//! registry crates): a deliberately small subset of the tracing-library
+//! surface, shaped around what the campaign driver, the pipeline and the
+//! enumeration engine actually need.
 //!
 //! # Design
 //!
@@ -320,7 +320,6 @@ counters! {
     SimStealTasks => ("sim.steal_tasks", Scheduling),
     CacheGateWaits => ("cache.gate_waits", Scheduling),
     CatSessions => ("cat.combo_sessions", Scheduling),
-    CampaignRetries => ("campaign.retries", Scheduling),
     CampaignDeadlineKills => ("campaign.deadline_kills", Scheduling),
     CampaignPanics => ("campaign.panics", Scheduling),
     RegistryLoads => ("registry.loads", Process),

@@ -3,13 +3,11 @@
 //! resumes to a result byte-identical — cells, positive list, accounting —
 //! to an uninterrupted run, at every campaign × simulation thread count
 //! and over cold or warm leg stores; the journal counters themselves are
-//! thread-count-invariant; supervised retries back off on an injected
-//! clock (no wall sleeps) and escalate to a typed permanent failure that
-//! heals on resume; and an N-way shard partition covers the work-item
+//! thread-count-invariant; an injected fault is one unjournaled error cell
+//! that heals on resume; and an N-way shard partition covers the work-item
 //! space disjointly with `merge` reproducing the unsharded table.
 
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 use telechat_compiler::{CompilerFamily, CompilerId, OptLevel, Target};
 use telechat_repro::common::{Arch, Error};
 use telechat_repro::core::fault::{self, EngineFault, FaultAction, FaultLeg};
@@ -17,7 +15,7 @@ use telechat_repro::core::journal::profile_fingerprint;
 use telechat_repro::core::persist::{MemBackend, PersistStore};
 use telechat_repro::core::{
     campaign_fingerprint, merge_journals, run_campaign, CampaignJournal, CampaignResult,
-    CampaignSpec, ItemKey, PipelineConfig, RetryPolicy, ShardSpec,
+    CampaignSpec, ItemKey, PipelineConfig, ShardSpec,
 };
 use telechat_repro::litmus::{parse_c11, LitmusTest};
 
@@ -65,9 +63,9 @@ P1 (atomic_int* x, atomic_int* y) {
 exists (P0:r0=1 /\ P1:r0=1)
 "#;
 
-/// The fault registry is process-global: the retry tests arm faults on SB,
-/// which every test here runs, so all of them serialise on this. The retry
-/// tests also disarm via a drop guard, as in `tests/failure_isolation.rs`.
+/// The fault registry is process-global: the heal test arms a fault on SB,
+/// which every test here runs, so all of them serialise on this. The heal
+/// test also disarms via a drop guard, as in `tests/failure_isolation.rs`.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 struct Disarm;
@@ -259,45 +257,6 @@ fn resume_matrix_campaign_and_sim_threads_cold_and_warm_store() {
 }
 
 #[test]
-fn supervised_retries_back_off_on_the_injected_clock() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::disarm_all();
-    let _guard = Disarm;
-
-    let tests = suite(&[SB, LB_FENCES]);
-    let config = PipelineConfig::default();
-    let mut spec = small_spec(1);
-    spec.opts = vec![OptLevel::O2];
-    let baseline = run_campaign(&tests, &spec, &config).unwrap();
-
-    // Two consecutive transient failures on SB's target leg: the item
-    // needs the initial attempt plus two supervised retries to complete.
-    fault::arm(EngineFault {
-        leg: FaultLeg::Target,
-        test_contains: "SB".into(),
-        action: FaultAction::Panic,
-        fires: 2,
-        transient: true,
-    });
-    let sleeps: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
-    let recorded = sleeps.clone();
-    spec.retry = RetryPolicy::new(4, Duration::from_secs(30))
-        .with_sleeper(move |d| recorded.lock().unwrap().push(d));
-    let started = Instant::now();
-    let r = run_campaign(&tests, &spec, &config).unwrap();
-    assert!(
-        started.elapsed() < Duration::from_secs(30),
-        "the injected clock must absorb the backoff — no wall sleep"
-    );
-    assert_eq!(fingerprint(&r), fingerprint(&baseline), "retries absorb the transients");
-    assert_eq!(
-        *sleeps.lock().unwrap(),
-        vec![Duration::from_secs(30), Duration::from_secs(60)],
-        "exponential schedule, delivered through the injected sleeper"
-    );
-}
-
-#[test]
 fn exhausted_retries_escalate_to_a_typed_error_and_heal_on_resume() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     fault::disarm_all();
@@ -311,20 +270,16 @@ fn exhausted_retries_escalate_to_a_typed_error_and_heal_on_resume() {
     let baseline = run_campaign(&tests, &clean_spec, &config).unwrap();
     let key = (Arch::AArch64, CompilerFamily::Llvm, OptLevel::O2);
 
-    // More transient firings than the policy grants attempts: the item
-    // escalates to the typed permanent failure instead of retrying
-    // forever, and the failure is fault-class — never journaled.
-    assert!(Error::RetriesExhausted { attempts: 2 }.is_fault());
+    // A panic on SB's target leg: the item is one error cell, and the
+    // failure is fault-class — never journaled.
     fault::arm(EngineFault {
         leg: FaultLeg::Target,
         test_contains: "SB".into(),
         action: FaultAction::Panic,
-        fires: 5,
-        transient: true,
+        fires: 1,
     });
     let mem = MemBackend::new();
     let mut spec = clean_spec.clone();
-    spec.retry = RetryPolicy::new(2, Duration::ZERO);
     spec.journal = Some(open_journal(&mem, fp, ShardSpec::whole()));
     let r = run_campaign(&tests, &spec, &config).unwrap();
     assert_eq!(r.cells[&key].errors, baseline.cells[&key].errors + 1);
@@ -333,11 +288,11 @@ fn exhausted_retries_escalate_to_a_typed_error_and_heal_on_resume() {
     assert_eq!(
         stats.appends,
         (baseline.compiled_tests - 1) as u64 + 1,
-        "the escalated item is not journaled; everything else and the seal are"
+        "the faulted item is not journaled; everything else and the seal are"
     );
 
     // Resume after the (transient) infrastructure fault cleared: the
-    // escalated item recomputes cleanly and the campaign heals to the
+    // faulted item recomputes cleanly and the campaign heals to the
     // unfaulted baseline — an `Error` cell is never replayed from the log.
     fault::disarm_all();
     let journal = open_journal(&mem, fp, ShardSpec::whole());

@@ -186,7 +186,6 @@ fn target_faults_fire_with_the_items_own_profile_name() {
             test_contains: derived.clone(),
             action: FaultAction::Panic,
             fires: 1,
-            transient: false,
         });
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             tool.run_in(&scope, &profiles[second])

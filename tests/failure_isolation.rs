@@ -1,7 +1,7 @@
 //! Failure-isolation pins: injected engine faults (panics, stalls) on a
 //! simulation leg are contained to the faulted work item — the rest of the
 //! campaign completes, blocked cache followers are woken (a poisoned gate
-//! never becomes a hang), transient faults retry exactly once, and a
+//! never becomes a hang), a panicking leg is one typed error cell, and a
 //! stalled leg overrunning [`SimConfig::deadline`] becomes a typed error
 //! cell instead of wedging the campaign.
 //!
@@ -146,7 +146,6 @@ fn lead_panic_in_the_source_leg_wakes_followers_and_the_campaign_heals() {
         test_contains: "SB".into(),
         action: FaultAction::Panic,
         fires: 1,
-        transient: false,
     });
     let r = run_bounded(tests, spec(4, both, o23), config);
     assert!(
@@ -178,7 +177,6 @@ fn a_non_transient_panic_is_one_typed_error_cell_not_a_campaign_failure() {
         test_contains: "SB".into(),
         action: FaultAction::Panic,
         fires: 1,
-        transient: false,
     });
     let r = run_campaign(&tests, &one, &config).unwrap();
     assert!(!panic_still_armed(FaultLeg::Target, "SB"));
@@ -195,41 +193,6 @@ fn a_non_transient_panic_is_one_typed_error_cell_not_a_campaign_failure() {
             .collect()
     };
     assert_eq!(non_sb(&r), non_sb(&baseline));
-}
-
-#[test]
-fn a_transient_fault_is_retried_once_and_leaves_no_trace() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    fault::disarm_all();
-    let _guard = Disarm;
-
-    let tests = suite(&[SB, LB_FENCES]);
-    let one = spec(1, vec![CompilerId::llvm(11)], vec![OptLevel::O2]);
-    let config = PipelineConfig::default();
-    let baseline = run_campaign(&tests, &one, &config).unwrap();
-
-    // The target leg fires under the profile-derived test name
-    // (`clang-11-O2-AArch64.SB`); the retry classifier matches it back to
-    // the campaign's source name by containment.
-    fault::arm(EngineFault {
-        leg: FaultLeg::Target,
-        test_contains: "SB".into(),
-        action: FaultAction::Panic,
-        fires: 1,
-        transient: true,
-    });
-    let r = run_campaign(&tests, &one, &config).unwrap();
-    assert!(!panic_still_armed(FaultLeg::Target, "SB"));
-    assert_eq!(
-        fingerprint(&r),
-        fingerprint(&baseline),
-        "one retry absorbs an injected transient completely"
-    );
-    assert_eq!(total_errors(&r), 0);
-    assert!(
-        !fault::take_transient("SB"),
-        "the transient record is consumed by the retry, not leaked"
-    );
 }
 
 #[test]
@@ -258,7 +221,6 @@ fn a_stalled_leg_overruns_the_deadline_into_a_typed_error() {
         test_contains: "SB".into(),
         action: FaultAction::Stall(stall),
         fires: 1,
-        transient: false,
     });
     config.sim.deadline = Some(Duration::from_millis(300));
     let started = Instant::now();
