@@ -3,7 +3,7 @@
 
 use super::{AccessWidth, CondShape, Emitter, Ord11};
 use crate::target::Target;
-use crate::version::{BugId, CompilerId};
+use crate::version::{BugId, BugSet};
 use telechat_common::{Error, Loc, Reg, Result};
 use telechat_isa::aarch64::{norm_reg, A64Instr, DmbKind};
 use telechat_isa::{RmwOrd, SymRef, PAIR_SHIFT};
@@ -13,17 +13,17 @@ use telechat_litmus::{BinOp, RmwOp};
 pub struct A64Emitter {
     /// The emitted instructions.
     pub code: Vec<A64Instr>,
-    compiler: CompilerId,
+    bugs: BugSet,
     target: Target,
     labels: usize,
 }
 
 impl A64Emitter {
-    /// A fresh emitter for the given compiler and target.
-    pub fn new(compiler: CompilerId, target: Target) -> A64Emitter {
+    /// A fresh emitter for a compiler carrying `bugs`, and a target.
+    pub fn new(bugs: BugSet, target: Target) -> A64Emitter {
         A64Emitter {
             code: Vec::new(),
-            compiler,
+            bugs,
             target,
             labels: 0,
         }
@@ -306,8 +306,7 @@ impl Emitter for A64Emitter {
         readonly: bool,
     ) -> Result<()> {
         if width == AccessWidth::Pair {
-            let use_ldp =
-                self.target.ext.lse2 && !self.compiler.has_bug(BugId::ConstAtomicStp);
+            let use_ldp = self.target.ext.lse2 && !self.bugs.contains(BugId::ConstAtomicStp);
             // Pre-fix compilers (or pre-LSE2 targets) go through the
             // exclusive loop, which *writes* — the const-atomic crash.
             if !use_ldp {
@@ -325,8 +324,7 @@ impl Emitter for A64Emitter {
             }
             // LSE2 LDP path (the [56] fix). Sequentially consistent loads
             // need barriers; the [37] bug omits them.
-            let sc_barriers =
-                ord == Ord11::Sc && !self.compiler.has_bug(BugId::LdpSeqCstNoBarrier);
+            let sc_barriers = ord == Ord11::Sc && !self.bugs.contains(BugId::LdpSeqCstNoBarrier);
             if sc_barriers {
                 self.dmb(DmbKind::Ish);
             }
@@ -384,7 +382,7 @@ impl Emitter for A64Emitter {
                 shift: PAIR_SHIFT,
             });
             // … possibly in the wrong order: bug [39].
-            let (s1, s2) = if self.compiler.has_bug(BugId::StpWrongEndian) {
+            let (s1, s2) = if self.bugs.contains(BugId::StpWrongEndian) {
                 (hi, lo)
             } else {
                 (lo, hi)
@@ -459,7 +457,7 @@ impl Emitter for A64Emitter {
                 let dst = match dst {
                     Some(d) => d.to_string(),
                     None => {
-                        if self.compiler.has_bug(BugId::StaddSelect) {
+                        if self.bugs.contains(BugId::StaddSelect) {
                             // Bug 1 of Fig. 10: STADD selected regardless of
                             // the required ordering.
                             self.code.push(A64Instr::Stadd {
@@ -467,7 +465,7 @@ impl Emitter for A64Emitter {
                                 base: x(addr),
                             });
                             return Ok(());
-                        } else if self.compiler.has_bug(BugId::DeadRegZeroAtomics) {
+                        } else if self.bugs.contains(BugId::DeadRegZeroAtomics) {
                             // Bug 2 of Fig. 10: the dead-register pass
                             // zeroes the destination; LDADD-to-WZR aliases
                             // STADD and the read becomes invisible to
@@ -491,7 +489,7 @@ impl Emitter for A64Emitter {
                 let dst = match dst {
                     Some(d) => d.to_string(),
                     None => {
-                        if self.compiler.has_bug(BugId::ExchangeDeadReg) {
+                        if self.bugs.contains(BugId::ExchangeDeadReg) {
                             // Bug [38] (Fig. 1): SWP destination zeroed;
                             // the exchange's read escapes the acquire fence.
                             "wzr".to_string()

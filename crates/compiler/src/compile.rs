@@ -1,10 +1,17 @@
 //! The compiler driver: front end → middle-end passes → instruction
 //! selection → object emission (the `comp` of the paper's `comp(S)`).
+//!
+//! A [`Compiler`] profile names a compiler, level and target; code
+//! generation itself is a function of the [`Codegen`] the profile selects.
+//! Many profiles select the same one (`-O2`/`-O3`/`-Ofast` run the same
+//! passes, and off AArch64 the compiler version changes nothing), so a
+//! caller that compiles one test under many profiles can compile it once
+//! per distinct [`Codegen`].
 
 use crate::backend::{self, emit_thread, Emitter};
 use crate::passes;
 use crate::target::Target;
-use crate::version::{BugId, CompilerId, OptLevel};
+use crate::version::{BugId, BugSet, CompilerId, OptLevel};
 use telechat_common::{Arch, Error, Reg, Result, ThreadId};
 use telechat_isa::AsmCode;
 use telechat_litmus::{Instr, LitmusTest};
@@ -21,6 +28,34 @@ pub struct Compiler {
     pub target: Target,
 }
 
+/// Everything that reaches the compiled object and register map, as
+/// [`Compiler::codegen`] selects it: the target, the `-O0` frame slot,
+/// dead-local elimination, the Armv7 dependency pass and the AArch64 bug
+/// set. Two profiles with equal `Codegen`s compile every test to the same
+/// output, since [`Codegen::compile`] reads nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Codegen {
+    target: Target,
+    /// `-O0`: every value is spilled to a per-thread stack frame slot.
+    frame_slot: bool,
+    dead_local_elim: bool,
+    /// [`CtrlDeps::Keep`] off Armv7.
+    ctrl_deps: CtrlDeps,
+    /// The bugs the AArch64 back end consults; empty on other targets.
+    bugs: BugSet,
+}
+
+/// What the middle end does to a same-store branch diamond.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum CtrlDeps {
+    /// Leave the control dependency alone.
+    Keep,
+    /// GCC `-O1` if-conversion: [`passes::ctrl_dep_same_store_elim`].
+    SameStoreElim,
+    /// Higher levels: [`passes::ctrl_to_data_dep`].
+    ToData,
+}
+
 /// The result of compiling a litmus test: a relocatable, linked object plus
 /// the metadata the `s2l`/`mcompare` stages need.
 #[derive(Debug, Clone)]
@@ -31,6 +66,7 @@ pub struct CompileOutput {
     /// half of the paper's state mappings `m`).
     pub reg_map: Vec<(ThreadId, Reg, Reg)>,
     /// Profile string, e.g. `clang-11-O3-AArch64` (paper §IV-D profiles).
+    /// Empty from [`Codegen::compile`], which serves many profiles.
     pub profile: String,
 }
 
@@ -50,14 +86,42 @@ impl Compiler {
         )
     }
 
-    /// Compiles a C11 litmus test to a linked object.
+    /// The code-generation configuration this profile selects.
+    pub fn codegen(&self) -> Codegen {
+        let arch = self.target.arch;
+        let ctrl_deps = if arch != Arch::Armv7 {
+            CtrlDeps::Keep
+        } else if self.opt == OptLevel::O1 && self.id.has_bug(BugId::CtrlDepElimO1) {
+            // GCC -O1 if-conversion: the control dependency vanishes
+            // (the gcc-armv7 +ve gap of Table IV).
+            CtrlDeps::SameStoreElim
+        } else if self.opt.eliminates_dead_locals() {
+            // Higher levels rewrite the same shape to a *data*
+            // dependency, masking the reordering.
+            CtrlDeps::ToData
+        } else {
+            CtrlDeps::Keep
+        };
+        Codegen {
+            target: self.target,
+            frame_slot: self.opt == OptLevel::O0,
+            dead_local_elim: self.opt.eliminates_dead_locals(),
+            ctrl_deps,
+            bugs: if arch == Arch::AArch64 {
+                BugSet::of(self.id, &BugId::A64)
+            } else {
+                BugSet::default()
+            },
+        }
+    }
+
+    /// The checks [`Compiler::compile`] makes before generating code:
+    /// the [`Codegen`] to compile `test` with.
     ///
     /// # Errors
     ///
-    /// * [`Error::Unsupported`] for non-C11 inputs, `-Og` under clang, or
-    ///   constructs a back end cannot express;
-    /// * [`Error::InternalCompilerError`] on register exhaustion.
-    pub fn compile(&self, test: &LitmusTest) -> Result<CompileOutput> {
+    /// [`Error::Unsupported`] for non-C11 inputs and `-Og` under clang.
+    pub fn check(&self, test: &LitmusTest) -> Result<Codegen> {
         if test.arch != Arch::C11 {
             return Err(Error::Unsupported(format!(
                 "compiler input must be C11, got {}",
@@ -70,7 +134,32 @@ impl Compiler {
                 self.id, self.opt
             )));
         }
+        Ok(self.codegen())
+    }
 
+    /// Compiles a C11 litmus test to a linked object.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::Unsupported`] for non-C11 inputs, `-Og` under clang, or
+    ///   constructs a back end cannot express;
+    /// * [`Error::InternalCompilerError`] on register exhaustion.
+    pub fn compile(&self, test: &LitmusTest) -> Result<CompileOutput> {
+        let mut out = self.check(test)?.compile(test)?;
+        out.profile = self.profile_name();
+        Ok(out)
+    }
+}
+
+impl Codegen {
+    /// Compiles a C11 litmus test to a linked object, with an empty
+    /// `profile`.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::Unsupported`] for constructs a back end cannot express;
+    /// * [`Error::InternalCompilerError`] on register exhaustion.
+    pub fn compile(&self, test: &LitmusTest) -> Result<CompileOutput> {
         let mut object = ObjectFile::new(self.target.arch);
         for d in &test.locs {
             object.add_data(d.loc.as_str(), d.init.clone(), d.width, d.readonly);
@@ -88,10 +177,14 @@ impl Compiler {
             let tid = ThreadId(tindex as u8);
             // -O0: every value is spilled to the thread's stack frame,
             // modelled as one location (see backend::emit_thread).
-            let frame = (self.opt == OptLevel::O0).then(|| {
+            let frame = self.frame_slot.then(|| {
                 let name = format!("P{tindex}.frame");
-                object.add_data(&name, telechat_common::Val::Int(0),
-                    telechat_litmus::Width::W64, false);
+                object.add_data(
+                    &name,
+                    telechat_common::Val::Int(0),
+                    telechat_litmus::Width::W64,
+                    false,
+                );
                 telechat_common::Loc::new(name)
             });
             let body = self.middle_end(body.clone());
@@ -106,26 +199,20 @@ impl Compiler {
         Ok(CompileOutput {
             object,
             reg_map,
-            profile: self.profile_name(),
+            profile: String::new(),
         })
     }
 
-    /// The middle-end pass pipeline for this compiler/level/target.
+    /// The middle-end pass pipeline.
     fn middle_end(&self, mut body: Vec<Instr>) -> Vec<Instr> {
-        if self.opt.eliminates_dead_locals() {
+        if self.dead_local_elim {
             passes::dead_local_elim(&mut body);
         }
-        if self.target.arch == Arch::Armv7 {
-            if self.opt == OptLevel::O1 && self.id.has_bug(BugId::CtrlDepElimO1) {
-                // GCC -O1 if-conversion: the control dependency vanishes
-                // (the gcc-armv7 +ve gap of Table IV).
-                passes::ctrl_dep_same_store_elim(&mut body);
-            } else if self.opt.eliminates_dead_locals() {
-                // Higher levels rewrite the same shape to a *data*
-                // dependency, masking the reordering.
-                passes::ctrl_to_data_dep(&mut body);
-            }
-        }
+        match self.ctrl_deps {
+            CtrlDeps::Keep => false,
+            CtrlDeps::SameStoreElim => passes::ctrl_dep_same_store_elim(&mut body),
+            CtrlDeps::ToData => passes::ctrl_to_data_dep(&mut body),
+        };
         body
     }
 
@@ -138,7 +225,7 @@ impl Compiler {
         let pic = self.target.pic;
         match self.target.arch {
             Arch::AArch64 => {
-                let mut e = backend::a64::A64Emitter::new(self.id, self.target);
+                let mut e = backend::a64::A64Emitter::new(self.bugs, self.target);
                 let cx = emit_thread(&mut e, test, body, pic, frame)?;
                 let map = collect_map(&e, &cx);
                 Ok((AsmCode::A64(e.code), map))
@@ -369,6 +456,39 @@ exists (P0:r0=1)
             "{:?}",
             out.reg_map
         );
+    }
+
+    #[test]
+    fn table_iv_profiles_share_fifteen_codegens() {
+        let mut profiles = Vec::new();
+        for arch in Arch::TARGETS {
+            for id in [CompilerId::llvm(11), CompilerId::gcc(10)] {
+                for opt in OptLevel::CAMPAIGN {
+                    if opt.supported_by(id.family) {
+                        profiles.push(Compiler::new(id, opt, Target::new(arch)));
+                    }
+                }
+            }
+        }
+        assert_eq!(profiles.len(), 54);
+        let distinct: std::collections::HashSet<Codegen> =
+            profiles.iter().map(Compiler::codegen).collect();
+        // Per target: -O1 (= -Og), and -O2 = -O3 = -Ofast. Armv7 splits
+        // -O1 by family (GCC's if-conversion); AArch64 splits everything
+        // by family (the versioned bug knobs).
+        assert_eq!(distinct.len(), 15, "{distinct:#?}");
+    }
+
+    #[test]
+    fn compile_is_codegen_compile_stamped_with_the_profile() {
+        let test = parse_c11(MP_FETCH_ADD).unwrap();
+        let c = Compiler::new(CompilerId::llvm(11), OptLevel::O2, Target::armv81_lse());
+        let via_profile = c.compile(&test).unwrap();
+        let via_codegen = c.codegen().compile(&test).unwrap();
+        assert_eq!(via_profile.object, via_codegen.object);
+        assert_eq!(via_profile.reg_map, via_codegen.reg_map);
+        assert_eq!(via_profile.profile, c.profile_name());
+        assert_eq!(via_codegen.profile, "");
     }
 
     #[test]

@@ -39,6 +39,6 @@ pub mod passes;
 pub mod target;
 pub mod version;
 
-pub use compile::{CompileOutput, Compiler};
+pub use compile::{Codegen, CompileOutput, Compiler};
 pub use target::{ArchExt, Target};
-pub use version::{BugId, CompilerFamily, CompilerId, OptLevel};
+pub use version::{BugId, BugSet, CompilerFamily, CompilerId, OptLevel};

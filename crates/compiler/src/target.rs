@@ -4,7 +4,7 @@ use std::fmt;
 use telechat_common::Arch;
 
 /// Architecture extensions that change instruction selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ArchExt {
     /// Armv8.1 Large Systems Extension: LSE atomics (`LDADD`, `SWP`, `CAS`).
     pub lse: bool,
@@ -15,7 +15,7 @@ pub struct ArchExt {
 }
 
 /// A compilation target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Target {
     /// Target architecture.
     pub arch: Arch,

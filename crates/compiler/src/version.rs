@@ -149,6 +149,39 @@ pub enum BugId {
     CtrlDepElimO1,
 }
 
+impl BugId {
+    /// The bugs the AArch64 back end consults while selecting
+    /// instructions. [`BugId::CtrlDepElimO1`] is a middle-end knob.
+    pub const A64: [BugId; 6] = [
+        BugId::StaddSelect,
+        BugId::DeadRegZeroAtomics,
+        BugId::ExchangeDeadReg,
+        BugId::LdpSeqCstNoBarrier,
+        BugId::StpWrongEndian,
+        BugId::ConstAtomicStp,
+    ];
+}
+
+/// A set of [`BugId`]s, one bit each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct BugSet(u8);
+
+impl BugSet {
+    /// The bugs among `bugs` that `compiler` carries.
+    pub fn of(compiler: CompilerId, bugs: &[BugId]) -> BugSet {
+        BugSet(
+            bugs.iter()
+                .filter(|&&bug| compiler.has_bug(bug))
+                .fold(0, |set, &bug| set | 1 << bug as u8),
+        )
+    }
+
+    /// Is `bug` in the set?
+    pub fn contains(self, bug: BugId) -> bool {
+        self.0 & 1 << bug as u8 != 0
+    }
+}
+
 /// Optimisation level (paper Table III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OptLevel {
@@ -243,6 +276,25 @@ mod tests {
         assert!(llvm11.has_bug(BugId::DeadRegZeroAtomics));
         assert!(llvm11.has_bug(BugId::ExchangeDeadReg));
         assert!(!llvm11.has_bug(BugId::StaddSelect), "fixed in 10");
+    }
+
+    #[test]
+    fn bug_sets_hold_exactly_the_carried_bugs() {
+        for id in [
+            CompilerId::llvm(9),
+            CompilerId::llvm(11),
+            CompilerId::gcc(10),
+        ] {
+            let set = BugSet::of(id, &BugId::A64);
+            for bug in BugId::A64 {
+                assert_eq!(set.contains(bug), id.has_bug(bug), "{id} {bug:?}");
+            }
+            assert!(!set.contains(BugId::CtrlDepElimO1), "not asked for");
+        }
+        assert_eq!(
+            BugSet::of(CompilerId::llvm(17), &BugId::A64),
+            BugSet::default()
+        );
     }
 
     #[test]

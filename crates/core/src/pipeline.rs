@@ -12,13 +12,16 @@
 //! program is parsed and staged once per process rather than once per
 //! `Telechat`/run.
 //!
-//! # Per-test extraction memo
+//! # Per-test compile and extraction memos
 //!
-//! Every run goes through a [`TestScope`]: the test plus a memo of its
-//! extractions keyed by the compiled object and register map. Profiles
-//! that compile a test to the same code share one extraction. The campaign
-//! driver shares one scope between all of a test's work items;
-//! [`Telechat::run`] uses a fresh one per call.
+//! Every run goes through a [`TestScope`]: the test plus two memos. The
+//! compile memo keys on the profile's [`Codegen`] (with the pipeline's
+//! `augment`/`optimise` settings), so profiles that drive the same code
+//! generation compile the test once. A compile that misses goes through
+//! the extraction memo, keyed by the compiled object and register map, so
+//! distinct code generations that still emit the same code share one
+//! extraction. The campaign driver shares one scope between all of a
+//! test's work items; [`Telechat::run`] uses a fresh one per call.
 
 use crate::cache::{lock_unpoisoned, SimCache, SourceLeg};
 use crate::fault::{self, FaultLeg};
@@ -26,11 +29,12 @@ use crate::l2c::{self, PreparedSource};
 use crate::mapping::StateMapping;
 use crate::mcompare::{mcompare_shared, Comparison, SourceObservables};
 use crate::s2l::{self, S2lOptions};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use telechat_cat::{CatModel, ModelRegistry};
 use telechat_common::{Error, OutcomeSet, Reg, Result, ThreadId};
-use telechat_compiler::{CompileOutput, Compiler};
+use telechat_compiler::{Codegen, CompileOutput, Compiler};
 use telechat_exec::{simulate, SimConfig, SimResult};
 use telechat_isa::AsmTest;
 use telechat_litmus::LitmusTest;
@@ -111,30 +115,50 @@ pub struct TestReport {
 
 /// One test's share of the pipeline, reused by every compiler profile the
 /// test runs under: the test, its content fingerprint (rendered at most
-/// once) and the **extraction memo**.
+/// once), and the **compile and extraction memos**.
 ///
 /// With the test and the pipeline's `augment`/`optimise` settings fixed,
-/// extraction (`StateMapping::build` + [`s2l::object_to_litmus`] + the
-/// target test's fingerprint) depends only on the compiled object and the
-/// compiler's register map, and small litmus tests compile to the same
-/// object under many profiles. The memo compares `(object, reg_map)` by
-/// equality, so each distinct pair is extracted once; a hit only clones
-/// the assembly test and renames it to its own `"{profile}.{test}"`.
+/// compile and extraction (`StateMapping::build` +
+/// [`s2l::object_to_litmus`] + the target test's fingerprint) depend only
+/// on the profile's [`Codegen`], and many profiles share one. The compile
+/// memo holds one slot per `(Codegen, settings)`: a hit skips compile,
+/// the object comparison and extraction. A miss compiles and looks the
+/// `(object, reg_map)` pair up in the extraction memo, which compares by
+/// equality, because different code generations often still emit the same
+/// code. Either way an item only clones the assembly test and renames it
+/// to its own `"{profile}.{test}"`. Compile and extraction errors are
+/// memoised too: both are deterministic.
 ///
-/// A scope belongs to one test under one pipeline configuration. It is
-/// per test rather than per campaign because every hit comes from the
-/// same test's profiles, while a campaign-wide memo would hold every
-/// test's entries until the campaign ends.
+/// A scope belongs to one test. It is per test rather than per campaign
+/// because every hit comes from the same test's profiles, while a
+/// campaign-wide memo would hold every test's entries until the campaign
+/// ends. Pipelines with different settings may share it: the settings are
+/// part of both keys.
 #[derive(Debug)]
 pub struct TestScope {
     test: LitmusTest,
     fingerprint: OnceLock<u128>,
-    memo: Mutex<Vec<Memoised>>,
+    compiled: Mutex<HashMap<(Codegen, Settings), Arc<Slot>>>,
+    extracted: Mutex<Vec<Memoised>>,
 }
 
-/// One memo entry: the key, and the (possibly failed) extraction.
+/// The pipeline settings compile and extraction depend on besides the
+/// code generation: `augment` selects the compiled test and the state
+/// mapping, `optimise` the s2l pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Settings {
+    augment: bool,
+    optimise: bool,
+}
+
+/// A compile-memo slot, filled by the first item of its key.
+type Slot = OnceLock<Result<Arc<Extracted>>>;
+
+/// One extraction-memo entry: the key, and the (possibly failed)
+/// extraction.
 #[derive(Debug)]
 struct Memoised {
+    settings: Settings,
     object: ObjectFile,
     reg_map: Vec<(ThreadId, Reg, Reg)>,
     extracted: Result<Arc<Extracted>>,
@@ -159,12 +183,13 @@ impl Extracted {
 }
 
 impl TestScope {
-    /// A fresh scope for `test`, with an empty memo.
+    /// A fresh scope for `test`, with empty memos.
     pub fn new(test: LitmusTest) -> TestScope {
         TestScope {
             test,
             fingerprint: OnceLock::new(),
-            memo: Mutex::new(Vec::new()),
+            compiled: Mutex::new(HashMap::new()),
+            extracted: Mutex::new(Vec::new()),
         }
     }
 
@@ -179,37 +204,71 @@ impl TestScope {
         *self.fingerprint.get_or_init(|| self.test.fingerprint())
     }
 
-    /// How many distinct `(object, reg_map)` pairs have been extracted.
-    pub fn extractions(&self) -> usize {
-        lock_unpoisoned(&self.memo).len()
+    /// How many distinct `(Codegen, settings)` keys have been compiled.
+    pub fn compiles(&self) -> usize {
+        lock_unpoisoned(&self.compiled)
+            .values()
+            .filter(|slot| slot.get().is_some())
+            .count()
     }
 
-    /// The extraction of `compiled`, computed by `extract` on the first
-    /// request for its `(object, reg_map)` and shared after. Errors are
-    /// memoised too: extraction is deterministic. The lock is held while
-    /// extracting, so each pair is extracted exactly once however many
-    /// workers share the scope.
+    /// How many distinct `(settings, object, reg_map)` keys have been
+    /// extracted.
+    pub fn extractions(&self) -> usize {
+        lock_unpoisoned(&self.extracted).len()
+    }
+
+    /// The extraction for `key`, computed by `compile_and_extract` on the
+    /// first request and shared after. The slot is taken under the scope
+    /// lock and filled outside it, so each key is computed exactly once
+    /// however many workers share the scope, and workers on different keys
+    /// do not wait for each other.
+    fn compiled(
+        &self,
+        key: (Codegen, Settings),
+        compile_and_extract: impl FnOnce() -> Result<Arc<Extracted>>,
+    ) -> Result<Arc<Extracted>> {
+        let slot = lock_unpoisoned(&self.compiled)
+            .entry(key)
+            .or_default()
+            .clone();
+        slot.get_or_init(compile_and_extract).clone()
+    }
+
+    /// The extraction of `compiled` under `settings`, computed by
+    /// `extract` on the first request for its `(object, reg_map)` and
+    /// shared after. The lock is held while extracting, so each pair is
+    /// extracted exactly once however many workers share the scope.
     fn extraction(
         &self,
+        settings: Settings,
         compiled: CompileOutput,
         extract: impl FnOnce(&CompileOutput) -> Result<Extracted>,
     ) -> Result<Arc<Extracted>> {
-        let mut memo = lock_unpoisoned(&self.memo);
-        if let Some(m) = memo
-            .iter()
-            .find(|m| m.reg_map == compiled.reg_map && m.object == compiled.object)
-        {
+        let mut memo = lock_unpoisoned(&self.extracted);
+        if let Some(m) = memo.iter().find(|m| {
+            m.settings == settings && m.reg_map == compiled.reg_map && m.object == compiled.object
+        }) {
             return m.extracted.clone();
         }
         let extracted = extract(&compiled).map(Arc::new);
         telechat_obs::add(telechat_obs::Counter::S2lExtractions, 1);
         memo.push(Memoised {
+            settings,
             object: compiled.object,
             reg_map: compiled.reg_map,
             extracted: extracted.clone(),
         });
         extracted
     }
+}
+
+/// Step 2 of Fig. 5: one real compile, timed by the `compile` span and
+/// counted by `compiler.compiles`.
+fn compile(codegen: &Codegen, test: &LitmusTest) -> Result<CompileOutput> {
+    let _span = telechat_obs::span("compile");
+    telechat_obs::add(telechat_obs::Counter::CompilerCompiles, 1);
+    codegen.compile(test)
 }
 
 /// The Téléchat tool: a source model plus pipeline configuration.
@@ -287,6 +346,14 @@ impl Telechat {
         }
     }
 
+    /// The settings the scope's memos key on.
+    fn settings(&self) -> Settings {
+        Settings {
+            augment: self.config.augment,
+            optimise: self.config.optimise,
+        }
+    }
+
     /// The source leg for an already prepared test: simulation result plus
     /// the profile-invariant comparison half.
     fn source_leg(&self, prepared: &PreparedSource) -> Result<SourceLeg> {
@@ -340,19 +407,10 @@ impl Telechat {
         }
     }
 
-    /// Steps 2–3 of Fig. 5: prepare the scope's test, then compile it.
-    fn prepare_and_compile(
-        &self,
-        scope: &TestScope,
-        compiler: &Compiler,
-    ) -> Result<(Arc<PreparedSource>, CompileOutput)> {
-        let prepared = {
-            let _span = telechat_obs::span("prepare");
-            self.prepare(scope)
-        };
-        let _span = telechat_obs::span("compile");
-        let compiled = compiler.compile(&prepared.test)?;
-        Ok((prepared, compiled))
+    /// Step 1 of Fig. 5: the scope's test, prepared.
+    fn prepare_in(&self, scope: &TestScope) -> Arc<PreparedSource> {
+        let _span = telechat_obs::span("prepare");
+        self.prepare(scope)
     }
 
     /// Step 4 of Fig. 5 for one compiled object: the state mapping and the
@@ -405,8 +463,12 @@ impl Telechat {
         AsmTest,
         LitmusTest,
     )> {
-        let (prepared, compiled) =
-            self.prepare_and_compile(&TestScope::new(test.clone()), compiler)?;
+        let prepared = self.prepare_in(&TestScope::new(test.clone()));
+        let codegen = compiler.check(&prepared.test)?;
+        let compiled = CompileOutput {
+            profile: compiler.profile_name(),
+            ..compile(&codegen, &prepared.test)?
+        };
         let _span = telechat_obs::span("extract");
         let name = format!("{}.{}", compiled.profile, test.name);
         let Extracted {
@@ -430,25 +492,30 @@ impl Telechat {
         self.run_in(&TestScope::new(test.clone()), compiler)
     }
 
-    /// [`Telechat::run`] for the scope's test, sharing the scope's
-    /// extraction memo: a profile whose compiled object and register map
-    /// were already extracted in `scope` reuses that extraction. The report
-    /// is the one `run` gives.
+    /// [`Telechat::run`] for the scope's test, sharing the scope's memos:
+    /// a profile whose [`Codegen`] was already compiled in `scope` reuses
+    /// that compile and extraction, and one whose compiled object and
+    /// register map were already extracted reuses that extraction. The
+    /// report is the one `run` gives.
     ///
     /// # Errors
     ///
-    /// As [`Telechat::run`]; a memoised extraction error replays.
+    /// As [`Telechat::run`]; a memoised compile or extraction error
+    /// replays.
     pub fn run_in(&self, scope: &TestScope, compiler: &Compiler) -> Result<TestReport> {
         let test = scope.test();
-        let (prepared, compiled) = self.prepare_and_compile(scope, compiler)?;
+        let prepared = self.prepare_in(scope);
+        let codegen = compiler.check(&prepared.test)?;
         // This item's own name; a memo hit carries the first profile's.
-        let name = format!("{}.{}", compiled.profile, test.name);
-        let extracted = {
+        let name = format!("{}.{}", compiler.profile_name(), test.name);
+        let settings = self.settings();
+        let extracted = scope.compiled((codegen, settings), || {
+            let compiled = compile(&codegen, &prepared.test)?;
             let _span = telechat_obs::span("extract");
-            scope.extraction(compiled, |compiled| {
+            scope.extraction(settings, compiled, |compiled| {
                 self.extract_object(test, &name, &prepared, compiled)
-            })?
-        };
+            })
+        })?;
 
         // Step 3: simulate the source under the source model (shared
         // across profiles through the cache).

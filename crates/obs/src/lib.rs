@@ -312,6 +312,7 @@ counters! {
     CampaignWorkItems => ("campaign.work_items", Deterministic),
     CampaignPositives => ("campaign.positives", Deterministic),
     CampaignResumed => ("campaign.resumed", Deterministic),
+    CompilerCompiles => ("compiler.compiles", Deterministic),
     S2lExtractions => ("s2l.extractions", Deterministic),
     SimCandidates => ("sim.candidates", Deterministic),
     SimAllowed => ("sim.allowed", Deterministic),

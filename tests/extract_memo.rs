@@ -1,15 +1,19 @@
-//! Per-test extraction memo pins: running a test's profiles through one
-//! shared [`TestScope`] gives, for every profile, the report a fresh
-//! [`Telechat::run`] gives; the scope extracts each distinct compiled
-//! `(object, reg_map)` exactly once, in a campaign at every thread count
-//! too; and target-leg faults still see each item's own profile name.
+//! Per-test compile and extraction memo pins: running a test's profiles
+//! through one shared [`TestScope`] gives, for every profile, the report a
+//! fresh [`Telechat::run`] gives, also when pipelines with different
+//! settings share the scope; the scope compiles each distinct [`Codegen`]
+//! and extracts each distinct compiled `(object, reg_map)` exactly once,
+//! in a campaign at every thread count too; and target-leg faults still
+//! see each item's own profile name.
 //!
 //! Every test here takes [`SERIAL`]: one arms a process-global fault and
 //! one opens the process-global metrics window.
 
+use std::collections::HashSet;
 use std::sync::Mutex;
 
-use telechat_compiler::Compiler;
+use telechat_compiler::{Codegen, Compiler, CompilerId, OptLevel, Target};
+use telechat_repro::common::Arch;
 use telechat_repro::core::fault::{self, EngineFault, FaultAction, FaultLeg};
 use telechat_repro::core::{
     prepare, run_campaign, CampaignSpec, PipelineConfig, SimCache, Telechat, TestReport, TestScope,
@@ -37,6 +41,48 @@ fn tests() -> Vec<LitmusTest> {
 /// The Table IV profiles.
 fn profiles() -> Vec<Compiler> {
     CampaignSpec::table_iv("rc11").profiles()
+}
+
+/// The Table IV profiles, plus `-O1`/`-O2` on the LSE, RCpc, LSE2 and
+/// non-PIC targets the campaign does not sweep, and with `o0` also `-O0`
+/// on every target.
+fn extended_profiles(o0: bool) -> Vec<Compiler> {
+    let mut profiles = profiles();
+    let targets: Vec<Target> = [
+        Target::armv81_lse(),
+        Target::armv83_rcpc(),
+        Target::armv84_lse2(),
+        Target::new(Arch::AArch64).without_pic(),
+        Target::new(Arch::Armv7).without_pic(),
+    ]
+    .into_iter()
+    .chain(Arch::TARGETS.iter().map(|&arch| Target::new(arch)))
+    .collect();
+    let mut opts = vec![OptLevel::O1, OptLevel::O2];
+    if o0 {
+        opts.push(OptLevel::O0);
+    }
+    for target in targets {
+        for id in [CompilerId::llvm(11), CompilerId::gcc(10)] {
+            for &opt in &opts {
+                let compiler = Compiler::new(id, opt, target);
+                if !profiles.contains(&compiler) {
+                    profiles.push(compiler);
+                }
+            }
+        }
+    }
+    profiles
+}
+
+/// The distinct `Codegen`s `test` compiles under across `profiles`.
+fn distinct_codegens(test: &LitmusTest, profiles: &[Compiler]) -> usize {
+    let prepared = prepare(test, PipelineConfig::default().augment);
+    let codegens: HashSet<Codegen> = profiles
+        .iter()
+        .filter_map(|c| c.check(&prepared.test).ok())
+        .collect();
+    codegens.len()
 }
 
 /// The distinct `(object, reg_map)` pairs `test` compiles to across
@@ -75,9 +121,14 @@ fn assert_same_report(memo: &TestReport, fresh: &TestReport) {
 fn memoised_reports_equal_fresh_runs_field_for_field() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let fresh_tool = Telechat::new("rc11").unwrap();
-    let profiles = profiles();
-    for test in tests() {
-        // One scope for all 54 profiles, with and without the cache.
+    let tests = tests();
+    // -O0 spills every value to a stack slot, which makes its target legs
+    // up to a hundred times heavier; one test with small ones covers it.
+    let o0_test = "R+fen[REL]+RLX";
+    assert!(tests.iter().any(|t| t.name == o0_test));
+    for test in tests {
+        let profiles = extended_profiles(test.name == o0_test);
+        // One scope for all profiles, with and without the cache.
         for cached in [false, true] {
             let mut tool = Telechat::new("rc11").unwrap();
             if cached {
@@ -109,17 +160,52 @@ fn memoised_reports_equal_fresh_runs_field_for_field() {
 }
 
 #[test]
+fn scope_shared_across_pipeline_settings_gives_fresh_reports() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let profiles = profiles();
+    for test in tests() {
+        let scope = TestScope::new(test.clone());
+        for (augment, optimise) in [(true, true), (true, false), (false, true)] {
+            let config = PipelineConfig {
+                augment,
+                optimise,
+                ..PipelineConfig::default()
+            };
+            let tool = Telechat::with_config("rc11", config).unwrap();
+            let fresh_tool = tool.clone().with_cache(SimCache::shared());
+            for compiler in &profiles {
+                let memo = tool.run_in(&scope, compiler);
+                let fresh = fresh_tool.run(&test, compiler);
+                match (memo, fresh) {
+                    (Ok(memo), Ok(fresh)) => assert_same_report(&memo, &fresh),
+                    (Err(memo), Err(fresh)) => assert_eq!(memo, fresh),
+                    (memo, fresh) => panic!(
+                        "{} {} augment={augment} optimise={optimise}: \
+                         shared scope {memo:?} vs fresh {fresh:?}",
+                        test.name,
+                        compiler.profile_name()
+                    ),
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn each_distinct_compiled_pair_is_extracted_once() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tool = Telechat::new("rc11").unwrap();
     let profiles = profiles();
     let tests = tests();
-    let mut expected = 0u64;
+    let (mut expected, mut expected_compiles) = (0u64, 0u64);
     for test in &tests {
         let scope = TestScope::new(test.clone());
         for compiler in &profiles {
             let _ = tool.run_in(&scope, compiler);
         }
+        let codegens = distinct_codegens(test, &profiles);
+        assert_eq!(scope.compiles(), codegens, "{}", test.name);
+        expected_compiles += codegens as u64;
         let distinct = distinct_pairs(test, &profiles);
         assert_eq!(scope.extractions(), distinct, "{}", test.name);
         assert!(
@@ -130,9 +216,9 @@ fn each_distinct_compiled_pair_is_extracted_once() {
         expected += distinct as u64;
     }
 
-    // A campaign shares one scope between a test's items: the counter is
-    // the same sum at every worker count, with the cache on or off.
-    for (threads, cache) in [(1, true), (2, true), (4, true), (2, false)] {
+    // A campaign shares one scope between a test's items: the counters are
+    // the same sums at every worker count, with the cache on or off.
+    for (threads, cache) in [1, 2, 4].into_iter().flat_map(|t| [(t, true), (t, false)]) {
         let spec = CampaignSpec {
             threads,
             cache,
@@ -141,6 +227,11 @@ fn each_distinct_compiled_pair_is_extracted_once() {
         };
         let result = run_campaign(&tests, &spec, &PipelineConfig::default()).unwrap();
         let report = result.obs.as_ref().unwrap();
+        assert_eq!(
+            report.counter("compiler.compiles"),
+            Some(expected_compiles),
+            "threads={threads} cache={cache}"
+        );
         assert_eq!(
             report.counter("s2l.extractions"),
             Some(expected),
