@@ -188,15 +188,36 @@ impl EnvBase {
     }
 }
 
+/// The staged engine's maintained values as an [`Env`] layer: `index`
+/// maps a symbol's dense id to the position of its value in `vals`
+/// ([`DynSlots::NONE`] where the name is not maintained).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DynSlots<'a> {
+    pub(crate) index: &'a [u32],
+    pub(crate) vals: &'a [CatValue],
+}
+
+impl<'a> DynSlots<'a> {
+    /// The `index` entry of a name with no maintained value.
+    pub(crate) const NONE: u32 = u32::MAX;
+
+    fn get(self, i: usize) -> Option<&'a CatValue> {
+        match self.index.get(i) {
+            Some(&n) if n != Self::NONE => self.vals.get(n as usize),
+            _ => None,
+        }
+    }
+}
+
 /// The evaluation environment: named sets/relations plus the event
-/// universe, optionally layered over a shared [`EnvBase`] and a shared
-/// read-only slot table (the staged engine's per-push frontier values).
+/// universe, optionally layered over a shared [`EnvBase`] and the staged
+/// engine's maintained values ([`DynSlots`]).
 ///
-/// Lookup order: own slots → shared slots → base.
+/// Lookup order: own slots → maintained values → base.
 #[derive(Debug, Clone)]
 pub struct Env<'a> {
     base: Option<&'a EnvBase>,
-    shared: Option<&'a [Option<CatValue>]>,
+    shared: Option<DynSlots<'a>>,
     slots: Vec<Option<CatValue>>,
     universe: Cow<'a, EventSet>,
 }
@@ -237,11 +258,11 @@ impl<'a> Env<'a> {
         }
     }
 
-    /// A read-view over a base and an externally maintained slot table
-    /// (the staged engine's mirrors and frontier values). Binding into the
-    /// view writes the view's own layer; the shared table is never
+    /// A read-view over a base and the staged engine's maintained values
+    /// (the rf/co/fr mirrors and frontier bindings). Binding into the
+    /// view writes the view's own layer; the maintained values are never
     /// mutated.
-    pub fn view(base: &'a EnvBase, shared: &'a [Option<CatValue>]) -> Env<'a> {
+    pub(crate) fn view(base: &'a EnvBase, shared: DynSlots<'a>) -> Env<'a> {
         Env {
             base: Some(base),
             shared: Some(shared),
@@ -261,7 +282,7 @@ impl<'a> Env<'a> {
         self.slots
             .get(i)
             .and_then(Option::as_ref)
-            .or_else(|| self.shared.and_then(|s| s.get(i)).and_then(Option::as_ref))
+            .or_else(|| self.shared.and_then(|s| s.get(i)))
             .or_else(|| self.base.and_then(|b| b.slots.get(i)).and_then(Option::as_ref))
             .ok_or_else(|| Error::Model(format!("unknown identifier `{sym}`")))
     }
@@ -294,89 +315,121 @@ impl<'a> Env<'a> {
     }
 }
 
+/// A binary Cat operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BinOp {
+    Union,
+    Inter,
+    Diff,
+    Seq,
+    Cross,
+}
+
+/// A unary Cat operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum UnOp {
+    Opt,
+    Plus,
+    Star,
+    Inverse,
+    IdOn,
+    Domain,
+    Range,
+}
+
+/// One level of an expression: a name, or an operator over subexpressions.
+pub(crate) enum Shape<'e> {
+    Name(Sym),
+    Bin(BinOp, &'e CatExpr, &'e CatExpr),
+    Un(UnOp, &'e CatExpr),
+}
+
+/// Splits off the top operator of an expression.
+pub(crate) fn shape(e: &CatExpr) -> Shape<'_> {
+    match e {
+        CatExpr::Name(n) => Shape::Name(*n),
+        CatExpr::Union(a, b) => Shape::Bin(BinOp::Union, a, b),
+        CatExpr::Inter(a, b) => Shape::Bin(BinOp::Inter, a, b),
+        CatExpr::Diff(a, b) => Shape::Bin(BinOp::Diff, a, b),
+        CatExpr::Seq(a, b) => Shape::Bin(BinOp::Seq, a, b),
+        CatExpr::Cross(a, b) => Shape::Bin(BinOp::Cross, a, b),
+        CatExpr::Opt(a) => Shape::Un(UnOp::Opt, a),
+        CatExpr::Plus(a) => Shape::Un(UnOp::Plus, a),
+        CatExpr::Star(a) => Shape::Un(UnOp::Star, a),
+        CatExpr::Inverse(a) => Shape::Un(UnOp::Inverse, a),
+        CatExpr::IdOn(a) => Shape::Un(UnOp::IdOn, a),
+        CatExpr::Domain(a) => Shape::Un(UnOp::Domain, a),
+        CatExpr::Range(a) => Shape::Un(UnOp::Range, a),
+    }
+}
+
 /// Evaluates an expression in an environment.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Model`] on unknown names or type mismatches.
 pub fn eval_expr(e: &CatExpr, env: &Env) -> Result<CatValue> {
-    match e {
-        CatExpr::Name(n) => env.lookup_sym(*n).cloned(),
-        CatExpr::Union(a, b) => binop(a, b, env, "|"),
-        CatExpr::Inter(a, b) => binop(a, b, env, "&"),
-        CatExpr::Diff(a, b) => binop(a, b, env, "\\"),
-        CatExpr::Seq(a, b) => {
-            let (va, vb) = (eval_expr(a, env)?, eval_expr(b, env)?);
-            Ok(CatValue::Rel(va.as_rel(";")?.seq(vb.as_rel(";")?)))
-        }
-        CatExpr::Opt(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Rel(v.as_rel("?")?.optional(env.universe())))
-        }
-        CatExpr::Plus(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Rel(v.as_rel("+")?.transitive_closure()))
-        }
-        CatExpr::Star(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Rel(
-                v.as_rel("*")?.reflexive_transitive_closure(env.universe()),
-            ))
-        }
-        CatExpr::Inverse(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Rel(v.as_rel("^-1")?.inverse()))
-        }
-        CatExpr::IdOn(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Rel(v.as_set("[_]")?.identity()))
-        }
-        CatExpr::Domain(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Set(v.as_rel("domain")?.domain()))
-        }
-        CatExpr::Range(a) => {
-            let v = eval_expr(a, env)?;
-            Ok(CatValue::Set(v.as_rel("range")?.range()))
-        }
-        CatExpr::Cross(a, b) => {
-            let (va, vb) = (eval_expr(a, env)?, eval_expr(b, env)?);
-            Ok(CatValue::Rel(
-                va.as_set("cross")?.cross(vb.as_set("cross")?),
-            ))
-        }
+    match shape(e) {
+        Shape::Name(n) => env.lookup_sym(n).cloned(),
+        Shape::Bin(op, a, b) => apply_binary(op, eval_expr(a, env)?, &eval_expr(b, env)?),
+        Shape::Un(op, a) => apply_unary(op, &eval_expr(a, env)?, env.universe()),
     }
 }
 
-fn binop(a: &CatExpr, b: &CatExpr, env: &Env, op: &str) -> Result<CatValue> {
+/// Applies a binary operator to evaluated operands (the staged engine
+/// seeds its per-node values through this too).
+pub(crate) fn apply_binary(op: BinOp, va: CatValue, vb: &CatValue) -> Result<CatValue> {
     // The left operand is owned (already a fresh value), so the bitset
     // types' in-place `|=`/`&=`/`\=` variants apply directly — no third
     // allocation per `|`/`&`/`\` node, which the Cat fixpoint loop hits
     // once per binding per Kleene iteration per candidate.
-    let (va, vb) = (eval_expr(a, env)?, eval_expr(b, env)?);
+    let sym = match op {
+        BinOp::Seq => return Ok(CatValue::Rel(va.as_rel(";")?.seq(vb.as_rel(";")?))),
+        BinOp::Cross => {
+            return Ok(CatValue::Rel(
+                va.as_set("cross")?.cross(vb.as_set("cross")?),
+            ))
+        }
+        BinOp::Union => "|",
+        BinOp::Inter => "&",
+        BinOp::Diff => "\\",
+    };
     match (va, vb) {
         (CatValue::Set(mut x), CatValue::Set(y)) => {
             match op {
-                "|" => x.union_with(&y),
-                "&" => x.inter_with(&y),
-                _ => x.diff_with(&y),
+                BinOp::Union => x.union_with(y),
+                BinOp::Inter => x.inter_with(y),
+                _ => x.diff_with(y),
             }
             Ok(CatValue::Set(x))
         }
         (CatValue::Rel(mut x), CatValue::Rel(y)) => {
             match op {
-                "|" => x.union_with(&y),
-                "&" => x.inter_with(&y),
-                _ => x.diff_with(&y),
+                BinOp::Union => x.union_with(y),
+                BinOp::Inter => x.inter_with(y),
+                _ => x.diff_with(y),
             }
             Ok(CatValue::Rel(x))
         }
         (va, vb) => Err(Error::Model(format!(
-            "type mismatch for `{op}`: {} vs {}",
+            "type mismatch for `{sym}`: {} vs {}",
             va.type_name(),
             vb.type_name()
         ))),
     }
+}
+
+/// Applies a unary operator to an evaluated operand.
+pub(crate) fn apply_unary(op: UnOp, v: &CatValue, universe: &EventSet) -> Result<CatValue> {
+    Ok(match op {
+        UnOp::Opt => CatValue::Rel(v.as_rel("?")?.optional(universe)),
+        UnOp::Plus => CatValue::Rel(v.as_rel("+")?.transitive_closure()),
+        UnOp::Star => CatValue::Rel(v.as_rel("*")?.reflexive_transitive_closure(universe)),
+        UnOp::Inverse => CatValue::Rel(v.as_rel("^-1")?.inverse()),
+        UnOp::IdOn => CatValue::Rel(v.as_set("[_]")?.identity()),
+        UnOp::Domain => CatValue::Set(v.as_rel("domain")?.domain()),
+        UnOp::Range => CatValue::Set(v.as_rel("range")?.range()),
+    })
 }
 
 /// Does a (possibly negated) check hold for a value?
@@ -624,9 +677,16 @@ exists (P0:r0=0 /\ P1:r0=0)
         let mut base = EnvBase::from_skeleton(&x);
         let a = Sym::new("zz_layer_probe");
         base.bind(a, CatValue::Rel(Relation::new()));
-        let mut shared = Vec::new();
-        set_slot(&mut shared, a, CatValue::Set(EventSet::new()));
-        let mut env = Env::view(&base, &shared);
+        let mut index = vec![DynSlots::NONE; a.index() + 1];
+        index[a.index()] = 0;
+        let vals = [CatValue::Set(EventSet::new())];
+        let mut env = Env::view(
+            &base,
+            DynSlots {
+                index: &index,
+                vals: &vals,
+            },
+        );
         // Shared layer shadows the base.
         assert!(matches!(env.lookup_sym(a).unwrap(), CatValue::Set(_)));
         // Own bindings shadow the shared layer.

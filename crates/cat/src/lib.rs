@@ -276,6 +276,11 @@ exists (P3:r0=1)
                         r.full_traversals, base.full_traversals,
                         "{tag}: stealing must not add full traversals"
                     );
+                    // Replayed prefixes are counted once, so the work
+                    // counters are deterministic too.
+                    assert!(base.pushes > 0 && base.frontier_evals > 0, "{tag}");
+                    assert_eq!(r.pushes, base.pushes, "{tag}: sim.pushes");
+                    assert_eq!(r.frontier_evals, base.frontier_evals, "{tag}: cat.frontier_evals");
                 }
             }
         }

@@ -322,6 +322,13 @@ impl ComboChecker for CatComboChecker<'_> {
             CatSession::Plain { .. } => None,
         }
     }
+
+    fn frontier_evals(&self) -> u64 {
+        match &self.session {
+            CatSession::Staged(state) => state.frontier_evals(),
+            CatSession::Plain { .. } => 0,
+        }
+    }
 }
 
 /// A process-wide cache of compiled models: each bundled `.cat` program is
@@ -495,9 +502,9 @@ impl ComboChecker for IntersectionChecker<'_> {
     }
 
     // The incremental edge protocol is forwarded to every part, so a part
-    // whose session answers from push-fed state (today only the built-in
-    // models do; Cat sessions use the defaults) stays in sync even when
-    // composed. Forbidden from any part forbids the intersection.
+    // whose session answers from push-fed state (the built-in models and
+    // staged Cat sessions) stays in sync even when composed. Forbidden
+    // from any part forbids the intersection.
 
     fn incremental(&self) -> bool {
         self.parts.iter().any(|c| c.incremental())
@@ -546,6 +553,10 @@ impl ComboChecker for IntersectionChecker<'_> {
         // to name a violated rule wins — mirroring `check`'s first-
         // Forbidden-part semantics.
         self.parts.iter().find_map(|c| c.blame())
+    }
+
+    fn frontier_evals(&self) -> u64 {
+        self.parts.iter().map(|c| c.frontier_evals()).sum()
     }
 }
 

@@ -21,17 +21,31 @@
 //!    (`irreflexive ob` with `ob = (…)+`) into incremental acyclicity
 //!    over the closure-free body. Everything else (negated or
 //!    non-monotone checks, and all flags) is *residual*: evaluated only
-//!    at DFS leaves, with dead dynamic bindings skipped entirely.
+//!    at DFS leaves, with dead dynamic bindings skipped entirely. The
+//!    *frontier* (the dynamic bindings the staged constraints read) and
+//!    the constraints compile into one DAG of operator nodes, and every
+//!    node records its **read set**: whether it transitively reads `rf`,
+//!    and whether it reads `co`/`fr`.
 //! 3. **Incremental execution** ([`StagedState`]): one state per combo
-//!    session. It mirrors `rf`/`co` and the derived `fr` per pushed edge,
-//!    re-evaluates only the rf/co-dependent *frontier* of bindings, and
-//!    diffs each staged constraint's value against its previous value —
-//!    monotonicity makes the diff exactly the edge delta. `acyclic`
-//!    constraints feed their delta into a per-constraint
+//!    session, holding the current value of every node. A push changes
+//!    `rf` (an rf push) or `co` and the derived `fr` (a co push), and
+//!    touches only the nodes whose read set meets that change; the rest
+//!    are skipped outright. A touched node computes its **edge delta**
+//!    from its children's deltas by semi-naive rules — `Δ(A|B) = ΔA ∪ ΔB`,
+//!    `Δ(A&B) = ΔA&B' ∪ A'&ΔB`, `Δ(A;B) = ΔA;B' ∪ A';ΔB` (one side when
+//!    the other is a hoisted constant), `Δ(A\C) = ΔA\C`, inverse, `[S]`,
+//!    `domain`/`range`, `cross`, and `A+`/`A*` through the
+//!    reach-to-source × reach-from-target row update of
+//!    [`IncrementalOrder::add_edge`] — filtered against its own value, so
+//!    the delta is exact. Only recursive `let` groups keep full
+//!    evaluation plus diff. Every value change goes into the push's undo
+//!    frame, and a pop restores every node exactly, so the state always
+//!    equals a from-scratch evaluation of the current rf/co/fr. `acyclic`
+//!    constraints feed their root's delta into a per-constraint
 //!    [`IncrementalOrder`] (journal + LIFO undo, zero full Kahn
 //!    traversals per simulation); `irreflexive` tracks the value's
-//!    diagonal; `empty` reads the value's edge count. Verdicts at DFS
-//!    nodes *and* leaves are O(#constraints).
+//!    diagonal; `empty` reads the value's size. Verdicts at DFS nodes
+//!    *and* leaves are O(#constraints).
 //!
 //! Soundness: a violated staged constraint stays violated in every
 //! completion (the relations only grow and the expressions are monotone),
@@ -47,11 +61,12 @@
 
 use crate::ast::{CatExpr, CatProgram, CatStmt, CheckKind};
 use crate::eval::{
-    base_syms, check_holds, eval_expr, eval_let_group, set_slot, CatValue, Env, EnvBase,
+    apply_binary, apply_unary, base_syms, check_holds, eval_expr, eval_let_group, shape, BinOp,
+    CatValue, DynSlots, Env, EnvBase, Shape, UnOp,
 };
 use crate::monotone::{classify_let_group, expr_dep, Dep, DepMap};
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use telechat_common::{Error, EventId, Result, Sym};
 use telechat_exec::{EventSet, Execution, IncrementalOrder, PartialVerdict, Relation, Verdict};
 
@@ -63,9 +78,22 @@ enum Mode {
     Acyclic,
     /// `irreflexive e`: count of diagonal edges in the value.
     Irreflexive,
-    /// `empty e`: the value's edge count.
+    /// `empty e`: the value's edge (or element) count.
     Empty,
 }
+
+/// Read-set bit: the value depends on `rf`.
+const READS_RF: u8 = 1;
+/// Read-set bit: the value depends on `co` or `fr` (a co push changes
+/// both; an rf push changes neither — the engine pushes every rf edge of
+/// a branch before its first co edge).
+const READS_CO: u8 = 2;
+
+/// The node ids of the three base relations (the first nodes of every
+/// plan).
+const RF: usize = 0;
+const CO: usize = 1;
+const FR: usize = 2;
 
 /// One staged (monotone, non-negated) constraint.
 #[derive(Debug, Clone)]
@@ -75,6 +103,8 @@ struct Constraint {
     expr: CatExpr,
     /// Rule name (`as name`), reported on violation.
     name: String,
+    /// The node holding the expression's value.
+    root: usize,
 }
 
 /// One compiled statement of the plan, in source order.
@@ -86,9 +116,10 @@ enum Step {
         recursive: bool,
         bindings: Vec<(Sym, CatExpr)>,
     },
-    /// rf/co/fr-dependent `let` group. `frontier`: re-evaluated per pushed
-    /// edge (needed by a staged constraint). `leaf`: evaluated during the
-    /// leaf walk (needed by a residual check or flag). Neither: dead code,
+    /// rf/co/fr-dependent `let` group (a non-recursive `let` compiles to
+    /// one step per binding). `frontier`: maintained per pushed edge
+    /// (needed by a staged constraint). `leaf`: evaluated during the leaf
+    /// walk (needed by a residual check or flag). Neither: dead code,
     /// never evaluated.
     BindDyn {
         recursive: bool,
@@ -126,6 +157,38 @@ enum Step {
     },
 }
 
+/// What a node of the frontier DAG computes.
+#[derive(Debug, Clone, Copy)]
+enum NodeOp {
+    /// `rf`, `co` or `fr`: the push supplies the delta.
+    Base,
+    /// A combo-constant name, read from the session's [`EnvBase`].
+    Const(Sym),
+    /// A member of a recursive `let` group (index into
+    /// [`StagedPlan::rec_groups`]). There is no delta rule for `let rec`:
+    /// the group's `first` member re-evaluates the whole group and diffs
+    /// each member's value.
+    Rec { group: usize, first: bool },
+    Bin(BinOp, usize, usize),
+    Un(UnOp, usize),
+}
+
+/// A node of the frontier DAG. Children always have smaller ids, so node
+/// order is a topological order.
+#[derive(Debug, Clone)]
+struct Node {
+    op: NodeOp,
+    /// `READS_RF | READS_CO` bits: which pushes can change the value.
+    reads: u8,
+}
+
+/// A frontier `let rec` group: its step and its members' nodes.
+#[derive(Debug, Clone)]
+struct RecGroup {
+    step: usize,
+    members: Vec<usize>,
+}
+
 /// A compiled model: statements with their staging classification.
 ///
 /// Built once per [`crate::CatModel`] load; shared by every combo session.
@@ -133,8 +196,21 @@ enum Step {
 pub struct StagedPlan {
     steps: Vec<Step>,
     constraints: Vec<Constraint>,
-    /// Indices of `BindDyn { frontier: true }` steps, in order.
-    frontier_steps: Vec<usize>,
+    /// The frontier DAG: `rf`, `co`, `fr` first, then the frontier
+    /// bindings and constraint expressions, children before parents.
+    nodes: Vec<Node>,
+    /// Symbol dense id → node holding the name's maintained value
+    /// ([`DynSlots::NONE`] for names read from the base).
+    index: Vec<u32>,
+    rec_groups: Vec<RecGroup>,
+    /// `(constraint, root)` of every `irreflexive` constraint: undoing a
+    /// diagonal edge of that root lowers the constraint's self-loop count.
+    irreflexive_roots: Vec<(usize, usize)>,
+    /// Frontier bindings (one per non-recursive binding or recursive
+    /// group) plus staged constraints an rf push updates …
+    evals_rf: u64,
+    /// … and a co push.
+    evals_co: u64,
     /// Number of per-combo constant check/flag result slots.
     const_slots: usize,
     /// True if any `CheckConst` exists (a violated one forbids the whole
@@ -249,11 +325,7 @@ fn hoist(
 /// bodies at this point of the program); stageable plans forbid name
 /// shadowing, so the chain is acyclic (the depth guard is belt and
 /// braces).
-fn closure_body(
-    expr: &CatExpr,
-    recorded: &std::collections::HashMap<u32, CatExpr>,
-    depth: usize,
-) -> Option<CatExpr> {
+fn closure_body(expr: &CatExpr, recorded: &HashMap<u32, CatExpr>, depth: usize) -> Option<CatExpr> {
     if depth == 0 {
         return None;
     }
@@ -274,11 +346,7 @@ fn closure_body(
 /// hardware models' `let ob = (…)+ … irreflexive ob` axioms into
 /// incremental acyclicity over the closure-free body, with no
 /// Floyd–Warshall sweep per pushed edge.
-fn stage_form(
-    kind: CheckKind,
-    expr: &CatExpr,
-    recorded: &std::collections::HashMap<u32, CatExpr>,
-) -> (Mode, CatExpr) {
+fn stage_form(kind: CheckKind, expr: &CatExpr, recorded: &HashMap<u32, CatExpr>) -> (Mode, CatExpr) {
     let body = closure_body(expr, recorded, 8);
     match (kind, body) {
         (CheckKind::Acyclic, Some(b)) => (Mode::Acyclic, b),
@@ -330,9 +398,82 @@ fn reserved_names() -> HashSet<u32> {
     out
 }
 
+/// Builds the frontier DAG in program order.
+struct Dag {
+    nodes: Vec<Node>,
+    index: Vec<u32>,
+    /// Constant name → its `Const` node (one per name).
+    consts: HashMap<u32, usize>,
+}
+
+impl Dag {
+    fn new() -> Dag {
+        let mut dag = Dag {
+            nodes: Vec::new(),
+            index: Vec::new(),
+            consts: HashMap::new(),
+        };
+        let s = base_syms();
+        for (sym, reads) in [(s.rf, READS_RF), (s.co, READS_CO), (s.fr, READS_CO)] {
+            let node = dag.push(NodeOp::Base, reads);
+            dag.bind(sym, node);
+        }
+        dag
+    }
+
+    fn push(&mut self, op: NodeOp, reads: u8) -> usize {
+        self.nodes.push(Node { op, reads });
+        self.nodes.len() - 1
+    }
+
+    fn bind(&mut self, sym: Sym, node: usize) {
+        let i = sym.index();
+        if i >= self.index.len() {
+            self.index.resize(i + 1, DynSlots::NONE);
+        }
+        self.index[i] = node as u32;
+    }
+
+    fn lookup(&self, sym: Sym) -> Option<usize> {
+        match self.index.get(sym.index()) {
+            Some(&n) if n != DynSlots::NONE => Some(n as usize),
+            _ => None,
+        }
+    }
+
+    /// The node computing `e` (names resolve to their binding's node, or
+    /// to a `Const` node when the base holds them).
+    fn expr(&mut self, e: &CatExpr) -> usize {
+        match shape(e) {
+            Shape::Name(sym) => match self.lookup(sym) {
+                Some(node) => node,
+                None => match self.consts.get(&sym.id()) {
+                    Some(&node) => node,
+                    None => {
+                        let node = self.push(NodeOp::Const(sym), 0);
+                        self.consts.insert(sym.id(), node);
+                        node
+                    }
+                },
+            },
+            Shape::Bin(op, a, b) => {
+                let (a, b) = (self.expr(a), self.expr(b));
+                let reads = self.nodes[a].reads | self.nodes[b].reads;
+                self.push(NodeOp::Bin(op, a, b), reads)
+            }
+            Shape::Un(op, a) => {
+                let a = self.expr(a);
+                let reads = self.nodes[a].reads;
+                self.push(NodeOp::Un(op, a), reads)
+            }
+        }
+    }
+}
+
 impl StagedPlan {
     /// Compiles a program: monotonicity analysis, constant hoisting,
-    /// constraint staging and dead-binding marking.
+    /// constraint staging, dead-binding marking and the frontier DAG with
+    /// its read sets.
     pub fn compile(program: &CatProgram) -> StagedPlan {
         let mut ctx = DepMap::new();
         let mut steps = Vec::new();
@@ -347,8 +488,7 @@ impl StagedPlan {
         let mut taken_names = reserved_names();
         // In-scope non-recursive `let` bodies, for `+`-through-name
         // resolution in `stage_form`.
-        let mut recorded: std::collections::HashMap<u32, CatExpr> =
-            std::collections::HashMap::new();
+        let mut recorded: HashMap<u32, CatExpr> = HashMap::new();
         let mut slot = || {
             const_slots += 1;
             const_slots - 1
@@ -359,33 +499,43 @@ impl StagedPlan {
                     recursive,
                     bindings,
                 } => {
-                    for (sym, expr) in bindings {
-                        if !taken_names.insert(sym.id()) {
-                            stageable = false;
-                        }
-                        if !*recursive {
-                            recorded.insert(sym.id(), expr.clone());
-                        }
-                    }
-                    let dep = classify_let_group(&mut ctx, *recursive, bindings);
-                    if dep == Dep::Constant {
-                        steps.push(Step::BindConst {
-                            recursive: *recursive,
-                            bindings: bindings.clone(),
-                        });
+                    // Non-recursive bindings evaluate one after another,
+                    // so each compiles as its own group: frontier and leaf
+                    // marking, and delta maintenance, are per binding.
+                    let groups: Vec<&[(Sym, CatExpr)]> = if *recursive {
+                        vec![bindings]
                     } else {
-                        let forbidden: HashSet<u32> =
-                            bindings.iter().map(|(s, _)| s.id()).collect();
-                        let bindings = bindings
-                            .iter()
-                            .map(|(n, e)| (*n, hoist(e, &ctx, &forbidden, &mut hoist_names, &mut steps)))
-                            .collect();
-                        steps.push(Step::BindDyn {
-                            recursive: *recursive,
-                            bindings,
-                            frontier: false,
-                            leaf: false,
-                        });
+                        bindings.chunks(1).collect()
+                    };
+                    for bindings in groups {
+                        for (sym, expr) in bindings {
+                            if !taken_names.insert(sym.id()) {
+                                stageable = false;
+                            }
+                            if !*recursive {
+                                recorded.insert(sym.id(), expr.clone());
+                            }
+                        }
+                        let dep = classify_let_group(&mut ctx, *recursive, bindings);
+                        if dep == Dep::Constant {
+                            steps.push(Step::BindConst {
+                                recursive: *recursive,
+                                bindings: bindings.to_vec(),
+                            });
+                        } else {
+                            let forbidden: HashSet<u32> =
+                                bindings.iter().map(|(s, _)| s.id()).collect();
+                            let bindings = bindings
+                                .iter()
+                                .map(|(n, e)| (*n, hoist(e, &ctx, &forbidden, &mut hoist_names, &mut steps)))
+                                .collect();
+                            steps.push(Step::BindDyn {
+                                recursive: *recursive,
+                                bindings,
+                                frontier: false,
+                                leaf: false,
+                            });
+                        }
                     }
                 }
                 CatStmt::Check {
@@ -414,6 +564,7 @@ impl StagedPlan {
                             mode,
                             expr,
                             name: name.clone(),
+                            root: RF,
                         });
                     } else {
                         let expr = hoist(expr, &ctx, &HashSet::new(), &mut hoist_names, &mut steps);
@@ -483,16 +634,85 @@ impl StagedPlan {
                 _ => {}
             }
         }
-        let frontier_steps = steps
+
+        // The frontier DAG, in program order, with the read sets and the
+        // per-push work counts.
+        let mut dag = Dag::new();
+        let mut rec_groups = Vec::new();
+        let (mut evals_rf, mut evals_co) = (0u64, 0u64);
+        let mut count = |reads: u8| {
+            evals_rf += u64::from(reads & READS_RF != 0);
+            evals_co += u64::from(reads & READS_CO != 0);
+        };
+        for (si, step) in steps.iter().enumerate() {
+            match step {
+                Step::BindDyn {
+                    recursive: false,
+                    bindings,
+                    frontier: true,
+                    ..
+                } => {
+                    for (sym, expr) in bindings {
+                        let node = dag.expr(expr);
+                        count(dag.nodes[node].reads);
+                        dag.bind(*sym, node);
+                    }
+                }
+                Step::BindDyn {
+                    recursive: true,
+                    bindings,
+                    frontier: true,
+                    ..
+                } => {
+                    // The group reads what its bodies name outside it.
+                    let own: HashSet<u32> = bindings.iter().map(|(s, _)| s.id()).collect();
+                    let mut names = HashSet::new();
+                    for (_, e) in bindings {
+                        collect_names(e, &mut names);
+                    }
+                    let reads = names
+                        .difference(&own)
+                        .filter_map(|&id| match dag.index.get(id as usize) {
+                            Some(&n) if n != DynSlots::NONE => Some(n as usize),
+                            _ => None,
+                        })
+                        .fold(0u8, |acc, n| acc | dag.nodes[n].reads);
+                    count(reads);
+                    let group = rec_groups.len();
+                    let members = bindings
+                        .iter()
+                        .enumerate()
+                        .map(|(i, (sym, _))| {
+                            let node = dag.push(NodeOp::Rec { group, first: i == 0 }, reads);
+                            dag.bind(*sym, node);
+                            node
+                        })
+                        .collect();
+                    rec_groups.push(RecGroup { step: si, members });
+                }
+                Step::CheckStaged { idx } => {
+                    let root = dag.expr(&constraints[*idx].expr);
+                    count(dag.nodes[root].reads);
+                    constraints[*idx].root = root;
+                }
+                _ => {}
+            }
+        }
+        let irreflexive_roots = constraints
             .iter()
             .enumerate()
-            .filter(|(_, s)| matches!(s, Step::BindDyn { frontier: true, .. }))
-            .map(|(i, _)| i)
+            .filter(|(_, c)| c.mode == Mode::Irreflexive)
+            .map(|(i, c)| (i, c.root))
             .collect();
         StagedPlan {
             steps,
             constraints,
-            frontier_steps,
+            nodes: dag.nodes,
+            index: dag.index,
+            rec_groups,
+            irreflexive_roots,
+            evals_rf,
+            evals_co,
             const_slots,
             has_const_checks,
             stageable,
@@ -536,48 +756,52 @@ fn release_order(order: IncrementalOrder) {
     ORDER_POOL.with(|p| p.borrow_mut().push(order));
 }
 
-/// Per-constraint runtime state.
+/// Per-constraint runtime state (the value itself is the root node's).
 #[derive(Debug)]
 enum ConState {
-    /// `value` is the constraint expression's current value (equal to a
-    /// from-scratch evaluation against the current rf/co/fr, by monotone
-    /// induction); the order tracks its acyclicity.
-    Acyclic {
-        value: Relation,
-        order: IncrementalOrder,
-    },
-    Irreflexive {
-        value: Relation,
-        selfloops: u32,
-    },
-    Empty {
-        value: Relation,
-    },
-    /// `empty` over a *set*-valued monotone expression (e.g.
-    /// `empty domain(rf)`): element deltas instead of edge deltas.
-    EmptySet {
-        value: EventSet,
-    },
+    /// The order tracks the acyclicity of the root's value.
+    Acyclic { order: IncrementalOrder },
+    /// Diagonal edges in the root's value.
+    Irreflexive { selfloops: u32 },
+    /// Reads the root's size.
+    Empty,
 }
 
-impl ConState {
-    fn violated(&self) -> bool {
-        match self {
-            ConState::Acyclic { order, .. } => !order.is_acyclic(),
-            ConState::Irreflexive { selfloops, .. } => *selfloops > 0,
-            ConState::Empty { value } => !value.is_empty(),
-            ConState::EmptySet { value } => !value.is_empty(),
-        }
+/// What the current push added to one node: edges for relation-valued
+/// nodes, elements for set-valued ones.
+#[derive(Debug, Default, Clone)]
+struct Delta {
+    edges: Vec<(EventId, EventId)>,
+    elems: Vec<EventId>,
+}
+
+impl Delta {
+    fn clear(&mut self) {
+        self.edges.clear();
+        self.elems.clear();
     }
 }
 
-/// One undo frame (per engine push): the value delta applied to each
-/// constraint.
-#[derive(Debug, Default)]
-struct ConsFrame {
-    delta: Vec<(EventId, EventId)>,
-    elems: Vec<EventId>,
-    selfloops: u32,
+/// One undo-journal entry: an edge (or, for set-valued nodes, the element
+/// `a`) that a push added to (`added`) or removed from a node's value.
+/// Only the fallback for recursive groups ever removes.
+#[derive(Debug, Clone, Copy)]
+struct Change {
+    node: u32,
+    added: bool,
+    a: EventId,
+    b: EventId,
+}
+
+/// The value of node `n`: constants live in the base, everything else in
+/// `vals`.
+fn node_value<'v>(plan: &StagedPlan, base: &'v EnvBase, vals: &'v [CatValue], n: usize) -> &'v CatValue {
+    match plan.nodes[n].op {
+        NodeOp::Const(sym) => base
+            .get(sym)
+            .expect("constant names are bound before the nodes that read them"),
+        _ => &vals[n],
+    }
 }
 
 /// The per-combo staged checking state (one per
@@ -587,84 +811,73 @@ pub struct StagedState<'a> {
     plan: &'a StagedPlan,
     /// Skeleton bindings + per-combo constants (`let`s and hoists).
     base: EnvBase,
-    /// Shared dynamic slots: the rf/co/fr mirrors plus frontier binding
-    /// values (updated in place per push; read through [`Env::view`]).
-    slots: Vec<Option<CatValue>>,
-    rf: Sym,
-    co: Sym,
-    fr: Sym,
+    /// The current value of every plan node (`Const` nodes hold an unused
+    /// placeholder: their value is in `base`). Read by leaf evaluation
+    /// through [`Env::view`].
+    vals: Vec<CatValue>,
+    /// Per node, what the current push added (cleared when the node is
+    /// skipped, so a parent never reads a stale delta).
+    deltas: Vec<Delta>,
     cons: Vec<ConState>,
     /// Results of constant checks/flags, by `cslot`: "holds"/"fires".
     const_results: Vec<bool>,
     /// True if some constant *check* is violated: every candidate of the
     /// combo is forbidden.
     const_violated: bool,
-    frames: Vec<Vec<ConsFrame>>,
-    /// Popped frames, recycled by [`StagedState::advance`] so the steady-
-    /// state DFS allocates no delta vectors: the engine calls
-    /// `edge_diff_into` once per push and reuses these buffers.
-    spare_frames: Vec<Vec<ConsFrame>>,
-    /// Reusable `fr` edge-delta buffer for [`StagedState::push_co`] /
-    /// [`StagedState::pop_co`].
+    /// Every value change since the session baseline, newest last.
+    journal: Vec<Change>,
+    /// Journal length at each open push (one frame per push).
+    frames: Vec<usize>,
+    /// Reusable `fr` edge-delta buffer for [`StagedState::push_co`].
     fr_scratch: Vec<(EventId, EventId)>,
+    /// Frontier bindings plus staged constraints updated by pushes so far.
+    frontier_evals: u64,
     nodes: usize,
 }
 
 impl<'a> StagedState<'a> {
     /// Builds the combo state: evaluates constants into the base, seeds
-    /// every staged constraint from the skeleton (empty rf/co/fr).
+    /// every node from the skeleton (empty rf/co/fr).
     pub fn new(plan: &'a StagedPlan, skeleton: &Execution) -> Result<StagedState<'a>> {
         telechat_obs::add(telechat_obs::Counter::CatSessions, 1);
         let nodes = skeleton.events.len();
         let mut state = StagedState {
             plan,
             base: EnvBase::from_skeleton(skeleton),
-            slots: Vec::new(),
-            rf: base_syms().rf,
-            co: base_syms().co,
-            fr: base_syms().fr,
+            vals: Vec::with_capacity(plan.nodes.len()),
+            deltas: vec![Delta::default(); plan.nodes.len()],
             cons: Vec::with_capacity(plan.constraints.len()),
             const_results: vec![false; plan.const_slots],
             const_violated: false,
+            journal: Vec::new(),
             frames: Vec::new(),
-            spare_frames: Vec::new(),
             fr_scratch: Vec::new(),
+            frontier_evals: 0,
             nodes,
         };
-        for sym in [state.rf, state.co, state.fr] {
-            set_slot(
-                &mut state.slots,
-                sym,
-                CatValue::Rel(Relation::with_nodes(nodes)),
-            );
-        }
+        // Constants first: they read only the skeleton and earlier
+        // constants, and the nodes read them.
+        let no_dyn = DynSlots {
+            index: &[],
+            vals: &[],
+        };
         for step in &plan.steps {
             match step {
                 Step::BindConst {
                     recursive,
                     bindings,
                 } => {
-                    let taken = {
-                        let mut env = Env::view(&state.base, &state.slots);
+                    let mut taken = {
+                        let mut env = Env::view(&state.base, no_dyn);
                         eval_let_group(&mut env, *recursive, bindings)?;
                         env.take_slots()
                     };
-                    state.adopt(taken, bindings, true);
+                    for (sym, _) in bindings {
+                        if let Some(v) = taken.get_mut(sym.index()).and_then(Option::take) {
+                            state.base.bind(*sym, v);
+                        }
+                    }
                 }
-                Step::BindDyn {
-                    recursive,
-                    bindings,
-                    frontier: true,
-                    ..
-                } => {
-                    let taken = {
-                        let mut env = Env::view(&state.base, &state.slots);
-                        eval_let_group(&mut env, *recursive, bindings)?;
-                        env.take_slots()
-                    };
-                    state.adopt(taken, bindings, false);
-                }
-                Step::BindDyn { .. } => {}
                 Step::CheckConst {
                     cslot,
                     kind,
@@ -672,7 +885,7 @@ impl<'a> StagedState<'a> {
                     expr,
                     name,
                 } => {
-                    let env = Env::view(&state.base, &state.slots);
+                    let env = Env::view(&state.base, no_dyn);
                     let v = eval_expr(expr, &env)?;
                     let holds = check_holds(*kind, *negated, &v, name)?;
                     state.const_results[*cslot] = holds;
@@ -680,35 +893,6 @@ impl<'a> StagedState<'a> {
                         state.const_violated = true;
                     }
                 }
-                Step::CheckStaged { idx } => {
-                    let c = &plan.constraints[*idx];
-                    let seed = {
-                        let env = Env::view(&state.base, &state.slots);
-                        eval_expr(&c.expr, &env)?
-                    };
-                    let con = match (c.mode, seed) {
-                        (Mode::Acyclic, CatValue::Rel(value)) => ConState::Acyclic {
-                            order: acquire_order(nodes, &value),
-                            value,
-                        },
-                        (Mode::Irreflexive, CatValue::Rel(value)) => ConState::Irreflexive {
-                            selfloops: diagonal_len(&value),
-                            value,
-                        },
-                        (Mode::Empty, CatValue::Rel(value)) => ConState::Empty { value },
-                        // `empty` is meaningful for sets too (`check_holds`
-                        // accepts both); cardinality stages just as well.
-                        (Mode::Empty, CatValue::Set(value)) => ConState::EmptySet { value },
-                        (_, CatValue::Set(_)) => {
-                            return Err(Error::Model(format!(
-                                "{}: expected a relation, found a set",
-                                c.name
-                            )))
-                        }
-                    };
-                    state.cons.push(con);
-                }
-                Step::CheckResidual { .. } | Step::Flag { cslot: None, .. } => {}
                 Step::Flag {
                     cslot: Some(cslot),
                     kind,
@@ -716,45 +900,165 @@ impl<'a> StagedState<'a> {
                     expr,
                     name,
                 } => {
-                    let env = Env::view(&state.base, &state.slots);
+                    let env = Env::view(&state.base, no_dyn);
                     let v = eval_expr(expr, &env)?;
                     state.const_results[*cslot] = check_holds(*kind, *negated, &v, name)?;
                 }
+                _ => {}
             }
+        }
+        // Then every node, children first.
+        for (i, node) in plan.nodes.iter().enumerate() {
+            let v = match node.op {
+                NodeOp::Base => CatValue::Rel(Relation::with_nodes(nodes)),
+                NodeOp::Const(sym) => {
+                    if state.base.get(sym).is_none() {
+                        return Err(Error::Model(format!("unknown identifier `{sym}`")));
+                    }
+                    CatValue::Set(EventSet::new())
+                }
+                NodeOp::Rec { group, first } => {
+                    if first {
+                        let values = state.eval_rec_group(group)?;
+                        state.vals.extend(values);
+                    }
+                    continue;
+                }
+                NodeOp::Bin(op, a, b) => {
+                    let va = node_value(plan, &state.base, &state.vals, a).clone();
+                    apply_binary(op, va, node_value(plan, &state.base, &state.vals, b))?
+                }
+                NodeOp::Un(op, a) => apply_unary(
+                    op,
+                    node_value(plan, &state.base, &state.vals, a),
+                    state.base.universe(),
+                )?,
+            };
+            debug_assert_eq!(state.vals.len(), i);
+            state.vals.push(v);
+        }
+        for c in &plan.constraints {
+            let con = match (c.mode, &state.vals[c.root]) {
+                (Mode::Acyclic, CatValue::Rel(value)) => ConState::Acyclic {
+                    order: acquire_order(nodes, value),
+                },
+                (Mode::Irreflexive, CatValue::Rel(value)) => ConState::Irreflexive {
+                    selfloops: diagonal_len(value),
+                },
+                // `empty` is meaningful for sets too (`check_holds` accepts
+                // both); cardinality stages just as well.
+                (Mode::Empty, _) => ConState::Empty,
+                (_, CatValue::Set(_)) => {
+                    return Err(Error::Model(format!(
+                        "{}: expected a relation, found a set",
+                        c.name
+                    )))
+                }
+            };
+            state.cons.push(con);
         }
         Ok(state)
     }
 
-    /// Moves `let`-group results produced through a view into the base
-    /// (`to_base`) or the shared dynamic slots.
-    fn adopt(
-        &mut self,
-        mut taken: Vec<Option<CatValue>>,
-        bindings: &[(Sym, CatExpr)],
-        to_base: bool,
-    ) {
-        for (sym, _) in bindings {
-            if let Some(v) = taken.get_mut(sym.index()).and_then(Option::take) {
-                if to_base {
-                    self.base.bind(*sym, v);
-                } else {
-                    set_slot(&mut self.slots, *sym, v);
+    /// The maintained values as an [`Env`] layer.
+    fn dyn_slots(&self) -> DynSlots<'_> {
+        DynSlots {
+            index: &self.plan.index,
+            vals: &self.vals,
+        }
+    }
+
+    /// Evaluates a recursive group from scratch over the current values,
+    /// returning its members' values in binding order.
+    fn eval_rec_group(&self, group: usize) -> Result<Vec<CatValue>> {
+        let Step::BindDyn { bindings, .. } = &self.plan.steps[self.plan.rec_groups[group].step] else {
+            unreachable!("recursive groups are dynamic bindings");
+        };
+        let mut taken = {
+            let mut env = Env::view(&self.base, self.dyn_slots());
+            eval_let_group(&mut env, true, bindings)?;
+            env.take_slots()
+        };
+        Ok(bindings
+            .iter()
+            .map(|(sym, _)| {
+                taken
+                    .get_mut(sym.index())
+                    .and_then(Option::take)
+                    .expect("a `let rec` binds every member")
+            })
+            .collect())
+    }
+
+    /// The fallback for a recursive group: full evaluation, then each
+    /// member's value is diffed against its previous one. The additions
+    /// are the member's delta; both additions and removals are journaled.
+    fn refresh_rec_group(&mut self, group: usize) -> Result<()> {
+        let values = self.eval_rec_group(group)?;
+        let plan = self.plan;
+        let RecGroup { step, members } = &plan.rec_groups[group];
+        let Step::BindDyn { bindings, .. } = &plan.steps[*step] else {
+            unreachable!("recursive groups are dynamic bindings");
+        };
+        for ((&n, new), (sym, _)) in members.iter().zip(values).zip(bindings) {
+            let delta = &mut self.deltas[n];
+            delta.clear();
+            let mut removed = Vec::new();
+            match (&mut self.vals[n], new) {
+                (CatValue::Rel(old), CatValue::Rel(new)) => {
+                    new.edge_diff_into(old, &mut delta.edges);
+                    old.edge_diff_into(&new, &mut removed);
+                    *old = new;
+                }
+                (CatValue::Set(old), CatValue::Set(new)) => {
+                    delta.elems.extend(new.iter().filter(|e| !old.contains(*e)));
+                    removed.extend(old.iter().filter(|e| !new.contains(*e)).map(|e| (e, e)));
+                    *old = new;
+                }
+                _ => {
+                    return Err(Error::Model(format!(
+                        "`let rec` member `{sym}` changed type between candidates"
+                    )))
                 }
             }
+            let node = n as u32;
+            for &(a, b) in &removed {
+                self.journal.push(Change { node, added: false, a, b });
+            }
+            for &(a, b) in &delta.edges {
+                self.journal.push(Change { node, added: true, a, b });
+            }
+            for &a in &delta.elems {
+                self.journal.push(Change { node, added: true, a, b: a });
+            }
+        }
+        Ok(())
+    }
+
+    fn rel(&self, node: usize) -> &Relation {
+        match &self.vals[node] {
+            CatValue::Rel(r) => r,
+            CatValue::Set(_) => unreachable!("rf/co/fr are relations"),
         }
     }
 
-    fn rel_mut(&mut self, sym: Sym) -> &mut Relation {
-        match self.slots.get_mut(sym.index()).and_then(Option::as_mut) {
-            Some(CatValue::Rel(r)) => r,
-            _ => unreachable!("rf/co/fr mirrors are always bound relations"),
-        }
-    }
-
-    fn rel_ref(&self, sym: Sym) -> &Relation {
-        match self.slots.get(sym.index()).and_then(Option::as_ref) {
-            Some(CatValue::Rel(r)) => r,
-            _ => unreachable!("rf/co/fr mirrors are always bound relations"),
+    /// Adds `edges` to base node `n` as the push's delta, journaled.
+    fn push_base(&mut self, n: usize, edges: &[(EventId, EventId)]) {
+        let CatValue::Rel(value) = &mut self.vals[n] else {
+            unreachable!("rf/co/fr are relations");
+        };
+        let delta = &mut self.deltas[n];
+        delta.clear();
+        for &(a, b) in edges {
+            if value.insert(a, b) {
+                delta.edges.push((a, b));
+                self.journal.push(Change {
+                    node: n as u32,
+                    added: true,
+                    a,
+                    b,
+                });
+            }
         }
     }
 
@@ -766,7 +1070,7 @@ impl<'a> StagedState<'a> {
     /// state DFS pushes no allocations here.
     fn fill_fr_delta(&self, preds: &[EventId], w: EventId, out: &mut Vec<(EventId, EventId)>) {
         out.clear();
-        let rf = self.rel_ref(self.rf);
+        let rf = self.rel(RF);
         for &p in preds {
             for r in rf.successors(p) {
                 if r != w {
@@ -778,50 +1082,43 @@ impl<'a> StagedState<'a> {
 
     /// The engine assigned `rf(w, r)`.
     pub fn push_rf(&mut self, w: EventId, r: EventId) -> Result<PartialVerdict> {
-        self.rel_mut(self.rf).insert(w, r);
-        self.advance()
+        self.frames.push(self.journal.len());
+        self.push_base(RF, &[(w, r)]);
+        self.advance(READS_RF)
     }
 
     /// Undoes the most recent [`StagedState::push_rf`].
     pub fn pop_rf(&mut self, w: EventId, r: EventId) {
         self.undo_frame();
-        self.rel_mut(self.rf).remove(w, r);
+        debug_assert!(!self.rel(RF).contains(w, r), "pop_rf must undo its push");
     }
 
     /// The engine extended a coherence chain (`co(p, w)` for `p ∈ preds`).
     pub fn push_co(&mut self, preds: &[EventId], w: EventId) -> Result<PartialVerdict> {
-        for &p in preds {
-            self.rel_mut(self.co).insert(p, w);
-        }
+        self.frames.push(self.journal.len());
         let mut scratch = std::mem::take(&mut self.fr_scratch);
+        scratch.clear();
+        scratch.extend(preds.iter().map(|&p| (p, w)));
+        self.push_base(CO, &scratch);
         self.fill_fr_delta(preds, w, &mut scratch);
-        for &(r, w) in &scratch {
-            self.rel_mut(self.fr).insert(r, w);
-        }
+        self.push_base(FR, &scratch);
         self.fr_scratch = scratch;
-        self.advance()
+        self.advance(READS_CO)
     }
 
     /// Undoes the most recent [`StagedState::push_co`].
     pub fn pop_co(&mut self, preds: &[EventId], w: EventId) {
         self.undo_frame();
-        // rf is stable throughout the coherence stage, so the delta
-        // recomputes to exactly the pushed set.
-        let mut scratch = std::mem::take(&mut self.fr_scratch);
-        self.fill_fr_delta(preds, w, &mut scratch);
-        for &(r, w) in &scratch {
-            self.rel_mut(self.fr).remove(r, w);
-        }
-        self.fr_scratch = scratch;
-        for &p in preds {
-            self.rel_mut(self.co).remove(p, w);
-        }
+        debug_assert!(
+            preds.iter().all(|&p| !self.rel(CO).contains(p, w)),
+            "pop_co must undo its push"
+        );
     }
 
-    /// Folds every frame pushed so far into the session baseline: staged
-    /// constraint values keep their current contents, each acyclicity
-    /// order snapshots its reachability state (journals cleared via
-    /// [`IncrementalOrder::snapshot`]), and the undo stack empties —
+    /// Folds every frame pushed so far into the session baseline: node
+    /// values keep their current contents, each acyclicity order
+    /// snapshots its reachability state (journals cleared via
+    /// [`IncrementalOrder::snapshot`]), and the undo journal empties —
     /// subsequent pops can only unwind pushes made *after* this call.
     ///
     /// The work-stealing enumerator calls this when a worker adopts a
@@ -829,123 +1126,282 @@ impl<'a> StagedState<'a> {
     /// session's permanent split-point baseline and is never popped.
     pub fn absorb(&mut self) {
         for con in &mut self.cons {
-            if let ConState::Acyclic { order, .. } = con {
+            if let ConState::Acyclic { order } = con {
                 order.snapshot();
             }
         }
-        let mut frames = std::mem::take(&mut self.frames);
-        for frame in &mut frames {
-            for cf in frame.iter_mut() {
-                cf.delta.clear();
-                cf.elems.clear();
-                cf.selfloops = 0;
-            }
-        }
-        self.spare_frames.append(&mut frames);
+        self.journal.clear();
+        self.frames.clear();
     }
 
-    /// Re-evaluates the rf/co-dependent frontier and applies each staged
-    /// constraint's value delta under a fresh undo frame.
-    fn advance(&mut self) -> Result<PartialVerdict> {
+    /// Propagates the push's base deltas through every node whose read
+    /// set meets `touched`, then applies each staged constraint's root
+    /// delta. The push's frame is already open.
+    fn advance(&mut self, touched: u8) -> Result<PartialVerdict> {
         let plan = self.plan;
-        for &si in &plan.frontier_steps {
-            let Step::BindDyn {
-                recursive,
-                bindings,
-                ..
-            } = &plan.steps[si]
-            else {
-                unreachable!("frontier steps are dynamic bindings");
-            };
-            let taken = {
-                let mut env = Env::view(&self.base, &self.slots);
-                eval_let_group(&mut env, *recursive, bindings)?;
-                env.take_slots()
-            };
-            self.adopt(taken, bindings, false);
+        for (i, node) in plan.nodes.iter().enumerate() {
+            if node.reads & touched == 0 {
+                self.deltas[i].clear();
+                continue;
+            }
+            match node.op {
+                // The push set the base deltas; constants never change.
+                NodeOp::Base | NodeOp::Const(_) => continue,
+                NodeOp::Rec { group, first } => {
+                    if first {
+                        self.refresh_rec_group(group)?;
+                    }
+                    continue;
+                }
+                NodeOp::Bin(op, a, b) => self.delta_bin(i, op, a, b),
+                NodeOp::Un(op, a) => self.delta_un(i, op, a),
+            }
+            let node = i as u32;
+            let delta = &self.deltas[i];
+            self.journal.extend(delta.edges.iter().map(|&(a, b)| Change {
+                node,
+                added: true,
+                a,
+                b,
+            }));
+            self.journal.extend(delta.elems.iter().map(|&a| Change {
+                node,
+                added: true,
+                a,
+                b: a,
+            }));
         }
-        // Recycle a popped frame's buffers (cleared on pop/absorb): the
-        // steady-state DFS push allocates no delta vectors.
-        let mut frame = self.spare_frames.pop().unwrap_or_default();
-        frame.resize_with(self.cons.len(), ConsFrame::default);
-        for (i, c) in plan.constraints.iter().enumerate() {
-            let new = {
-                let env = Env::view(&self.base, &self.slots);
-                eval_expr(&c.expr, &env)?
-            };
-            let cf = &mut frame[i];
-            match (&mut self.cons[i], new) {
-                (ConState::Acyclic { value, order }, CatValue::Rel(new)) => {
-                    new.edge_diff_into(value, &mut cf.delta);
+        for (c, con) in plan.constraints.iter().zip(&mut self.cons) {
+            let delta = &self.deltas[c.root].edges;
+            match con {
+                // A skipped constraint still opens a frame, so every pop
+                // undoes exactly one frame per order.
+                ConState::Acyclic { order } => {
                     order.begin();
-                    for &(a, b) in &cf.delta {
+                    for &(a, b) in delta {
                         order.add_edge(a, b);
                     }
-                    *value = new;
                 }
-                (ConState::Irreflexive { value, selfloops }, CatValue::Rel(new)) => {
-                    new.edge_diff_into(value, &mut cf.delta);
-                    cf.selfloops = cf.delta.iter().filter(|(a, b)| a == b).count() as u32;
-                    *selfloops += cf.selfloops;
-                    *value = new;
+                ConState::Irreflexive { selfloops } => {
+                    *selfloops += delta.iter().filter(|(a, b)| a == b).count() as u32;
                 }
-                (ConState::Empty { value }, CatValue::Rel(new)) => {
-                    new.edge_diff_into(value, &mut cf.delta);
-                    *value = new;
-                }
-                (ConState::EmptySet { value }, CatValue::Set(new)) => {
-                    cf.elems.extend(new.iter().filter(|e| !value.contains(*e)));
-                    *value = new;
-                }
-                _ => {
-                    return Err(Error::Model(format!(
-                        "{}: expression changed type between candidates",
-                        c.name
-                    )))
-                }
+                ConState::Empty => {}
             }
         }
-        self.frames.push(frame);
+        self.frontier_evals += if touched == READS_RF {
+            plan.evals_rf
+        } else {
+            plan.evals_co
+        };
         Ok(self.verdict())
     }
 
-    fn undo_frame(&mut self) {
-        let mut frame = self.frames.pop().expect("pop without matching push");
-        for (con, cf) in self.cons.iter_mut().zip(frame.iter_mut()) {
-            match con {
-                ConState::Acyclic { value, order } => {
-                    order.undo();
-                    for &(a, b) in &cf.delta {
-                        value.remove(a, b);
-                    }
-                }
-                ConState::Irreflexive { value, selfloops } => {
-                    *selfloops -= cf.selfloops;
-                    for &(a, b) in &cf.delta {
-                        value.remove(a, b);
-                    }
-                }
-                ConState::Empty { value } => {
-                    for &(a, b) in &cf.delta {
-                        value.remove(a, b);
-                    }
-                }
-                ConState::EmptySet { value } => {
-                    for &e in &cf.elems {
-                        value.remove(e);
+    /// The semi-naive delta of a binary node from its children's deltas
+    /// and (already updated) values, filtered against its own value.
+    fn delta_bin(&mut self, p: usize, op: BinOp, a: usize, b: usize) {
+        let plan = self.plan;
+        let (lower, upper) = self.vals.split_at_mut(p);
+        let (lower_d, upper_d) = self.deltas.split_at_mut(p);
+        let out = &mut upper_d[0];
+        out.clear();
+        let (da, db) = (&lower_d[a], &lower_d[b]);
+        let va = node_value(plan, &self.base, lower, a);
+        let vb = node_value(plan, &self.base, lower, b);
+        match (op, &mut upper[0], va, vb) {
+            (BinOp::Union, CatValue::Rel(r), _, _) => {
+                for &(x, y) in da.edges.iter().chain(&db.edges) {
+                    if r.insert(x, y) {
+                        out.edges.push((x, y));
                     }
                 }
             }
-            cf.delta.clear();
-            cf.elems.clear();
-            cf.selfloops = 0;
+            (BinOp::Union, CatValue::Set(s), _, _) => {
+                for &x in da.elems.iter().chain(&db.elems) {
+                    if s.insert(x) {
+                        out.elems.push(x);
+                    }
+                }
+            }
+            (BinOp::Inter, CatValue::Rel(r), CatValue::Rel(ra), CatValue::Rel(rb)) => {
+                let left = da.edges.iter().filter(|&&(x, y)| rb.contains(x, y));
+                let right = db.edges.iter().filter(|&&(x, y)| ra.contains(x, y));
+                for &(x, y) in left.chain(right) {
+                    if r.insert(x, y) {
+                        out.edges.push((x, y));
+                    }
+                }
+            }
+            (BinOp::Inter, CatValue::Set(s), CatValue::Set(sa), CatValue::Set(sb)) => {
+                let left = da.elems.iter().filter(|&&x| sb.contains(x));
+                let right = db.elems.iter().filter(|&&x| sa.contains(x));
+                for &x in left.chain(right) {
+                    if s.insert(x) {
+                        out.elems.push(x);
+                    }
+                }
+            }
+            // The subtrahend of a monotone difference is constant: only
+            // the minuend grows.
+            (BinOp::Diff, CatValue::Rel(r), _, CatValue::Rel(rb)) => {
+                debug_assert!(db.edges.is_empty(), "dynamic subtrahend in the frontier");
+                for &(x, y) in &da.edges {
+                    if !rb.contains(x, y) && r.insert(x, y) {
+                        out.edges.push((x, y));
+                    }
+                }
+            }
+            (BinOp::Diff, CatValue::Set(s), _, CatValue::Set(sb)) => {
+                debug_assert!(db.elems.is_empty(), "dynamic subtrahend in the frontier");
+                for &x in &da.elems {
+                    if !sb.contains(x) && s.insert(x) {
+                        out.elems.push(x);
+                    }
+                }
+            }
+            (BinOp::Seq, CatValue::Rel(r), CatValue::Rel(ra), CatValue::Rel(rb)) => {
+                for &(x, y) in &da.edges {
+                    r.union_row_from(x, rb, y, &mut out.edges);
+                }
+                for &(y, z) in &db.edges {
+                    for x in ra.predecessors(y) {
+                        if r.insert(x, z) {
+                            out.edges.push((x, z));
+                        }
+                    }
+                }
+            }
+            (BinOp::Cross, CatValue::Rel(r), CatValue::Set(sa), CatValue::Set(sb)) => {
+                for &x in &da.elems {
+                    for y in sb.iter() {
+                        if r.insert(x, y) {
+                            out.edges.push((x, y));
+                        }
+                    }
+                }
+                for &y in &db.elems {
+                    for x in sa.iter() {
+                        if r.insert(x, y) {
+                            out.edges.push((x, y));
+                        }
+                    }
+                }
+            }
+            _ => unreachable!("node types are fixed when the session seeds them"),
         }
-        self.spare_frames.push(frame);
+    }
+
+    /// The delta of a unary node (see [`StagedState::delta_bin`]).
+    fn delta_un(&mut self, p: usize, op: UnOp, a: usize) {
+        let (lower_d, upper_d) = self.deltas.split_at_mut(p);
+        let out = &mut upper_d[0];
+        out.clear();
+        let da = &lower_d[a];
+        match (op, &mut self.vals[p]) {
+            // `A?`'s value already holds the identity.
+            (UnOp::Opt, CatValue::Rel(r)) => {
+                for &(x, y) in &da.edges {
+                    if r.insert(x, y) {
+                        out.edges.push((x, y));
+                    }
+                }
+            }
+            // The value is the closure (reflexive over the universe for
+            // `*`): one row update per new edge of the body.
+            (UnOp::Plus | UnOp::Star, CatValue::Rel(r)) => {
+                for &(u, v) in &da.edges {
+                    r.close_over_edge(u, v, &mut out.edges);
+                }
+            }
+            (UnOp::Inverse, CatValue::Rel(r)) => {
+                for &(x, y) in &da.edges {
+                    if r.insert(y, x) {
+                        out.edges.push((y, x));
+                    }
+                }
+            }
+            (UnOp::IdOn, CatValue::Rel(r)) => {
+                for &x in &da.elems {
+                    if r.insert(x, x) {
+                        out.edges.push((x, x));
+                    }
+                }
+            }
+            (UnOp::Domain, CatValue::Set(s)) => {
+                for &(x, _) in &da.edges {
+                    if s.insert(x) {
+                        out.elems.push(x);
+                    }
+                }
+            }
+            (UnOp::Range, CatValue::Set(s)) => {
+                for &(_, y) in &da.edges {
+                    if s.insert(y) {
+                        out.elems.push(y);
+                    }
+                }
+            }
+            _ => unreachable!("node types are fixed when the session seeds them"),
+        }
+    }
+
+    /// Restores every value, order and self-loop count to just before the
+    /// most recent push.
+    fn undo_frame(&mut self) {
+        let mark = self.frames.pop().expect("pop without matching push");
+        for con in &mut self.cons {
+            if let ConState::Acyclic { order } = con {
+                order.undo();
+            }
+        }
+        while self.journal.len() > mark {
+            let ch = self.journal.pop().expect("journal entry");
+            let n = ch.node as usize;
+            match &mut self.vals[n] {
+                CatValue::Rel(r) => {
+                    if ch.added {
+                        r.remove(ch.a, ch.b);
+                    } else {
+                        r.insert(ch.a, ch.b);
+                    }
+                    if ch.a == ch.b {
+                        for &(ci, root) in &self.plan.irreflexive_roots {
+                            if let (true, ConState::Irreflexive { selfloops }) =
+                                (root == n, &mut self.cons[ci])
+                            {
+                                if ch.added {
+                                    *selfloops -= 1;
+                                } else {
+                                    *selfloops += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+                CatValue::Set(s) => {
+                    if ch.added {
+                        s.remove(ch.a);
+                    } else {
+                        s.insert(ch.a);
+                    }
+                }
+            }
+        }
+    }
+
+    fn violated(&self, idx: usize) -> bool {
+        match &self.cons[idx] {
+            ConState::Acyclic { order } => !order.is_acyclic(),
+            ConState::Irreflexive { selfloops } => *selfloops > 0,
+            ConState::Empty => match &self.vals[self.plan.constraints[idx].root] {
+                CatValue::Rel(r) => !r.is_empty(),
+                CatValue::Set(s) => !s.is_empty(),
+            },
+        }
     }
 
     /// The current partial verdict, O(#constraints).
     pub fn verdict(&self) -> PartialVerdict {
-        if self.const_violated || self.cons.iter().any(ConState::violated) {
+        if self.const_violated || (0..self.cons.len()).any(|i| self.violated(i)) {
             PartialVerdict::Forbidden
         } else {
             PartialVerdict::Undecided
@@ -965,7 +1421,7 @@ impl<'a> StagedState<'a> {
                 Step::CheckConst { cslot, name, .. } if !self.const_results[*cslot] => {
                     return Some(name);
                 }
-                Step::CheckStaged { idx } if self.cons[*idx].violated() => {
+                Step::CheckStaged { idx } if self.violated(*idx) => {
                     return Some(&self.plan.constraints[*idx].name);
                 }
                 _ => {}
@@ -980,7 +1436,7 @@ impl<'a> StagedState<'a> {
     /// byte-identical to [`crate::eval::run_program`].
     pub fn check_leaf(&self) -> Result<Verdict> {
         let mut flags = Vec::new();
-        let mut env = Env::view(&self.base, &self.slots);
+        let mut env = Env::view(&self.base, self.dyn_slots());
         for step in &self.plan.steps {
             match step {
                 Step::BindConst { .. } | Step::BindDyn { frontier: true, .. } => {}
@@ -997,7 +1453,7 @@ impl<'a> StagedState<'a> {
                     }
                 }
                 Step::CheckStaged { idx } => {
-                    if self.cons[*idx].violated() {
+                    if self.violated(*idx) {
                         return Ok(Verdict::Forbidden {
                             rule: self.plan.constraints[*idx].name.clone(),
                         });
@@ -1040,6 +1496,13 @@ impl<'a> StagedState<'a> {
         Ok(Verdict::Allowed { flags })
     }
 
+    /// Frontier bindings plus staged constraints that pushes into this
+    /// session have evaluated or delta-updated (the `cat.frontier_evals`
+    /// work counter).
+    pub fn frontier_evals(&self) -> u64 {
+        self.frontier_evals
+    }
+
     /// The node universe size (diagnostics/tests).
     pub fn nodes(&self) -> usize {
         self.nodes
@@ -1049,7 +1512,7 @@ impl<'a> StagedState<'a> {
 impl Drop for StagedState<'_> {
     fn drop(&mut self) {
         for con in self.cons.drain(..) {
-            if let ConState::Acyclic { order, .. } = con {
+            if let ConState::Acyclic { order } = con {
                 release_order(order);
             }
         }
@@ -1256,6 +1719,242 @@ exists (P0:r0=0 /\ P1:r0=0)
             partial.rf.remove(wy1, ry);
             check(&state, &partial);
             assert_eq!(state.nodes(), n);
+        }
+    }
+
+    /// The read sets the plan compiles: on a co push the rf-only frontier
+    /// (rc11's `rs`/`sw`/`hb` and `no_thin_air`, the prelude's `rfe`/`rfi`
+    /// and aarch64's `dob`) is skipped, and on an rf push `coe` is.
+    #[test]
+    fn read_sets_of_bundled_plans() {
+        fn binding_reads(plan: &StagedPlan, name: &str) -> u8 {
+            let n = plan.index[Sym::new(name).index()];
+            assert_ne!(n, DynSlots::NONE, "`{name}` must be a frontier binding");
+            plan.nodes[n as usize].reads
+        }
+        fn constraint_reads(plan: &StagedPlan, name: &str) -> u8 {
+            let c = plan.constraints.iter().find(|c| c.name == name).unwrap();
+            plan.nodes[c.root].reads
+        }
+        let rc11 = CatModel::bundled("rc11").unwrap();
+        for name in ["hb", "sw", "rs"] {
+            assert_eq!(binding_reads(rc11.plan(), name), READS_RF, "rc11 {name}");
+        }
+        assert_eq!(binding_reads(rc11.plan(), "coe"), READS_CO, "rc11 coe");
+        assert_eq!(binding_reads(rc11.plan(), "eco"), READS_RF | READS_CO);
+        assert_eq!(constraint_reads(rc11.plan(), "no_thin_air"), READS_RF);
+        assert_eq!(constraint_reads(rc11.plan(), "atomicity"), READS_CO);
+        assert_eq!(constraint_reads(rc11.plan(), "coherence"), READS_RF | READS_CO);
+        let a64 = CatModel::bundled("aarch64").unwrap();
+        for name in ["rfe", "rfi", "dob"] {
+            assert_eq!(binding_reads(a64.plan(), name), READS_RF, "aarch64 {name}");
+        }
+        assert_eq!(binding_reads(a64.plan(), "coe"), READS_CO, "aarch64 coe");
+        // Per-push work: only what reads the pushed relation.
+        let plan = rc11.plan();
+        let frontier = plan
+            .steps
+            .iter()
+            .filter(|s| matches!(s, Step::BindDyn { frontier: true, .. }))
+            .count()
+            + plan.constraints.len();
+        assert!(plan.evals_rf < frontier as u64 && plan.evals_co < frontier as u64);
+    }
+
+    const RMW3: &str = r#"
+C11 "W+RMW+SC"
+{ x = 0; y = 0; }
+P0 (atomic_int* x, atomic_int* y) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+  atomic_store_explicit(y, 1, memory_order_release);
+}
+P1 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_fetch_add_explicit(y, 1, memory_order_acq_rel);
+  int r1 = atomic_load_explicit(x, memory_order_acquire);
+}
+P2 (atomic_int* x, atomic_int* y) {
+  atomic_store_explicit(x, 2, memory_order_seq_cst);
+  int r2 = atomic_load_explicit(y, memory_order_seq_cst);
+}
+exists (P1:r1=0)
+"#;
+
+    /// Asserts that every maintained value of `state` — the rf/co/fr
+    /// mirrors, each frontier binding, each constraint root and the
+    /// constraint states — and the verdict equal a from-scratch
+    /// evaluation over the materialised partial candidate.
+    fn assert_matches_scratch(model: &CatModel, state: &StagedState, partial: &Execution, at: &str) {
+        let plan = model.plan();
+        let name = model.model_name();
+        let mut env = Env::from_execution(partial);
+        for step in &plan.steps {
+            if let Step::BindConst { recursive, bindings } | Step::BindDyn { recursive, bindings, .. } = step {
+                eval_let_group(&mut env, *recursive, bindings).unwrap();
+            }
+        }
+        assert_eq!(state.vals[RF], CatValue::Rel(partial.rf.clone()), "{name} {at}: rf");
+        assert_eq!(state.vals[CO], CatValue::Rel(partial.co.clone()), "{name} {at}: co");
+        assert_eq!(state.vals[FR], CatValue::Rel(partial.fr()), "{name} {at}: fr");
+        for step in &plan.steps {
+            if let Step::BindDyn { bindings, frontier: true, .. } = step {
+                for (sym, _) in bindings {
+                    let n = plan.index[sym.index()] as usize;
+                    assert_eq!(
+                        &state.vals[n],
+                        env.lookup_sym(*sym).unwrap(),
+                        "{name} {at}: frontier binding `{sym}`"
+                    );
+                }
+            }
+        }
+        for (i, c) in plan.constraints.iter().enumerate() {
+            let scratch = eval_expr(&c.expr, &env).unwrap();
+            assert_eq!(state.vals[c.root], scratch, "{name} {at}: constraint `{}`", c.name);
+            let violated = match &scratch {
+                CatValue::Rel(r) => match c.mode {
+                    Mode::Acyclic => !r.is_acyclic(),
+                    Mode::Irreflexive => !r.is_irreflexive(),
+                    Mode::Empty => !r.is_empty(),
+                },
+                CatValue::Set(s) => !s.is_empty(),
+            };
+            assert_eq!(state.violated(i), violated, "{name} {at}: `{}` state", c.name);
+        }
+        let scratch = run_program(model.program(), partial).unwrap();
+        assert_eq!(
+            state.verdict() == PartialVerdict::Forbidden,
+            !scratch.is_allowed(),
+            "{name} {at}: verdict"
+        );
+    }
+
+    /// A scripted DFS that leaves the plain push-then-pop path: rf for
+    /// every read, co for every location, pop all co, pop one rf, push a
+    /// different rf, co again in another order. Every node is compared
+    /// with a from-scratch evaluation, and both leaves with `run_program`.
+    fn run_script(model: &CatModel) {
+        let test = parse_c11(RMW3).unwrap();
+        let r = simulate(&test, &AllowAll, &SimConfig::default().keeping_executions()).unwrap();
+        let mut skeleton = r.executions.into_iter().next().unwrap();
+        skeleton.rf = Relation::new();
+        skeleton.co = Relation::new();
+        let reads: Vec<EventId> = skeleton.reads().iter().collect();
+        let mut writes: std::collections::BTreeMap<_, Vec<EventId>> = Default::default();
+        for id in skeleton.init_writes().iter() {
+            writes.entry(skeleton.events[id.index()].loc.clone()).or_default().push(id);
+        }
+        for id in skeleton.writes().iter() {
+            if !skeleton.init_writes().contains(id) {
+                writes.entry(skeleton.events[id.index()].loc.clone()).or_default().push(id);
+            }
+        }
+        assert_eq!(reads.len(), 3);
+        assert!(writes.values().all(|w| w.len() == 3), "{writes:?}");
+        let rf_choice = |i: usize, shift: usize| {
+            let ws = &writes[&skeleton.events[reads[i].index()].loc];
+            ws[(i + shift) % ws.len()]
+        };
+        let name = model.model_name();
+        let mut state = StagedState::new(model.plan(), &skeleton).unwrap();
+        let mut partial = skeleton.clone();
+        assert_matches_scratch(model, &state, &partial, "seed");
+        for (i, &r) in reads.iter().enumerate() {
+            let w = rf_choice(i, 1);
+            partial.rf.insert(w, r);
+            state.push_rf(w, r).unwrap();
+            assert_matches_scratch(model, &state, &partial, &format!("rf {i}"));
+        }
+        let co_stage = |state: &mut StagedState, partial: &mut Execution, reverse: bool| {
+            let mut pushed = Vec::new();
+            for ws in writes.values() {
+                let mut order = ws[1..].to_vec();
+                if reverse {
+                    order.reverse();
+                }
+                let mut chain = vec![ws[0]];
+                for w in order {
+                    for &p in &chain {
+                        partial.co.insert(p, w);
+                    }
+                    state.push_co(&chain, w).unwrap();
+                    assert_matches_scratch(model, state, partial, &format!("co {w:?}"));
+                    pushed.push((chain.clone(), w));
+                    chain.push(w);
+                }
+            }
+            pushed
+        };
+        let pushed = co_stage(&mut state, &mut partial, false);
+        assert_eq!(
+            state.check_leaf().unwrap(),
+            run_program(model.program(), &partial).unwrap(),
+            "{name}: leaf verdict"
+        );
+        for (chain, w) in pushed.into_iter().rev() {
+            state.pop_co(&chain, w);
+            for &p in &chain {
+                partial.co.remove(p, w);
+            }
+            assert_matches_scratch(model, &state, &partial, &format!("pop co {w:?}"));
+        }
+        let last = reads.len() - 1;
+        let (old, r) = (rf_choice(last, 1), reads[last]);
+        state.pop_rf(old, r);
+        partial.rf.remove(old, r);
+        assert_matches_scratch(model, &state, &partial, "pop rf");
+        let new = rf_choice(last, 2);
+        assert_ne!(new, old);
+        partial.rf.insert(new, r);
+        state.push_rf(new, r).unwrap();
+        assert_matches_scratch(model, &state, &partial, "re-push rf");
+        co_stage(&mut state, &mut partial, true);
+        assert_eq!(
+            state.check_leaf().unwrap(),
+            run_program(model.program(), &partial).unwrap(),
+            "{name}: second leaf verdict"
+        );
+    }
+
+    /// The hazard that read-set skipping creates: a value a pop left stale
+    /// is never recomputed by later pushes that skip it. Pops must
+    /// restore every maintained value, checked on the bundled models.
+    #[test]
+    fn scripted_push_pop_keeps_every_value_exact() {
+        for model_name in ["aarch64", "rc11"] {
+            run_script(&CatModel::bundled(model_name).unwrap());
+        }
+    }
+
+    /// Every delta rule, including the ones no bundled model uses (`*`,
+    /// `cross`, `domain`/`range`, `[S]` over a growing set, set-valued
+    /// `&`/`|`/`\`, an `and` group) and the `let rec` fallback, against
+    /// from-scratch evaluation and the reference enumerator.
+    #[test]
+    fn delta_rules_cover_every_operator() {
+        let src = "let a = rf & loc and b = a | fr
+let d = domain(rf) | range(co)
+let s = [d] ; (co | rf)* ; [R]
+let x = cross(domain(rf) & W, range(co) \\ IW) & loc
+let rec r = rf | (r ; co)
+acyclic s | po as star_seq
+empty x & id as cross_sets
+irreflexive r ; fr as rec_group
+acyclic b | po as split_and
+empty (domain(co) & range(fr)) \\ IW as set_empty";
+        let p = crate::parse::parse_cat("ops", src, &|_| None).unwrap();
+        let model = CatModel::from_program(p);
+        assert_eq!(model.plan().staged_constraints(), 5);
+        assert_eq!(model.plan().rec_groups.len(), 1);
+        run_script(&model);
+        use telechat_exec::simulate_reference;
+        for src in [SB, RMW3] {
+            let test = parse_c11(src).unwrap();
+            let cfg = SimConfig::default();
+            let new = simulate(&test, &model, &cfg).unwrap();
+            let old = simulate_reference(&test, &model, &cfg).unwrap();
+            assert_eq!(new.outcomes, old.outcomes, "{}", test.name);
+            assert_eq!(new.candidates, old.candidates, "{}", test.name);
+            assert_eq!(new.allowed, old.allowed, "{}", test.name);
         }
     }
 

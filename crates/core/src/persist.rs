@@ -65,9 +65,10 @@ use telechat_exec::SimResult;
 const MAGIC: &[u8; 8] = b"TCHSTORE";
 /// On-disk format version (bump on layout changes). v2 added
 /// `StoredSim::pruned_candidates`; v3 added the attribution fields (rule
-/// tallies, prune sites, per-combo histogram). An older log is recovered
-/// as a reset (the legs recompute — store contents never change results).
-const FORMAT_VERSION: u32 = 3;
+/// tallies, prune sites, per-combo histogram); v4 added the work counters
+/// (`pushes`, `frontier_evals`). An older log is recovered as a reset (the
+/// legs recompute — store contents never change results).
+const FORMAT_VERSION: u32 = 4;
 /// Header size: magic + version + engine revision + models fp + checksum.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
 /// Upper bound on a single record payload; anything larger is treated as
@@ -353,6 +354,10 @@ pub struct StoredSim {
     /// sum), unlike `SimResult::steal_tasks`, which is scheduling-class
     /// and deliberately *not* persisted — replays report 0.
     pub pruned_candidates: u64,
+    /// Incremental session pushes (deterministic, like the charge sums).
+    pub pushes: u64,
+    /// Session work units spent on those pushes.
+    pub frontier_evals: u64,
     /// Original wall-clock simulation time, in nanoseconds.
     pub elapsed_nanos: u64,
     /// Forbidden-leaf tally per first-violated rule. Persisted so
@@ -382,6 +387,8 @@ impl StoredSim {
             crashed: r.crashed,
             full_traversals: r.full_traversals,
             pruned_candidates: r.pruned_candidates,
+            pushes: r.pushes,
+            frontier_evals: r.frontier_evals,
             elapsed_nanos: u64::try_from(r.elapsed.as_nanos()).unwrap_or(u64::MAX),
             rule_leaves: r.rule_leaves.clone(),
             rule_prunes: r.rule_prunes.clone(),
@@ -401,6 +408,8 @@ impl StoredSim {
             executions: Vec::new(),
             full_traversals: self.full_traversals,
             pruned_candidates: self.pruned_candidates,
+            pushes: self.pushes,
+            frontier_evals: self.frontier_evals,
             steal_tasks: 0,
             rule_leaves: self.rule_leaves,
             rule_prunes: self.rule_prunes,
@@ -513,6 +522,8 @@ fn encode_value(buf: &mut Vec<u8>, v: &StoredValue) -> bool {
             buf.push(u8::from(sim.crashed));
             put_u64(buf, sim.full_traversals);
             put_u64(buf, sim.pruned_candidates);
+            put_u64(buf, sim.pushes);
+            put_u64(buf, sim.frontier_evals);
             put_u64(buf, sim.elapsed_nanos);
             put_rule_map(buf, &sim.rule_leaves);
             put_rule_map(buf, &sim.rule_prunes);
@@ -790,6 +801,8 @@ fn decode_record(payload: &[u8]) -> Option<(PersistKey, StoredValue)> {
                 crashed,
                 full_traversals: d.u64()?,
                 pruned_candidates: d.u64()?,
+                pushes: d.u64()?,
+                frontier_evals: d.u64()?,
                 elapsed_nanos: d.u64()?,
                 rule_leaves: d.rule_map()?,
                 rule_prunes: d.rule_map()?,
@@ -1091,6 +1104,8 @@ mod tests {
             crashed: false,
             full_traversals: 0,
             pruned_candidates: 5,
+            pushes: 17,
+            frontier_evals: 96,
             elapsed_nanos: 1234,
             rule_leaves: [("sc".to_string(), 4), ("rc11-hb".to_string(), 2)]
                 .into_iter()

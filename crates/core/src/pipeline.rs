@@ -545,6 +545,8 @@ impl Telechat {
                 telechat_obs::Counter::SimFullTraversals,
                 leg.full_traversals,
             );
+            telechat_obs::add(telechat_obs::Counter::SimPushes, leg.pushes);
+            telechat_obs::add(telechat_obs::Counter::CatFrontierEvals, leg.frontier_evals);
             telechat_obs::add(telechat_obs::Counter::SimStealTasks, leg.steal_tasks);
         }
 

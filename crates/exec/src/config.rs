@@ -147,6 +147,17 @@ pub struct SimResult {
     /// visited leaves. Charge sums, so byte-identical across thread
     /// counts and task-splitting mode: `candidates` = leaves + this.
     pub pruned_candidates: u64,
+    /// rf/co edge pushes into incremental model sessions. A stolen DFS
+    /// task's replayed prefix is counted once, by the first sibling task
+    /// that replays it, so this equals the sequential DFS's push count at
+    /// every thread count (0 when no session is incremental).
+    pub pushes: u64,
+    /// Work units the incremental sessions reported for those pushes
+    /// ([`crate::ComboChecker::frontier_evals`]: for the staged Cat
+    /// engine, the frontier bindings and staged constraints each push
+    /// evaluated or delta-updated). Counted under the same replay rule as
+    /// [`SimResult::pushes`].
+    pub frontier_evals: u64,
     /// DFS shard tasks executed when intra-combo work stealing split the
     /// search (0 in plain per-combo mode). Scheduling-dependent — how the
     /// search is carved up, never what it finds — and therefore excluded

@@ -153,6 +153,8 @@ pub fn simulate(
         executions: Vec::new(),
         full_traversals: 0,
         pruned_candidates: 0,
+        pushes: 0,
+        frontier_evals: 0,
         steal_tasks: 0,
         rule_leaves: BTreeMap::new(),
         rule_prunes: BTreeMap::new(),
@@ -288,6 +290,8 @@ pub fn simulate(
         }
         combo_charge += out.charged;
         result.allowed += out.allowed;
+        result.pushes += out.pushes;
+        result.frontier_evals += out.frontier_evals;
         result.crashed |= out.crashed;
         result.flags.extend(out.flags);
         result.prune_sites.merge(&out.prune_sites);
@@ -365,6 +369,10 @@ struct ComboOut {
     rule_prunes: BTreeMap<String, u64>,
     /// Pruned charge per enumeration prune site.
     prune_sites: PruneSites,
+    /// Counted session pushes ([`SimResult::pushes`]).
+    pushes: u64,
+    /// Counted session work ([`SimResult::frontier_evals`]).
+    frontier_evals: u64,
     outcomes: OutcomeSet,
     allowed: u64,
     flags: BTreeSet<String>,
@@ -689,9 +697,11 @@ fn run_combo(
         reg_outcome,
         writes_readonly,
         out: ComboOut::default(),
+        replayed_evals: 0,
         visits: 0,
     };
     run.assign_rf(0)?;
+    run.out.frontier_evals = run.checker.frontier_evals() - run.replayed_evals;
     Ok(run.out)
 }
 
@@ -726,6 +736,9 @@ struct ComboRun<'a, 'c> {
     reg_outcome: Outcome,
     writes_readonly: bool,
     out: ComboOut,
+    /// Session work spent on forced pushes this task replays but does not
+    /// count (see [`ComboRun::count_forced_push`]).
+    replayed_evals: u64,
     visits: u64,
 }
 
@@ -768,9 +781,29 @@ impl ComboRun<'_, '_> {
             (false, true) => self.out.prune_sites.co_incremental += n,
             (false, false) => self.out.prune_sites.co_recheck += n,
         }
+        // Look the rule up by `&str` first: only a shard's first prune per
+        // rule allocates its key.
         if let Some(rule) = self.checker.blame() {
-            let rule = rule.to_string();
-            *self.out.rule_prunes.entry(rule).or_insert(0) += n;
+            match self.out.rule_prunes.get_mut(rule) {
+                Some(total) => *total += n,
+                None => {
+                    self.out.rule_prunes.insert(rule.to_string(), n);
+                }
+            }
+        }
+    }
+
+    /// Counts a forced-prefix push of a stolen task at DFS `depth`. Every
+    /// sibling task under the same prefix replays it, but the sequential
+    /// DFS pushes it once, so only the first sibling (every later forced
+    /// choice 0) counts it; the others discount the session work it cost.
+    /// `sim.pushes` and `cat.frontier_evals` then sum to the sequential
+    /// totals at every thread count.
+    fn count_forced_push(&mut self, depth: usize, evals_before: u64) {
+        if self.forced[depth + 1..].iter().all(|&c| c == 0) {
+            self.out.pushes += 1;
+        } else {
+            self.replayed_evals += self.checker.frontier_evals() - evals_before;
         }
     }
 
@@ -835,7 +868,10 @@ impl ComboRun<'_, '_> {
             let w = self.rf_choices[i][self.forced[i]];
             self.execution.rf.insert(w, r);
             let verdict = if self.incremental {
-                self.checker.push_rf(&self.execution, w, r)
+                let evals = self.checker.frontier_evals();
+                let v = self.checker.push_rf(&self.execution, w, r);
+                self.count_forced_push(i, evals);
+                v
             } else if subtree >= PRUNE_THRESHOLD {
                 self.checker.check_partial(&self.execution)
             } else {
@@ -852,6 +888,7 @@ impl ComboRun<'_, '_> {
             let w = self.rf_choices[i][ci];
             self.execution.rf.insert(w, r);
             let verdict = if self.incremental {
+                self.out.pushes += 1;
                 self.checker.push_rf(&self.execution, w, r)
             } else if subtree >= PRUNE_THRESHOLD {
                 self.checker.check_partial(&self.execution)
@@ -898,7 +935,10 @@ impl ComboRun<'_, '_> {
                 self.execution.co.insert(p, w);
             }
             let verdict = if self.incremental {
-                self.checker.push_co(&self.execution, &self.chains[li], w)
+                let evals = self.checker.frontier_evals();
+                let v = self.checker.push_co(&self.execution, &self.chains[li], w);
+                self.count_forced_push(depth, evals);
+                v
             } else {
                 PartialVerdict::Undecided
             };
@@ -926,6 +966,7 @@ impl ComboRun<'_, '_> {
                 self.execution.co.insert(p, w);
             }
             let verdict = if self.incremental {
+                self.out.pushes += 1;
                 self.checker.push_co(&self.execution, &self.chains[li], w)
             } else {
                 PartialVerdict::Undecided

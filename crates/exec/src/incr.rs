@@ -57,6 +57,9 @@ pub struct IncrementalOrder {
     frames: Vec<Frame>,
     /// Outstanding cycle edges (base seed cycles plus un-undone pushes).
     cycles: u32,
+    /// Scratch row for [`IncrementalOrder::add_edge`]'s target set, sized
+    /// by `reset`, so accepting an edge allocates nothing.
+    targets: Vec<u64>,
 }
 
 impl IncrementalOrder {
@@ -72,6 +75,7 @@ impl IncrementalOrder {
             journal_rows: Vec::new(),
             frames: Vec::new(),
             cycles: 0,
+            targets: Vec::new(),
         };
         order.reset(nodes, seeds);
         order
@@ -92,6 +96,8 @@ impl IncrementalOrder {
         self.journal_rows.clear();
         self.frames.clear();
         self.cycles = 0;
+        self.targets.clear();
+        self.targets.resize(stride, 0);
         let mut seed = Relation::with_nodes(nodes);
         for s in seeds {
             seed.union_with(s);
@@ -159,7 +165,8 @@ impl IncrementalOrder {
         }
         // targets = reach(v) ∪ {v}: everything newly reachable through u→v.
         let stride = self.stride;
-        let mut targets = self.reach[vi * stride..(vi + 1) * stride].to_vec();
+        let targets = &mut self.targets;
+        targets.copy_from_slice(&self.reach[vi * stride..(vi + 1) * stride]);
         targets[vi / WORD] |= 1u64 << (vi % WORD);
         // Sources: u itself plus every a that already reaches u.
         let (uw, ub) = (ui / WORD, 1u64 << (ui % WORD));
@@ -168,12 +175,12 @@ impl IncrementalOrder {
                 continue;
             }
             let row = &self.reach[a * stride..(a + 1) * stride];
-            if kernels::is_superset(row, &targets) {
+            if kernels::is_superset(row, targets) {
                 continue; // already reaches everything new
             }
             self.journal_idx.push(a as u32);
             self.journal_rows.extend_from_slice(row);
-            kernels::or_assign(&mut self.reach[a * stride..(a + 1) * stride], &targets);
+            kernels::or_assign(&mut self.reach[a * stride..(a + 1) * stride], targets);
         }
         true
     }

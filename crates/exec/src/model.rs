@@ -196,6 +196,15 @@ pub trait ComboChecker: Send {
     fn blame(&self) -> Option<&str> {
         None
     }
+
+    /// Work units this session has spent on pushes so far, for the
+    /// deterministic `cat.frontier_evals` counter: the staged Cat engine
+    /// reports the frontier bindings plus staged constraints each push
+    /// evaluated or delta-updated. Must be a pure function of the push
+    /// sequence. The default (sessions that do not report) is 0.
+    fn frontier_evals(&self) -> u64 {
+        0
+    }
 }
 
 /// The default session: no combo-constant state, plain forwarding.

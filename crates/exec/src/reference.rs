@@ -63,6 +63,8 @@ pub fn simulate_reference(
         executions: Vec::new(),
         full_traversals: 0,
         pruned_candidates: 0,
+        pushes: 0,
+        frontier_evals: 0,
         steal_tasks: 0,
         rule_leaves: std::collections::BTreeMap::new(),
         rule_prunes: std::collections::BTreeMap::new(),

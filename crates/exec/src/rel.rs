@@ -705,18 +705,16 @@ impl Relation {
     }
 
     /// The edges of `self` absent from `other`, in lexicographic order —
-    /// a word-parallel row difference. The staged Cat engine diffs each
-    /// monotone constraint value against its previous value per pushed
-    /// edge; monotonicity guarantees the result is exactly the delta.
+    /// a word-parallel row difference. The staged Cat engine diffs a
+    /// re-evaluated `let rec` group against its previous value this way
+    /// (the one node kind it has no delta rule for).
     pub fn edge_diff(&self, other: &Relation) -> Vec<(EventId, EventId)> {
         let mut out = Vec::new();
         self.edge_diff_into(other, &mut out);
         out
     }
 
-    /// [`Relation::edge_diff`] into a caller-owned buffer (cleared first) —
-    /// the staged Cat engine calls this once per DFS push and recycles the
-    /// buffer, so the steady-state push path allocates nothing.
+    /// [`Relation::edge_diff`] into a caller-owned buffer (cleared first).
     pub fn edge_diff_into(&self, other: &Relation, out: &mut Vec<(EventId, EventId)>) {
         out.clear();
         for a in 0..self.nodes {
@@ -731,6 +729,78 @@ impl Relation {
                     let b = i * WORD + m.trailing_zeros() as usize;
                     m &= m - 1;
                     out.push((EventId(a as u32), EventId(b as u32)));
+                }
+            }
+        }
+    }
+
+    /// Iterates the predecessors of `to` in id order (a column scan).
+    pub fn predecessors(&self, to: EventId) -> impl Iterator<Item = EventId> + '_ {
+        (0..self.nodes)
+            .filter(move |&a| self.contains(EventId(a as u32), to))
+            .map(|a| EventId(a as u32))
+    }
+
+    /// `row(a) |= src.row(b)`, appending every newly set edge `(a, c)` to
+    /// `out` — the semi-naive step `Δ(A;B) ⊇ ΔA;B` of the staged Cat
+    /// engine, one word-parallel OR per delta edge.
+    pub fn union_row_from(
+        &mut self,
+        a: EventId,
+        src: &Relation,
+        b: EventId,
+        out: &mut Vec<(EventId, EventId)>,
+    ) {
+        let sr = src.row(b.index());
+        if kernels::is_zero(sr) {
+            return;
+        }
+        let ai = a.index();
+        self.ensure_node(ai.max(src.nodes - 1));
+        self.nodes = self.nodes.max(ai + 1).max(src.nodes);
+        let base = ai * self.stride;
+        for (i, &w) in sr.iter().enumerate().take(self.stride) {
+            let new = w & !self.bits[base + i];
+            if new == 0 {
+                continue;
+            }
+            self.bits[base + i] |= new;
+            self.edges += new.count_ones() as usize;
+            for c in BitIter::new(&[new]) {
+                out.push((a, EventId((i * WORD + c) as u32)));
+            }
+        }
+    }
+
+    /// Adds `u → v` to a transitively closed relation and restores
+    /// closure, appending every newly set edge to `out`: each source in
+    /// `{u} ∪ pred(u)` gains `{v} ∪ succ(v)` — the reach-to-source ×
+    /// reach-from-target row update of [`crate::IncrementalOrder::add_edge`],
+    /// applied to the closure itself. Cyclic closures are fine: a source
+    /// row is tested before it is written, and the only change `row(v)`
+    /// can receive is the bit `v`, which the target set already holds.
+    pub fn close_over_edge(&mut self, u: EventId, v: EventId, out: &mut Vec<(EventId, EventId)>) {
+        let (ui, vi) = (u.index(), v.index());
+        self.ensure_node(ui.max(vi));
+        self.nodes = self.nodes.max(ui.max(vi) + 1);
+        let stride = self.stride;
+        let (uw, ub) = (ui / WORD, 1u64 << (ui % WORD));
+        let (vw, vb) = (vi / WORD, 1u64 << (vi % WORD));
+        for a in 0..self.nodes {
+            let base = a * stride;
+            if a != ui && self.bits[base + uw] & ub == 0 {
+                continue;
+            }
+            for i in 0..stride {
+                let target = self.bits[vi * stride + i] | if i == vw { vb } else { 0 };
+                let new = target & !self.bits[base + i];
+                if new == 0 {
+                    continue;
+                }
+                self.bits[base + i] |= new;
+                self.edges += new.count_ones() as usize;
+                for c in BitIter::new(&[new]) {
+                    out.push((EventId(a as u32), EventId((i * WORD + c) as u32)));
                 }
             }
         }
@@ -1386,6 +1456,46 @@ mod bitset_oracle {
             let got: Vec<(u32, u32)> = br.edge_diff(&bs).iter().map(|&(a, b)| (a.0, b.0)).collect();
             let expect: Vec<(u32, u32)> = r.diff(&s).0.into_iter().collect();
             assert_eq!(got, expect);
+        });
+    }
+
+    /// The staged Cat engine's delta primitives: edge-by-edge closure
+    /// maintenance reaches the oracle closure of the union, the row OR
+    /// reports exactly the edges it added, and predecessors are the
+    /// inverse's successors.
+    #[test]
+    fn delta_primitives_match_oracle() {
+        for_each_pair(22, |r, s| {
+            let (br, bs) = (r.to_bitset(), s.to_bitset());
+            let mut closed = br.transitive_closure();
+            let mut added = Vec::new();
+            for (u, v) in bs.iter() {
+                closed.close_over_edge(u, v, &mut added);
+            }
+            let expect = r.union(&s).transitive_closure();
+            assert_eq!(PairRel::from_bitset(&closed), expect);
+            assert_eq!(closed.len(), expect.0.len(), "edge count stays exact");
+            let grown: BTreeSet<(u32, u32)> = added.iter().map(|&(a, b)| (a.0, b.0)).collect();
+            assert_eq!(grown.len(), added.len(), "each new edge reported once");
+            assert_eq!(grown, expect.diff(&r.transitive_closure()).0);
+
+            let mut acc = br.clone();
+            let mut added = Vec::new();
+            for (a, b) in bs.iter() {
+                acc.union_row_from(a, &br, b, &mut added);
+            }
+            let expect = r.union(&s.seq(&r));
+            assert_eq!(PairRel::from_bitset(&acc), expect);
+            assert_eq!(acc.len(), expect.0.len());
+            let grown: BTreeSet<(u32, u32)> = added.iter().map(|&(a, b)| (a.0, b.0)).collect();
+            assert_eq!(grown, expect.diff(&r).0);
+
+            let inv = br.inverse();
+            for b in 0..br.nodes as u32 {
+                let preds: Vec<EventId> = br.predecessors(EventId(b)).collect();
+                let expect: Vec<EventId> = inv.successors(EventId(b)).collect();
+                assert_eq!(preds, expect);
+            }
         });
     }
 

@@ -318,6 +318,8 @@ counters! {
     SimAllowed => ("sim.allowed", Deterministic),
     SimPruned => ("sim.pruned_candidates", Deterministic),
     SimFullTraversals => ("sim.full_traversals", Deterministic),
+    SimPushes => ("sim.pushes", Deterministic),
+    CatFrontierEvals => ("cat.frontier_evals", Deterministic),
     SimStealTasks => ("sim.steal_tasks", Scheduling),
     CacheGateWaits => ("cache.gate_waits", Scheduling),
     CatSessions => ("cat.combo_sessions", Scheduling),

@@ -98,10 +98,14 @@ fn deterministic_totals_invariant_across_thread_matrix() {
     for (campaign_threads, sim_threads) in matrix {
         let r = run(7, 24, &spec(campaign_threads, true), &config(sim_threads));
         let counters = r.obs.as_ref().unwrap().deterministic_counters();
-        assert!(
-            counters.iter().any(|(n, v)| n == "sim.candidates" && *v > 0),
-            "deterministic set covers the simulation totals: {counters:?}"
-        );
+        // The work counters ride the same `SimResult` replay path: the
+        // pushes into incremental sessions and the frontier work they cost.
+        for name in ["sim.candidates", "sim.pushes", "cat.frontier_evals"] {
+            assert!(
+                counters.iter().any(|(n, v)| n == name && *v > 0),
+                "deterministic set covers {name}: {counters:?}"
+            );
+        }
         match &baseline {
             None => baseline = Some((counters, fingerprint(&r))),
             Some((c0, f0)) => {
