@@ -147,6 +147,56 @@ fn json_number(doc: &str, section: &str, key: &str) -> Option<f64> {
     val.parse().ok()
 }
 
+/// Interleaved pairs behind each overhead row.
+const OVERHEAD_PAIRS: usize = 41;
+
+/// An overhead row: median run times of each side and the median of the
+/// per-pair ratios, as a percentage.
+struct Overhead {
+    base_ms: f64,
+    variant_ms: f64,
+    pct: f64,
+}
+
+/// Times `pairs` interleaved (baseline, variant) pairs of millisecond-
+/// scale runs, alternating which side goes first, and reports the median
+/// per-pair ratio. Each ratio compares two runs taken back to back, so a
+/// slow window of the machine moves both sides of a pair; the median
+/// discards the pairs a scheduler spike split. A best-of-N minimum per
+/// side, by contrast, lets one lucky baseline run decide the row.
+fn paired_overhead(
+    pairs: usize,
+    mut base: impl FnMut() -> f64,
+    mut variant: impl FnMut() -> f64,
+) -> Overhead {
+    let mut base_ms = Vec::with_capacity(pairs);
+    let mut variant_ms = Vec::with_capacity(pairs);
+    let mut ratios = Vec::with_capacity(pairs);
+    for i in 0..pairs {
+        let (b, v) = if i % 2 == 0 {
+            let b = base();
+            (b, variant())
+        } else {
+            let v = variant();
+            (base(), v)
+        };
+        base_ms.push(b);
+        variant_ms.push(v);
+        ratios.push(v / b);
+    }
+    Overhead {
+        base_ms: median(&mut base_ms),
+        variant_ms: median(&mut variant_ms),
+        pct: (median(&mut ratios) - 1.0) * 100.0,
+    }
+}
+
+/// The median of a non-empty sample (the upper one for an even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn main() -> Result<()> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let quick = argv.iter().any(|a| a == "--quick");
@@ -237,24 +287,27 @@ fn main() -> Result<()> {
     );
 
     // Observability overhead: the same staged row with the obs layer
-    // collecting (spans + counters) vs the default disabled path,
-    // interleaved rep-for-rep so both sides sample the same scheduler
-    // noise, best-of-N each. The CI quick-smoke gate asserts < 5%.
-    let overhead_reps = if quick { 5 } else { 9 };
-    let mut obs_off_ms = f64::INFINITY;
-    let mut obs_on_ms = f64::INFINITY;
-    for _ in 0..overhead_reps {
-        let t0 = Instant::now();
-        std::hint::black_box(simulate(&target, &aarch64, &capped).is_err());
-        obs_off_ms = obs_off_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-
-        telechat::obs::begin();
-        let t0 = Instant::now();
-        std::hint::black_box(simulate(&target, &aarch64, &capped).is_err());
-        obs_on_ms = obs_on_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        telechat::obs::finish();
-    }
-    let obs_overhead_pct = (obs_on_ms / obs_off_ms - 1.0) * 100.0;
+    // collecting (spans + counters) vs the default disabled path, as the
+    // median per-pair ratio of interleaved pairs (see `paired_overhead`).
+    // The CI quick-smoke gate asserts < 5%.
+    let overhead = paired_overhead(
+        OVERHEAD_PAIRS,
+        || {
+            let t0 = Instant::now();
+            std::hint::black_box(simulate(&target, &aarch64, &capped).is_err());
+            t0.elapsed().as_secs_f64() * 1e3
+        },
+        || {
+            telechat::obs::begin();
+            let t0 = Instant::now();
+            std::hint::black_box(simulate(&target, &aarch64, &capped).is_err());
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            telechat::obs::finish();
+            ms
+        },
+    );
+    let (obs_off_ms, obs_on_ms, obs_overhead_pct) =
+        (overhead.base_ms, overhead.variant_ms, overhead.pct);
     println!(
         "  obs instrumentation:  enabled {obs_on_ms:7.2} ms, disabled {obs_off_ms:7.2} ms  ({obs_overhead_pct:+.1}%)"
     );
@@ -472,42 +525,37 @@ fn main() -> Result<()> {
     // Work-item journal tier: the same campaign with a completion journal
     // attached — cold (journaling every item) vs resumed from a journal
     // truncated at ~50% of its records (half the items replayed, half
-    // recomputed). The journal's append cost is measured separately,
-    // interleaved run-for-run against the journal-less driver so both
-    // sides sample the same scheduler noise; the CI quick gate asserts
-    // the overhead stays under 5%.
+    // recomputed). The journal's append cost is the median per-pair
+    // ratio of interleaved journaled and journal-less runs (see
+    // `paired_overhead`); the CI quick gate asserts it stays under 5%.
     let journal_fp = telechat::campaign_fingerprint(0, &spec, &campaign_config);
-    let journal_reps = if quick { 3 } else { 5 };
-    let mut plain_ms = f64::INFINITY;
-    let mut journal_ms = f64::INFINITY;
     let mut journal_image = Vec::new();
     let mut journal_cold = None;
-    for _ in 0..journal_reps {
-        let (ms, _) = time_campaign(&spec);
-        plain_ms = plain_ms.min(ms);
-
-        // A fresh backend per rep: a reused journal would replay instead
-        // of appending, and this row prices the appends.
-        let mem = MemBackend::new();
-        let mut spec_journal = spec.clone();
-        spec_journal.journal = Some(std::sync::Arc::new(
-            telechat::CampaignJournal::open_backend(
-                Box::new(mem.clone()),
-                journal_fp,
-                telechat::ShardSpec::whole(),
-            )
-            .expect("open journal"),
-        ));
-        let (ms, cold) = time_campaign(&spec_journal);
-        if ms < journal_ms {
-            journal_ms = ms;
-            let bytes = mem.bytes();
-            journal_image = bytes.lock().expect("journal image").clone();
+    let overhead = paired_overhead(
+        OVERHEAD_PAIRS,
+        || time_campaign(&spec).0,
+        || {
+            // A fresh backend per run: a reused journal would replay
+            // instead of appending, and this row prices the appends.
+            let mem = MemBackend::new();
+            let mut spec_journal = spec.clone();
+            spec_journal.journal = Some(std::sync::Arc::new(
+                telechat::CampaignJournal::open_backend(
+                    Box::new(mem.clone()),
+                    journal_fp,
+                    telechat::ShardSpec::whole(),
+                )
+                .expect("open journal"),
+            ));
+            let (ms, cold) = time_campaign(&spec_journal);
+            journal_image = mem.bytes().lock().expect("journal image").clone();
             journal_cold = Some(cold);
-        }
-    }
-    let journal_cold = journal_cold.expect("at least one journaled rep");
-    let journal_overhead_pct = (journal_ms / plain_ms - 1.0) * 100.0;
+            ms
+        },
+    );
+    let (plain_ms, journal_ms, journal_overhead_pct) =
+        (overhead.base_ms, overhead.variant_ms, overhead.pct);
+    let journal_cold = journal_cold.expect("at least one journaled run");
 
     let bounds = telechat::CampaignJournal::record_boundaries(&journal_image);
     let cut = bounds[bounds.len() / 2];
@@ -587,7 +635,7 @@ fn main() -> Result<()> {
     let _ = writeln!(json, "  \"observability\": {{");
     let _ = writeln!(
         json,
-        "    \"shape\": \"staged engine row, obs layer enabled (spans + counters) vs disabled, interleaved best-of-{overhead_reps}\","
+        "    \"shape\": \"staged engine row, obs layer enabled (spans + counters) vs disabled: median times and median per-pair ratio of {OVERHEAD_PAIRS} interleaved pairs\","
     );
     let _ = writeln!(json, "    \"enabled_ms\": {obs_on_ms:.2},");
     let _ = writeln!(json, "    \"disabled_ms\": {obs_off_ms:.2},");
@@ -633,7 +681,7 @@ fn main() -> Result<()> {
     let _ = writeln!(json, "  \"campaign_resume\": {{");
     let _ = writeln!(
         json,
-        "    \"shape\": \"same campaign, work-item journal: cold journals every item (interleaved vs journal-less), resume replays a journal truncated at 50% of its records\","
+        "    \"shape\": \"same campaign, work-item journal: cold journals every item (median of {OVERHEAD_PAIRS} pairs interleaved with journal-less runs; the overhead is the median per-pair ratio), resume replays a journal truncated at 50% of its records\","
     );
     let _ = writeln!(json, "    \"cold_ms\": {journal_ms:.2},");
     let _ = writeln!(json, "    \"plain_ms\": {plain_ms:.2},");

@@ -84,7 +84,10 @@ mod model_behaviour_tests {
     //! full parse→enumerate→evaluate pipeline on the classic litmus shapes.
 
     use crate::CatModel;
-    use telechat_exec::{simulate, SimConfig, SimResult};
+    use telechat_exec::{
+        simulate, simulate_reference, ComboChecker, ConsistencyModel, Execution, PartialVerdict,
+        SimConfig, SimResult, Verdict,
+    };
     use telechat_litmus::{parse_c11, LitmusTest};
 
     fn run(src: &str, model: &str) -> (LitmusTest, SimResult) {
@@ -281,6 +284,118 @@ exists (P3:r0=1)
                     assert!(base.pushes > 0 && base.frontier_evals > 0, "{tag}");
                     assert_eq!(r.pushes, base.pushes, "{tag}: sim.pushes");
                     assert_eq!(r.frontier_evals, base.frontier_evals, "{tag}: cat.frontier_evals");
+                }
+            }
+        }
+    }
+
+    /// Three combos that differ only in the value P2 reads: one skeleton.
+    const ONE_SKELETON: &str = r#"
+C11 "ONE-SKELETON"
+{ x = 0; }
+P0 (atomic_int* x) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+}
+P1 (atomic_int* x) {
+  atomic_store_explicit(x, 2, memory_order_relaxed);
+}
+P2 (atomic_int* x) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+}
+exists (P2:r0=2)
+"#;
+
+    /// Twelve combos over two skeletons, each one contiguous run of
+    /// combos, the one without P2's store first; two combos are
+    /// unjustifiable (the same test in `telechat_exec::enumerate`'s tests
+    /// counts both from built graphs).
+    const TWO_SKELETONS: &str = r#"
+C11 "TWO-SKELETONS"
+{ x = 0; y = 0; }
+P0 (atomic_int* x, atomic_int* y) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+  atomic_store_explicit(y, 1, memory_order_release);
+}
+P1 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(y, memory_order_acquire);
+  int r1 = atomic_load_explicit(x, memory_order_relaxed);
+}
+P2 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+  if (r0 == 1) {
+    atomic_store_explicit(y, 2, memory_order_relaxed);
+  }
+}
+exists (P1:r0=1 /\ P1:r1=0)
+"#;
+
+    /// Counts the sessions a simulation opens.
+    struct CountSessions<'m> {
+        inner: &'m CatModel,
+        opened: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ConsistencyModel for CountSessions<'_> {
+        fn name(&self) -> &str {
+            self.inner.model_name()
+        }
+
+        fn check(&self, execution: &Execution) -> Verdict {
+            ConsistencyModel::check(self.inner, execution)
+        }
+
+        fn check_partial(&self, partial: &Execution) -> PartialVerdict {
+            self.inner.check_partial(partial)
+        }
+
+        fn combo_checker<'a>(&'a self, skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
+            self.opened.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.combo_checker(skeleton)
+        }
+    }
+
+    #[test]
+    fn staged_sessions_are_reused_across_same_skeleton_combos() {
+        // A staged session popped back to its baseline serves the next
+        // combo of its skeleton: one session per skeleton at threads = 1,
+        // results equal to the reference engine, and every deterministic
+        // field — the push and session-work counters included — equal at
+        // every thread count. Threads = 16 runs frontier tasks, each on a
+        // fresh session.
+        for model in ["aarch64", "rc11"] {
+            let m = CatModel::bundled(model).unwrap();
+            for (src, skeletons) in [(ONE_SKELETON, 1), (TWO_SKELETONS, 2)] {
+                let test = parse_c11(src).unwrap();
+                let cfg = SimConfig::default().keeping_executions();
+                let counting = CountSessions {
+                    inner: &m,
+                    opened: Default::default(),
+                };
+                let base = simulate(&test, &counting, &cfg).unwrap();
+                let tag = format!("{} under {model}", test.name);
+                assert_eq!(counting.opened.into_inner(), skeletons, "{tag}: sessions");
+                assert!(base.pushes > 0 && base.frontier_evals > 0, "{tag}");
+                let old = simulate_reference(&test, &m, &cfg).unwrap();
+                assert_eq!(base.outcomes, old.outcomes, "{tag}");
+                assert_eq!(base.candidates, old.candidates, "{tag}");
+                assert_eq!(base.allowed, old.allowed, "{tag}");
+                assert_eq!(base.flags, old.flags, "{tag}");
+                assert_eq!(base.crashed, old.crashed, "{tag}");
+                for threads in [2, 4, 16] {
+                    let r = simulate(&test, &m, &cfg.clone().with_threads(threads)).unwrap();
+                    let tag = format!("{tag} threads={threads}");
+                    assert_eq!(r.outcomes, base.outcomes, "{tag}");
+                    assert_eq!(r.candidates, base.candidates, "{tag}");
+                    assert_eq!(r.pruned_candidates, base.pruned_candidates, "{tag}");
+                    assert_eq!(r.allowed, base.allowed, "{tag}");
+                    assert_eq!(r.flags, base.flags, "{tag}");
+                    assert_eq!(r.executions, base.executions, "{tag}");
+                    assert_eq!(r.pushes, base.pushes, "{tag}: sim.pushes");
+                    assert_eq!(r.frontier_evals, base.frontier_evals, "{tag}: cat.frontier_evals");
+                    assert_eq!(r.rule_leaves, base.rule_leaves, "{tag}");
+                    assert_eq!(r.rule_prunes, base.rule_prunes, "{tag}");
+                    assert_eq!(r.prune_sites, base.prune_sites, "{tag}");
+                    assert_eq!(r.combo_candidates, base.combo_candidates, "{tag}");
                 }
             }
         }

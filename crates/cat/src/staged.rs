@@ -1828,16 +1828,69 @@ exists (P1:r1=0)
         );
     }
 
-    /// A scripted DFS that leaves the plain push-then-pop path: rf for
-    /// every read, co for every location, pop all co, pop one rf, push a
-    /// different rf, co again in another order. Every node is compared
-    /// with a from-scratch evaluation, and both leaves with `run_program`.
-    fn run_script(model: &CatModel) {
+    /// Asserts that two sessions opened on the same plan and skeleton are
+    /// in the same state: every node value, every constraint state (an
+    /// acyclicity order's whole reachability matrix, cycle flag and open
+    /// frames, a self-loop count), the constant checks, the undo journal's
+    /// depth, the verdict and the blamed rule.
+    fn assert_same_state(a: &StagedState, b: &StagedState, at: &str) {
+        assert_eq!(a.nodes, b.nodes, "{at}: node universe");
+        assert_eq!(a.vals, b.vals, "{at}: node values");
+        assert_eq!(a.const_results, b.const_results, "{at}: constant checks");
+        assert_eq!(a.const_violated, b.const_violated, "{at}: constant verdict");
+        assert_eq!(
+            (a.journal.len(), a.frames.len()),
+            (b.journal.len(), b.frames.len()),
+            "{at}: undo journal"
+        );
+        assert_eq!(a.cons.len(), b.cons.len());
+        for (i, (ca, cb)) in a.cons.iter().zip(&b.cons).enumerate() {
+            match (ca, cb) {
+                (ConState::Acyclic { order: oa }, ConState::Acyclic { order: ob }) => {
+                    assert_eq!(oa.is_acyclic(), ob.is_acyclic(), "{at}: constraint {i} cycles");
+                    assert_eq!(oa.depth(), ob.depth(), "{at}: constraint {i} frames");
+                    for x in 0..a.nodes as u32 {
+                        for y in 0..a.nodes as u32 {
+                            assert_eq!(
+                                oa.reaches(EventId(x), EventId(y)),
+                                ob.reaches(EventId(x), EventId(y)),
+                                "{at}: constraint {i} order e{x} -> e{y}"
+                            );
+                        }
+                    }
+                }
+                (
+                    ConState::Irreflexive { selfloops: sa },
+                    ConState::Irreflexive { selfloops: sb },
+                ) => assert_eq!(sa, sb, "{at}: constraint {i} self-loops"),
+                (ConState::Empty, ConState::Empty) => {}
+                _ => panic!("{at}: constraint {i} changed mode"),
+            }
+        }
+        assert_eq!(a.verdict(), b.verdict(), "{at}: verdict");
+        assert_eq!(a.blame(), b.blame(), "{at}: blame");
+    }
+
+    /// The RMW3 combo's skeleton (rf/co empty).
+    fn rmw3_skeleton() -> Execution {
         let test = parse_c11(RMW3).unwrap();
         let r = simulate(&test, &AllowAll, &SimConfig::default().keeping_executions()).unwrap();
         let mut skeleton = r.executions.into_iter().next().unwrap();
         skeleton.rf = Relation::new();
         skeleton.co = Relation::new();
+        skeleton
+    }
+
+    /// A scripted DFS over [`rmw3_skeleton`] that leaves the plain
+    /// push-then-pop path: rf for every read, co for every location, pop
+    /// all co, pop one rf, push a different rf, co again in another order,
+    /// then pop everything. Each step is applied to every session in
+    /// `states` (all opened on the skeleton). At every node the first
+    /// session is compared with a from-scratch evaluation and every other
+    /// session with the first; both leaves are compared with
+    /// `run_program`.
+    fn run_script(model: &CatModel, states: &mut [StagedState]) {
+        let skeleton = rmw3_skeleton();
         let reads: Vec<EventId> = skeleton.reads().iter().collect();
         let mut writes: std::collections::BTreeMap<_, Vec<EventId>> = Default::default();
         for id in skeleton.init_writes().iter() {
@@ -1855,16 +1908,21 @@ exists (P1:r1=0)
             ws[(i + shift) % ws.len()]
         };
         let name = model.model_name();
-        let mut state = StagedState::new(model.plan(), &skeleton).unwrap();
+        let check = |states: &[StagedState], partial: &Execution, at: &str| {
+            assert_matches_scratch(model, &states[0], partial, at);
+            for other in &states[1..] {
+                assert_same_state(&states[0], other, at);
+            }
+        };
+        let leaf = |states: &[StagedState], partial: &Execution, at: &str| {
+            let scratch = run_program(model.program(), partial).unwrap();
+            for state in states {
+                assert_eq!(state.check_leaf().unwrap(), scratch, "{name}: {at}");
+            }
+        };
         let mut partial = skeleton.clone();
-        assert_matches_scratch(model, &state, &partial, "seed");
-        for (i, &r) in reads.iter().enumerate() {
-            let w = rf_choice(i, 1);
-            partial.rf.insert(w, r);
-            state.push_rf(w, r).unwrap();
-            assert_matches_scratch(model, &state, &partial, &format!("rf {i}"));
-        }
-        let co_stage = |state: &mut StagedState, partial: &mut Execution, reverse: bool| {
+        check(states, &partial, "seed");
+        let co_stage = |states: &mut [StagedState], partial: &mut Execution, reverse: bool| {
             let mut pushed = Vec::new();
             for ws in writes.values() {
                 let mut order = ws[1..].to_vec();
@@ -1876,43 +1934,70 @@ exists (P1:r1=0)
                     for &p in &chain {
                         partial.co.insert(p, w);
                     }
-                    state.push_co(&chain, w).unwrap();
-                    assert_matches_scratch(model, state, partial, &format!("co {w:?}"));
+                    for state in states.iter_mut() {
+                        state.push_co(&chain, w).unwrap();
+                    }
+                    check(states, partial, &format!("co {w:?}"));
                     pushed.push((chain.clone(), w));
                     chain.push(w);
                 }
             }
             pushed
         };
-        let pushed = co_stage(&mut state, &mut partial, false);
-        assert_eq!(
-            state.check_leaf().unwrap(),
-            run_program(model.program(), &partial).unwrap(),
-            "{name}: leaf verdict"
-        );
-        for (chain, w) in pushed.into_iter().rev() {
-            state.pop_co(&chain, w);
-            for &p in &chain {
-                partial.co.remove(p, w);
+        let pop_co_stage = |states: &mut [StagedState], partial: &mut Execution, pushed: Vec<(Vec<EventId>, EventId)>| {
+            for (chain, w) in pushed.into_iter().rev() {
+                for state in states.iter_mut() {
+                    state.pop_co(&chain, w);
+                }
+                for &p in &chain {
+                    partial.co.remove(p, w);
+                }
+                check(states, partial, &format!("pop co {w:?}"));
             }
-            assert_matches_scratch(model, &state, &partial, &format!("pop co {w:?}"));
+        };
+        let mut rf_pushed = Vec::new();
+        for (i, &r) in reads.iter().enumerate() {
+            let w = rf_choice(i, 1);
+            partial.rf.insert(w, r);
+            for state in states.iter_mut() {
+                state.push_rf(w, r).unwrap();
+            }
+            check(states, &partial, &format!("rf {i}"));
+            rf_pushed.push((w, r));
         }
-        let last = reads.len() - 1;
-        let (old, r) = (rf_choice(last, 1), reads[last]);
-        state.pop_rf(old, r);
+        let pushed = co_stage(states, &mut partial, false);
+        leaf(states, &partial, "leaf verdict");
+        pop_co_stage(states, &mut partial, pushed);
+        let (old, r) = rf_pushed.pop().expect("three reads");
+        for state in states.iter_mut() {
+            state.pop_rf(old, r);
+        }
         partial.rf.remove(old, r);
-        assert_matches_scratch(model, &state, &partial, "pop rf");
-        let new = rf_choice(last, 2);
+        check(states, &partial, "pop rf");
+        let new = rf_choice(reads.len() - 1, 2);
         assert_ne!(new, old);
         partial.rf.insert(new, r);
-        state.push_rf(new, r).unwrap();
-        assert_matches_scratch(model, &state, &partial, "re-push rf");
-        co_stage(&mut state, &mut partial, true);
-        assert_eq!(
-            state.check_leaf().unwrap(),
-            run_program(model.program(), &partial).unwrap(),
-            "{name}: second leaf verdict"
-        );
+        for state in states.iter_mut() {
+            state.push_rf(new, r).unwrap();
+        }
+        check(states, &partial, "re-push rf");
+        rf_pushed.push((new, r));
+        let pushed = co_stage(states, &mut partial, true);
+        leaf(states, &partial, "second leaf verdict");
+        pop_co_stage(states, &mut partial, pushed);
+        for (w, r) in rf_pushed.into_iter().rev() {
+            for state in states.iter_mut() {
+                state.pop_rf(w, r);
+            }
+            partial.rf.remove(w, r);
+            check(states, &partial, &format!("pop rf {r:?}"));
+        }
+    }
+
+    /// [`run_script`] on one fresh session.
+    fn run_script_fresh(model: &CatModel) {
+        let skeleton = rmw3_skeleton();
+        run_script(model, &mut [StagedState::new(model.plan(), &skeleton).unwrap()]);
     }
 
     /// The hazard that read-set skipping creates: a value a pop left stale
@@ -1921,7 +2006,26 @@ exists (P1:r1=0)
     #[test]
     fn scripted_push_pop_keeps_every_value_exact() {
         for model_name in ["aarch64", "rc11"] {
-            run_script(&CatModel::bundled(model_name).unwrap());
+            run_script_fresh(&CatModel::bundled(model_name).unwrap());
+        }
+    }
+
+    /// A session the DFS has pushed into and popped out of is back at its
+    /// baseline, so the enumerator reuses it for the next combo of the
+    /// same skeleton: after a full push/pop script it equals a freshly
+    /// opened session, and replaying the script on it matches a fresh
+    /// session at every node.
+    #[test]
+    fn popped_session_equals_a_fresh_one() {
+        let skeleton = rmw3_skeleton();
+        for model_name in ["aarch64", "rc11"] {
+            let model = CatModel::bundled(model_name).unwrap();
+            let open = || StagedState::new(model.plan(), &skeleton).unwrap();
+            let mut reused = open();
+            run_script(&model, std::slice::from_mut(&mut reused));
+            assert!(reused.frontier_evals() > 0);
+            assert_same_state(&open(), &reused, &format!("{model_name} after the script"));
+            run_script(&model, &mut [open(), reused]);
         }
     }
 
@@ -1945,7 +2049,7 @@ empty (domain(co) & range(fr)) \\ IW as set_empty";
         let model = CatModel::from_program(p);
         assert_eq!(model.plan().staged_constraints(), 5);
         assert_eq!(model.plan().rec_groups.len(), 1);
-        run_script(&model);
+        run_script_fresh(&model);
         use telechat_exec::simulate_reference;
         for src in [SB, RMW3] {
             let test = parse_c11(src).unwrap();

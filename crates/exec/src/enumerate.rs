@@ -21,6 +21,9 @@
 //!    [`Relation::total_order`]), and the `rmw`/`addr`/`data`/`ctrl`
 //!    dependency relations. These are *fixed* for every candidate of the
 //!    combo and shared immutably; only `rf`, `co` and the outcome vary.
+//!    The model session that judges the combo's candidates comes from the
+//!    worker's last combo when the skeleton is the same (see *Session
+//!    reuse*), and is opened on the graph otherwise.
 //! 2. **Assign rf** — reads are justified one at a time over their
 //!    statically-filtered candidate writes (same location, same value, not
 //!    po-later in the same thread). After each assignment the model's
@@ -38,6 +41,36 @@
 //! so [`SimResult::candidates`] and the [`SimConfig::max_candidates`]
 //! budget behave identically to exhaustive enumeration — pruning changes
 //! time, not semantics.
+//!
+//! # The pre-check
+//!
+//! Many combos cannot be justified: some read takes a value no write of
+//! its location supplies (37% of the combos of the diy `c11` suite, 41%
+//! of those of compiled deep fuzz tests). Whether a combo is one of them
+//! is decided before stage 1, from the chosen traces and the test's init
+//! values alone (`RfSupply`): a read is justified by its location's init
+//! write, by a po-earlier write of its own trace, or by any write of
+//! another thread, each carrying the value it reads.
+//! That is exactly "`Combined::rf_candidates` is `Some`", pinned by
+//! [`precheck_agreement`] on the diy suite and on compiled tests. An
+//! unjustifiable combo has no candidates, so it builds no graph and opens
+//! no session; it is not charged against the candidate budget either.
+//!
+//! # Session reuse
+//!
+//! Every trace of every thread gets a value-erased *shape id* once per
+//! simulation (`shape_ids`): two traces share an id iff they agree on
+//! event kinds, locations, annotations and their rmw/addr/data/ctrl
+//! pairs. Combos whose per-thread ids agree have the same skeleton up to
+//! values, which is all a session may read
+//! ([`ConsistencyModel::combo_checker`]). A combo-mode worker keeps its
+//! last session with the combo's shape-id vector; the next combo with
+//! the same vector reuses it, any other opens a new one. The DFS pops
+//! every push, so the session is back at its baseline when its combo
+//! ends. A stolen frontier task absorbs its forced prefix, so task mode
+//! opens a fresh session per task, and a combo that stopped early ends
+//! its worker. Sessions report their work as a running total, and each
+//! combo is charged the difference.
 //!
 //! # Parallelism and determinism
 //!
@@ -79,10 +112,10 @@
 
 use crate::config::{PruneSites, SimConfig, SimResult};
 use crate::event::{Event, EventKind, Execution, INIT_THREAD};
-use crate::model::{ConsistencyModel, PartialVerdict, Verdict};
+use crate::model::{ComboChecker, ConsistencyModel, PartialVerdict, Verdict};
 use crate::rel::Relation;
 use crate::trace::{interpret_thread, value_pools, InterpBudget, Trace};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -135,6 +168,8 @@ pub fn simulate(
     let deadline = config.timeout.map(|t| start + t);
 
     let thread_traces = interpret_all_traces(test, config)?;
+    let shapes = shape_ids(&thread_traces);
+    let supply = RfSupply::new(test, &thread_traces);
 
     let observed = test.observed_keys();
     let readonly: BTreeSet<Loc> = test
@@ -196,6 +231,8 @@ pub fn simulate(
         readonly: &readonly,
         deadline,
         thread_traces: &thread_traces,
+        shapes: &shapes,
+        supply: &supply,
         counts: &counts,
         total,
         shared: &shared,
@@ -322,6 +359,33 @@ pub fn simulate(
     Ok(result)
 }
 
+/// Every trace combo of `test`, in combo order, judged twice: by the
+/// read-justification pre-check [`simulate`] uses to skip combos without
+/// building them, and by building the combo's graph and asking for its rf
+/// candidates. The two agree on every combo; this is the differential
+/// hook for tests built outside this crate (compiled, extracted ones).
+///
+/// # Errors
+///
+/// Interpretation failures, as in [`simulate`].
+pub fn precheck_agreement(test: &LitmusTest, config: &SimConfig) -> Result<Vec<(bool, bool)>> {
+    let thread_traces = interpret_all_traces(test, config)?;
+    let supply = RfSupply::new(test, &thread_traces);
+    let counts: Vec<u64> = thread_traces.iter().map(|t| t.len() as u64).collect();
+    let total = counts.iter().fold(1u64, |p, &c| p.saturating_mul(c));
+    Ok((0..total)
+        .map(|idx| {
+            let choice = decode_combo(&counts, idx);
+            (
+                supply.justified(&choice),
+                build_combined(test, &chosen_traces(&thread_traces, &choice))
+                    .rf_candidates()
+                    .is_some(),
+            )
+        })
+        .collect())
+}
+
 /// Cross-worker coordination state.
 struct Shared {
     /// Next linear combo index to claim.
@@ -348,6 +412,9 @@ struct WorkerCtx<'a> {
     readonly: &'a BTreeSet<Loc>,
     deadline: Option<Instant>,
     thread_traces: &'a [Vec<Trace>],
+    /// Per thread, per trace: its value-erased shape id ([`shape_ids`]).
+    shapes: &'a [Vec<u32>],
+    supply: &'a RfSupply,
     counts: &'a [u64],
     total: u64,
     shared: &'a Shared,
@@ -388,19 +455,134 @@ enum Stop {
     Fatal(Error),
 }
 
-/// Decodes a linear combo index into per-thread trace choices (thread 0
-/// least significant, matching the reference odometer's order).
-fn decode_combo<'a>(ctx: &WorkerCtx<'a>, idx: u64) -> Vec<&'a Trace> {
+/// Decodes a linear combo index into the per-thread trace indices it
+/// chooses (thread 0 least significant, matching the reference odometer's
+/// order); `counts` holds each thread's trace count.
+fn decode_combo(counts: &[u64], idx: u64) -> Vec<usize> {
     let mut rem = idx;
-    ctx.counts
+    counts
         .iter()
-        .enumerate()
-        .map(|(t, &c)| {
+        .map(|&c| {
             let i = (rem % c) as usize;
             rem /= c;
-            &ctx.thread_traces[t][i]
+            i
         })
         .collect()
+}
+
+/// The traces a combo's per-thread indices choose.
+fn chosen_traces<'t>(thread_traces: &'t [Vec<Trace>], choice: &[usize]) -> Vec<&'t Trace> {
+    choice
+        .iter()
+        .enumerate()
+        .map(|(t, &i)| &thread_traces[t][i])
+        .collect()
+}
+
+/// Gives every trace of every thread a value-erased shape id: two traces
+/// of a thread share an id iff they agree on event kinds, locations and
+/// annotations and on their rmw/addr/data/ctrl pairs — everything of the
+/// combo skeleton except event values and final registers. Combos whose
+/// per-thread ids agree have the same skeleton up to values, which is all
+/// a model session may read ([`ConsistencyModel::combo_checker`]).
+fn shape_ids(thread_traces: &[Vec<Trace>]) -> Vec<Vec<u32>> {
+    type Shape<'t> = (
+        Vec<(EventKind, Option<&'t Loc>, AnnotSet)>,
+        [&'t [(usize, usize)]; 4],
+    );
+    thread_traces
+        .iter()
+        .map(|traces| {
+            let mut ids: HashMap<Shape<'_>, u32> = HashMap::new();
+            traces
+                .iter()
+                .map(|tr| {
+                    let shape = (
+                        tr.events
+                            .iter()
+                            .map(|e| (e.kind, e.loc.as_ref(), e.annot))
+                            .collect(),
+                        [
+                            &tr.rmw_pairs[..],
+                            &tr.addr_deps[..],
+                            &tr.data_deps[..],
+                            &tr.ctrl_deps[..],
+                        ],
+                    );
+                    let next = ids.len() as u32;
+                    *ids.entry(shape).or_insert(next)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Decides from the chosen traces alone whether every read of a combo has
+/// a candidate writer — exactly `build_combined(..).rf_candidates()
+/// .is_some()`, without building the combo's graph. A read is justified
+/// by its location's init write, by a po-earlier write of its own trace,
+/// or by any write of another thread, each with the value it reads.
+struct RfSupply {
+    /// Per thread, per trace: the sorted `(location, value)` ids its reads
+    /// need from another thread — those neither the init write nor a
+    /// po-earlier write of their own trace supplies.
+    open: Vec<Vec<Vec<u32>>>,
+    /// Per thread, per trace: the sorted `(location, value)` ids it writes.
+    writes: Vec<Vec<Vec<u32>>>,
+}
+
+impl RfSupply {
+    fn new(test: &LitmusTest, thread_traces: &[Vec<Trace>]) -> RfSupply {
+        // A location declared twice keeps its last init write, as in
+        // `build_combined`.
+        let init: HashMap<&Loc, &Val> = test.locs.iter().map(|d| (&d.loc, &d.init)).collect();
+        let mut ids: HashMap<(&Loc, &Val), u32> = HashMap::new();
+        let mut open = Vec::with_capacity(thread_traces.len());
+        let mut writes = Vec::with_capacity(thread_traces.len());
+        for traces in thread_traces {
+            let mut t_open = Vec::with_capacity(traces.len());
+            let mut t_writes = Vec::with_capacity(traces.len());
+            for tr in traces {
+                let mut needs = Vec::new();
+                let mut wrote = Vec::new();
+                for e in &tr.events {
+                    let (Some(loc), Some(val)) = (e.loc.as_ref(), e.val.as_ref()) else {
+                        continue;
+                    };
+                    let next = ids.len() as u32;
+                    let id = *ids.entry((loc, val)).or_insert(next);
+                    match e.kind {
+                        EventKind::Read if init.get(loc) != Some(&val) && !wrote.contains(&id) => {
+                            needs.push(id);
+                        }
+                        EventKind::Write => wrote.push(id),
+                        _ => {}
+                    }
+                }
+                needs.sort_unstable();
+                needs.dedup();
+                wrote.sort_unstable();
+                wrote.dedup();
+                t_open.push(needs);
+                t_writes.push(wrote);
+            }
+            open.push(t_open);
+            writes.push(t_writes);
+        }
+        RfSupply { open, writes }
+    }
+
+    /// True iff every read of the combo `choice` (per-thread trace
+    /// indices) has a candidate writer.
+    fn justified(&self, choice: &[usize]) -> bool {
+        self.open.iter().enumerate().all(|(t, open)| {
+            open[choice[t]].iter().all(|id| {
+                choice.iter().enumerate().any(|(u, &i)| {
+                    u != t && self.writes[u][i].binary_search(id).is_ok()
+                })
+            })
+        })
+    }
 }
 
 /// Cross-worker abort / deadline poll at claim boundaries. The intra-combo
@@ -425,8 +607,18 @@ fn poll_stop(ctx: &WorkerCtx<'_>) -> bool {
     false
 }
 
-fn run_worker(ctx: &WorkerCtx<'_>) -> Vec<(u64, ComboOut)> {
+/// A worker's open model session and the shape-id vector of the skeleton
+/// it was opened on. The DFS pops every push, so when a combo ends its
+/// session is back at its baseline and serves the next combo of the same
+/// skeleton (module docs, "Session reuse").
+struct Session<'a> {
+    shape: Vec<u32>,
+    checker: Box<dyn ComboChecker + 'a>,
+}
+
+fn run_worker<'a>(ctx: &WorkerCtx<'a>) -> Vec<(u64, ComboOut)> {
     let mut local = Vec::new();
+    let mut session: Option<Session<'a>> = None;
     loop {
         if poll_stop(ctx) {
             return local;
@@ -436,8 +628,8 @@ fn run_worker(ctx: &WorkerCtx<'_>) -> Vec<(u64, ComboOut)> {
             return local;
         }
         let _span = telechat_obs::span_idx("combo", idx);
-        let traces = decode_combo(ctx, idx);
-        match run_combo(ctx, &traces, Vec::new(), 1) {
+        let choice = decode_combo(ctx.counts, idx);
+        match run_combo(ctx, &choice, Vec::new(), 1, &mut session) {
             Ok(mut out) => {
                 out.combo_idx = idx;
                 local.push((idx, out));
@@ -484,11 +676,14 @@ fn build_task_plans(ctx: &WorkerCtx<'_>) -> Vec<TaskPlan> {
     let mut plans = Vec::new();
     let mut first_task = 0u64;
     for combo_idx in 0..ctx.total {
-        let traces = decode_combo(ctx, combo_idx);
-        let combined = build_combined(ctx.test, &traces);
-        let Some(rf_choices) = combined.rf_candidates() else {
+        let choice = decode_combo(ctx.counts, combo_idx);
+        if !ctx.supply.justified(&choice) {
             continue; // unjustifiable read: no candidates, no tasks
-        };
+        }
+        let combined = build_combined(ctx.test, &chosen_traces(ctx.thread_traces, &choice));
+        let rf_choices = combined
+            .rf_candidates()
+            .expect("the pre-check found a writer for every read");
         // Decision arities in DFS order: rf levels, then the co positions
         // of each location (m, m-1, …, 1 — the swap DFS picks one of the
         // remaining writes per position).
@@ -555,8 +750,8 @@ fn run_task_worker(
             forced[j] = (rem % a) as usize;
             rem /= a;
         }
-        let traces = decode_combo(ctx, plan.combo_idx);
-        match run_combo(ctx, &traces, forced, plan.task_charge) {
+        let choice = decode_combo(ctx.counts, plan.combo_idx);
+        match run_combo(ctx, &choice, forced, plan.task_charge, &mut None) {
             Ok(mut out) => {
                 out.combo_idx = plan.combo_idx;
                 local.push((tid, out));
@@ -590,17 +785,25 @@ const PRUNE_THRESHOLD: u64 = 8;
 /// stolen frontier task: the DFS restricted to the pre-decoded choice at
 /// each of the first `forced.len()` decisions, charging `task_charge` per
 /// forced-level prune (see the module docs and [`ComboRun::maybe_absorb`]).
-fn run_combo(
-    ctx: &WorkerCtx<'_>,
-    traces: &[&Trace],
+///
+/// `session` is the worker's last session: reused when its shape matches
+/// this combo's, replaced otherwise. A whole combo that finishes leaves
+/// its session there for the next one; a stolen task's session has
+/// absorbed its prefix, so it is never left behind.
+fn run_combo<'a>(
+    ctx: &WorkerCtx<'a>,
+    choice: &[usize],
     forced: Vec<usize>,
     task_charge: u64,
+    session: &mut Option<Session<'a>>,
 ) -> std::result::Result<ComboOut, Stop> {
-    let combined = build_combined(ctx.test, traces);
-
-    let Some(rf_choices) = combined.rf_candidates() else {
+    if !ctx.supply.justified(choice) {
         return Ok(ComboOut::default()); // some read unjustifiable
-    };
+    }
+    let combined = build_combined(ctx.test, &chosen_traces(ctx.thread_traces, choice));
+    let rf_choices = combined
+        .rf_candidates()
+        .expect("the pre-check found a writer for every read");
 
     let locs: Vec<Loc> = combined.writes_by_loc.keys().cloned().collect();
     let co_writes: Vec<Vec<EventId>> = locs
@@ -671,12 +874,23 @@ fn run_combo(
     }
     co_offsets.push(off);
 
-    // Open the model's combo session on the skeleton: combo-constant
-    // derived relations (loc/ext/int, annotation sets, …) are computed
-    // once here and shared by every candidate below. Incremental sessions
+    // The model's combo session on the skeleton: combo-constant derived
+    // relations (loc/ext/int, annotation sets, …) are computed when it
+    // opens and shared by every candidate below. Incremental sessions
     // additionally receive every DFS edge push/pop (see `ComboChecker`).
-    let checker = ctx.model.combo_checker(&execution);
+    // A session left at its baseline by a combo of the same value-erased
+    // skeleton is reused instead of opened again.
+    let shape: Vec<u32> = choice
+        .iter()
+        .enumerate()
+        .map(|(t, &i)| ctx.shapes[t][i])
+        .collect();
+    let checker = match session.take() {
+        Some(s) if s.shape == shape => s.checker,
+        _ => ctx.model.combo_checker(&execution),
+    };
     let incremental = checker.incremental();
+    let evals_before = checker.frontier_evals();
 
     let mut run = ComboRun {
         ctx,
@@ -701,15 +915,21 @@ fn run_combo(
         visits: 0,
     };
     run.assign_rf(0)?;
-    run.out.frontier_evals = run.checker.frontier_evals() - run.replayed_evals;
+    run.out.frontier_evals = run.checker.frontier_evals() - evals_before - run.replayed_evals;
+    if run.forced.is_empty() {
+        *session = Some(Session {
+            shape,
+            checker: run.checker,
+        });
+    }
     Ok(run.out)
 }
 
 /// The per-combo DFS state: one mutable skeleton, extended and undone as
 /// the builder walks rf choices and coherence prefixes.
 struct ComboRun<'a, 'c> {
-    ctx: &'a WorkerCtx<'a>,
-    checker: Box<dyn crate::model::ComboChecker + 'a>,
+    ctx: &'c WorkerCtx<'a>,
+    checker: Box<dyn ComboChecker + 'a>,
     /// Whether `checker` opted into the per-edge incremental protocol.
     incremental: bool,
     reads: &'c [EventId],
@@ -1549,6 +1769,181 @@ exists (P3:r0=1)
                     model.name(),
                     test.name
                 );
+            }
+        }
+    }
+
+    /// Three combos that differ only in the value P2 reads: one skeleton,
+    /// and fewer combos than four workers, so threads = 4 runs in task
+    /// mode.
+    const ONE_SKELETON: &str = r#"
+C11 "ONE-SKELETON"
+{ x = 0; }
+P0 (atomic_int* x) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+}
+P1 (atomic_int* x) {
+  atomic_store_explicit(x, 2, memory_order_relaxed);
+}
+P2 (atomic_int* x) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+}
+exists (P2:r0=2)
+"#;
+
+    /// Twelve combos over two skeletons: P1's six traces differ only in
+    /// the values read, P2 (the most significant thread, so each skeleton
+    /// is one contiguous run of combos) stores to `y` on one branch only.
+    /// The branch without the store comes first, so a session wrongly
+    /// kept for the second skeleton would lack its store event. The two
+    /// combos where P1 reads `y = 2` but P2 does not store it are
+    /// unjustifiable.
+    const TWO_SKELETONS: &str = r#"
+C11 "TWO-SKELETONS"
+{ x = 0; y = 0; }
+P0 (atomic_int* x, atomic_int* y) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+  atomic_store_explicit(y, 1, memory_order_release);
+}
+P1 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(y, memory_order_acquire);
+  int r1 = atomic_load_explicit(x, memory_order_relaxed);
+}
+P2 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+  if (r0 == 1) {
+    atomic_store_explicit(y, 2, memory_order_relaxed);
+  }
+}
+exists (P1:r0=1 /\ P1:r1=0)
+"#;
+
+    /// Counts the sessions a simulation opens.
+    struct CountSessions<'m> {
+        inner: &'m dyn ConsistencyModel,
+        opened: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ConsistencyModel for CountSessions<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn check(&self, execution: &Execution) -> Verdict {
+            self.inner.check(execution)
+        }
+
+        fn check_partial(&self, partial: &Execution) -> PartialVerdict {
+            self.inner.check_partial(partial)
+        }
+
+        fn combo_checker<'a>(&'a self, skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
+            self.opened.fetch_add(1, Ordering::Relaxed);
+            self.inner.combo_checker(skeleton)
+        }
+    }
+
+    /// Every field of a result that must not depend on scheduling.
+    fn deterministic(r: &SimResult) -> String {
+        format!(
+            "{:?}",
+            (
+                &r.outcomes,
+                r.candidates,
+                r.allowed,
+                &r.flags,
+                r.crashed,
+                &r.executions,
+                (r.pruned_candidates, r.pushes),
+                r.frontier_evals,
+                &r.rule_leaves,
+                &r.rule_prunes,
+                &r.prune_sites,
+                &r.combo_candidates,
+            )
+        )
+    }
+
+    /// A test's combo count, its justifiable combos and the distinct
+    /// value-erased skeletons among them, computed from the built graphs
+    /// rather than from shape ids.
+    fn justifiable_skeletons(test: &LitmusTest) -> (usize, usize, usize) {
+        let traces = interpret_all_traces(test, &SimConfig::default()).unwrap();
+        let counts: Vec<u64> = traces.iter().map(|t| t.len() as u64).collect();
+        let total = counts.iter().product::<u64>() as usize;
+        let mut combos = 0;
+        let mut skeletons = BTreeSet::new();
+        for idx in 0..total as u64 {
+            let choice = decode_combo(&counts, idx);
+            let mut c = build_combined(test, &chosen_traces(&traces, &choice));
+            if c.rf_candidates().is_some() {
+                combos += 1;
+                for e in &mut c.events {
+                    e.val = None;
+                }
+                skeletons.insert(format!(
+                    "{:?}",
+                    (&c.events, &c.po, &c.rmw, &c.addr, &c.data, &c.ctrl)
+                ));
+            }
+        }
+        (total, combos, skeletons.len())
+    }
+
+    #[test]
+    fn sessions_are_reused_across_same_skeleton_combos() {
+        // Combos of one skeleton that differ only in read values share
+        // one session per worker. Results equal the reference engine and
+        // are byte-identical at every thread count (task mode included),
+        // push and session-work counters too; at threads = 1 exactly one
+        // session opens per skeleton.
+        for src in [ONE_SKELETON, TWO_SKELETONS] {
+            let test = parse_c11(src).unwrap();
+            let (total, combos, skeletons) = justifiable_skeletons(&test);
+            assert!(combos > skeletons, "{}: {combos} combos, {skeletons} skeletons", test.name);
+            for model in [&SeqCstRef as &dyn ConsistencyModel, &CoherenceOnly] {
+                let cfg = SimConfig::default().keeping_executions();
+                let counting = CountSessions {
+                    inner: model,
+                    opened: Default::default(),
+                };
+                let base = simulate(&test, &counting, &cfg).unwrap();
+                let tag = format!("{} under {}", test.name, model.name());
+                assert_eq!(counting.opened.into_inner(), skeletons, "{tag}: sessions");
+                assert!(base.pushes > 0, "{tag}");
+                let old = simulate_reference(&test, model, &cfg).unwrap();
+                assert_eq!(base.outcomes, old.outcomes, "{tag}");
+                assert_eq!(base.candidates, old.candidates, "{tag}");
+                assert_eq!(base.allowed, old.allowed, "{tag}");
+                assert_eq!(base.flags, old.flags, "{tag}");
+                assert_eq!(base.crashed, old.crashed, "{tag}");
+                for threads in [2, 4, 16] {
+                    let r = simulate(&test, model, &cfg.clone().with_threads(threads)).unwrap();
+                    assert_eq!(
+                        deterministic(&r),
+                        deterministic(&base),
+                        "{tag} threads={threads}"
+                    );
+                    // Fewer combos than workers: frontier tasks.
+                    assert_eq!(r.steal_tasks > 0, threads > total, "{tag} threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn precheck_matches_rf_candidates() {
+        // The pre-check rejects exactly the combos whose graph has a read
+        // without a candidate writer, here including both verdicts.
+        for src in [SB, LB, WIDE_CO, ONE_SKELETON, TWO_SKELETONS] {
+            let test = parse_c11(src).unwrap();
+            let pairs = precheck_agreement(&test, &SimConfig::default()).unwrap();
+            for (i, (pre, built)) in pairs.iter().enumerate() {
+                assert_eq!(pre, built, "{} combo {i}", test.name);
+            }
+            if test.name == "TWO-SKELETONS" {
+                let rejected = pairs.iter().filter(|(pre, _)| !pre).count();
+                assert_eq!((pairs.len(), rejected), (12, 2));
             }
         }
     }

@@ -93,7 +93,7 @@ pub trait ConsistencyModel: Send + Sync {
         PartialVerdict::Undecided
     }
 
-    /// Opens a per-combo checking session.
+    /// Opens a checking session on a combo skeleton.
     ///
     /// `skeleton` is the combo's candidate with the *fixed* relations
     /// populated (events, `po`, `rmw`, `addr`, `data`, `ctrl`) and
@@ -104,6 +104,14 @@ pub trait ConsistencyModel: Send + Sync {
     /// per candidate. The default session simply forwards to
     /// [`check`]/[`check_partial`].
     ///
+    /// # Contract
+    ///
+    /// The session may read only the *value-erased* skeleton: the events'
+    /// ids, threads, program-order positions, kinds, locations and
+    /// annotations, and the fixed relations — never an event's value.
+    /// The enumerator relies on this to reuse one session for every combo
+    /// of the same value-erased skeleton (see [`ComboChecker`]).
+    ///
     /// [`check`]: ConsistencyModel::check
     /// [`check_partial`]: ConsistencyModel::check_partial
     fn combo_checker<'a>(&'a self, _skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
@@ -111,11 +119,24 @@ pub trait ConsistencyModel: Send + Sync {
     }
 }
 
-/// A per-combo checking session (see [`ConsistencyModel::combo_checker`]).
+/// A checking session over one combo skeleton (see
+/// [`ConsistencyModel::combo_checker`]).
 ///
-/// The enumeration engine creates one per trace combination and funnels
-/// every full and partial candidate of that combo through it, so
-/// implementations can hold combo-constant derived data.
+/// The enumeration engine funnels every full and partial candidate of a
+/// trace combination through a session, so implementations can hold
+/// combo-constant derived data.
+///
+/// # Reuse across combos
+///
+/// A session may be reused across combos: the engine keeps a worker's
+/// last session and hands it the next combo whose value-erased skeleton
+/// is the same (combos that differ only in the values their reads and
+/// writes carry). The DFS pops every push it makes, strictly LIFO, so a
+/// session must be back at its baseline — the state it was opened in —
+/// after the pops, with nothing of the finished combo left behind.
+/// [`absorb`] breaks this (absorbed pushes are never popped), so a
+/// session that absorbed is never reused; neither is one whose combo
+/// stopped early on a budget, timeout or cancellation.
 ///
 /// # Incremental sessions
 ///
@@ -133,6 +154,7 @@ pub trait ConsistencyModel: Send + Sync {
 /// state in O(1) instead of re-deriving relations.
 ///
 /// [`incremental`]: ComboChecker::incremental
+/// [`absorb`]: ComboChecker::absorb
 /// [`push_rf`]: ComboChecker::push_rf
 /// [`push_co`]: ComboChecker::push_co
 /// [`pop_rf`]: ComboChecker::pop_rf
@@ -201,7 +223,9 @@ pub trait ComboChecker: Send {
     /// deterministic `cat.frontier_evals` counter: the staged Cat engine
     /// reports the frontier bindings plus staged constraints each push
     /// evaluated or delta-updated. Must be a pure function of the push
-    /// sequence. The default (sessions that do not report) is 0.
+    /// sequence; a running total across every combo the session served
+    /// (the engine charges each combo the difference). The default
+    /// (sessions that do not report) is 0.
     fn frontier_evals(&self) -> u64 {
         0
     }

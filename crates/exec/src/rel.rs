@@ -249,20 +249,30 @@ impl EventSet {
         self.words.len() * WORD
     }
 
-    /// The identity relation on this set (`[S]` in Cat).
+    /// One past the highest member (0 for the empty set).
+    fn end(&self) -> usize {
+        self.words
+            .iter()
+            .rposition(|&w| w != 0)
+            .map_or(0, |i| i * WORD + WORD - self.words[i].leading_zeros() as usize)
+    }
+
+    /// The identity relation on this set (`[S]` in Cat), sized to the
+    /// highest member so row loops over it skip the set's padding.
     #[must_use]
     pub fn identity(&self) -> Relation {
-        let mut r = Relation::with_nodes(self.bit_capacity());
+        let mut r = Relation::with_nodes(self.end());
         for e in self.iter() {
             r.insert(e, e);
         }
         r
     }
 
-    /// Cartesian product `self × other` (`S * T` in Cat).
+    /// Cartesian product `self × other` (`S * T` in Cat), sized to the
+    /// highest member of either operand.
     #[must_use]
     pub fn cross(&self, other: &EventSet) -> Relation {
-        let n = self.bit_capacity().max(other.bit_capacity());
+        let n = self.end().max(other.end());
         let mut r = Relation::with_nodes(n);
         for a in self.iter() {
             r.insert_row(a, other);
@@ -418,8 +428,7 @@ impl Relation {
     /// the word-parallel builder the derived-relation constructors use.
     pub fn insert_row(&mut self, from: EventId, targets: &EventSet) {
         let a = from.index();
-        let hi = targets.iter().last().map(EventId::index);
-        let m = hi.map_or(a, |h| h.max(a));
+        let m = targets.end().saturating_sub(1).max(a);
         self.ensure_node(m);
         self.nodes = self.nodes.max(m + 1);
         let stride = self.stride;
@@ -1022,6 +1031,25 @@ mod tests {
             s.cross(&set(&[7])),
             rel(&[(1, 7), (2, 7)])
         );
+        // `nodes` is one past the highest member, not the set's word
+        // capacity: row loops over `[S]`/`S * T` never walk padding.
+        let empty = EventSet::new();
+        let wide = set(&[3, 70]);
+        assert_eq!(s.identity().nodes, 3);
+        assert_eq!(wide.identity().nodes, 71);
+        assert_eq!(empty.identity().nodes, 0);
+        assert_eq!(s.cross(&set(&[7])).nodes, 8);
+        assert_eq!(set(&[7]).cross(&s).nodes, 8);
+        assert_eq!(s.cross(&wide).nodes, 71);
+        assert_eq!(s.cross(&empty).nodes, 3);
+        assert_eq!(empty.cross(&wide).nodes, 71);
+        assert_eq!(empty.cross(&empty).nodes, 0);
+        // A set whose high word was emptied keeps its capacity but not
+        // its size.
+        let mut shrunk = wide.clone();
+        shrunk.remove(EventId(70));
+        assert_eq!(shrunk.identity().nodes, 4);
+        assert_eq!(shrunk.identity(), rel(&[(3, 3)]));
     }
 
     #[test]

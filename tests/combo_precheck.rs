@@ -1,0 +1,74 @@
+//! Differential pin for the enumerator's read-justification pre-check: on
+//! every trace combo of the diy `c11` suite and of compiled, extracted
+//! tests of the deep fuzz stream, deciding "some read has no candidate
+//! writer" from the chosen traces agrees with building the combo's graph
+//! and asking for its rf candidates.
+
+use telechat_compiler::{Compiler, CompilerId, OptLevel, Target};
+use telechat_repro::common::Arch;
+use telechat_repro::core::Telechat;
+use telechat_repro::diy::Config;
+use telechat_repro::exec::enumerate::precheck_agreement;
+use telechat_repro::exec::SimConfig;
+use telechat_repro::fuzz::{FuzzConfig, FuzzSource, GenConfig, SampleConfig};
+use telechat_repro::litmus::LitmusTest;
+
+/// Checks every combo of `test`; returns (combos, rejected combos).
+fn agree(test: &LitmusTest, config: &SimConfig) -> (usize, usize) {
+    let pairs = precheck_agreement(test, config).expect("interpretation");
+    for (i, (pre, built)) in pairs.iter().enumerate() {
+        assert_eq!(pre, built, "{} combo {i}: pre-check vs rf candidates", test.name);
+    }
+    let rejected = pairs.iter().filter(|(pre, _)| !pre).count();
+    (pairs.len(), rejected)
+}
+
+#[test]
+fn precheck_agrees_on_the_diy_c11_suite() {
+    let config = SimConfig::fast();
+    let (mut combos, mut rejected) = (0, 0);
+    for test in Config::c11().generate() {
+        let (c, r) = agree(&test, &config);
+        combos += c;
+        rejected += r;
+    }
+    // Both verdicts occur, so the agreement is not vacuous.
+    assert!(rejected > 0 && rejected < combos, "{rejected} of {combos}");
+}
+
+#[test]
+fn precheck_agrees_on_compiled_deep_fuzz_tests() {
+    // The first 20 tests of the deep-sample stream (up to five threads),
+    // compiled at -O2 by the two compilers and three targets of the
+    // deep-fuzz campaign, then extracted back to litmus tests.
+    let stream = FuzzSource::new(&FuzzConfig {
+        exhaustive: GenConfig::corpus(1),
+        sample: SampleConfig::default(),
+        seed: 7,
+        max_tests: 20,
+    });
+    let pipeline = Telechat::new("rc11").expect("rc11 stages");
+    let config = SimConfig::fast();
+    let compilers: Vec<Compiler> = [CompilerId::llvm(17), CompilerId::gcc(10)]
+        .into_iter()
+        .flat_map(|id| {
+            [Arch::AArch64, Arch::Armv7, Arch::X86_64]
+                .map(|arch| Compiler::new(id, OptLevel::O2, Target::new(arch)))
+        })
+        .collect();
+    let (mut tests, mut combos, mut rejected) = (0, 0, 0);
+    for test in stream {
+        for compiler in &compilers {
+            // Tests the compiler rejects have nothing to simulate.
+            let Ok((.., extracted)) = pipeline.extract(&test, compiler) else {
+                continue;
+            };
+            let (c, r) = agree(&extracted, &config);
+            tests += 1;
+            combos += c;
+            rejected += r;
+        }
+    }
+    assert!(tests > 100, "only {tests} compiled tests");
+    assert!(rejected > 0 && rejected < combos, "{rejected} of {combos}");
+}
