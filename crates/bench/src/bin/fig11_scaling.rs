@@ -111,33 +111,6 @@ fn main() -> Result<()> {
         println!("{threads:>10} {opt:>14?} {un:>16}");
     }
 
-    // The same unoptimised budget race, run through the incremental
-    // engine's worker pool: how far does each enumeration-thread count get
-    // in a fixed 10-second window before the budget trips?
-    println!("\n-- enumeration worker-pool sweep (incremental engine) --");
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    println!("{:>14} {:>18}", "sim threads", "unoptimised LB3");
-    for sim_threads in [1usize, cores] {
-        let tool = Telechat::with_config(
-            "rc11",
-            PipelineConfig {
-                optimise: false,
-                sim: SimConfig {
-                    timeout: Some(Duration::from_secs(10)),
-                    ..SimConfig::default()
-                }
-                .with_threads(sim_threads),
-                ..PipelineConfig::default()
-            },
-        )?;
-        let t0 = Instant::now();
-        let cell = match tool.run(&lb3, &o0) {
-            Ok(r) => format!("finished {:?}", r.target_time),
-            Err(e) => format!("{e} at {:?}", t0.elapsed()),
-        };
-        println!("{sim_threads:>14} {cell:>18}");
-    }
-
     println!("\nE8 reproduced: the s2l optimisation is what makes testing scale.");
     Ok(())
 }

@@ -28,6 +28,7 @@ fn main() -> Result<()> {
             "forbidden"
         },
     );
+    assert!(!test.condition.holds(&src.outcomes));
 
     // Fig. 2: a couple of allowed executions rendered as graphs.
     println!("\nFig. 2 — sample RC11-allowed executions:");

@@ -60,6 +60,7 @@ fn main() -> Result<()> {
         "bug found (Sarkar et al.)",
         if a9_report.bug_found() { "bug found" } else { "miss" },
     );
+    assert!(a9_report.bug_found());
 
     // Téléchat is deterministic: ten runs, one verdict.
     let verdicts: Vec<_> = (0..10)
@@ -74,6 +75,7 @@ fn main() -> Result<()> {
             "varies (wrong!)"
         },
     );
+    assert!(verdicts.windows(2).all(|w| w[0] == w[1]));
 
     println!("\nE3 reproduced: simulation sees what restricted silicon hides.");
     Ok(())

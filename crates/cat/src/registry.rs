@@ -308,12 +308,6 @@ impl ComboChecker for CatComboChecker<'_> {
         }
     }
 
-    fn absorb(&mut self) {
-        if let CatSession::Staged(state) = &mut self.session {
-            state.absorb();
-        }
-    }
-
     fn blame(&self) -> Option<&str> {
         match &self.session {
             CatSession::Staged(state) => state.blame(),
@@ -539,12 +533,6 @@ impl ComboChecker for IntersectionChecker<'_> {
     fn pop_co(&mut self, partial: &Execution, preds: &[EventId], w: EventId) {
         for c in &mut self.parts {
             c.pop_co(partial, preds, w);
-        }
-    }
-
-    fn absorb(&mut self) {
-        for c in &mut self.parts {
-            c.absorb();
         }
     }
 

@@ -1115,25 +1115,6 @@ impl<'a> StagedState<'a> {
         );
     }
 
-    /// Folds every frame pushed so far into the session baseline: node
-    /// values keep their current contents, each acyclicity order
-    /// snapshots its reachability state (journals cleared via
-    /// [`IncrementalOrder::snapshot`]), and the undo journal empties —
-    /// subsequent pops can only unwind pushes made *after* this call.
-    ///
-    /// The work-stealing enumerator calls this when a worker adopts a
-    /// stolen DFS frontier: the replayed forced prefix becomes the
-    /// session's permanent split-point baseline and is never popped.
-    pub fn absorb(&mut self) {
-        for con in &mut self.cons {
-            if let ConState::Acyclic { order } = con {
-                order.snapshot();
-            }
-        }
-        self.journal.clear();
-        self.frames.clear();
-    }
-
     /// Propagates the push's base deltas through every node whose read
     /// set meets `touched`, then applies each staged constraint's root
     /// delta. The push's frame is already open.

@@ -184,11 +184,10 @@ struct LegKey {
 }
 
 /// Fingerprint of the [`SimConfig`] fields that can influence a simulation
-/// *result*. `threads` is deliberately excluded: outcome sets are
-/// deterministically merged across enumeration workers, so thread count
-/// never changes a result — and the campaign driver varies it. Public so
-/// other result memos (e.g. the fuzz minimizer's oracle cache) can key on
-/// the same budget identity.
+/// *result*. The work-item `deadline` is deliberately excluded: it is a
+/// watchdog enforced outside the simulator, and only finished runs are
+/// cached. Public so other result memos (e.g. the fuzz minimizer's oracle
+/// cache) can key on the same budget identity.
 pub fn sim_config_fingerprint(cfg: &SimConfig) -> u64 {
     let mut h = 0u64;
     for word in [
@@ -669,12 +668,11 @@ exists (P0:r0=0 /\ P1:r0=0)
         let cfg = SimConfig::default();
         let fast = SimConfig::fast();
         assert_ne!(sim_config_fingerprint(&cfg), sim_config_fingerprint(&fast));
-        let mut threaded = cfg.clone();
-        threaded.threads = 8;
+        let watched = cfg.clone().with_deadline(std::time::Duration::from_secs(1));
         assert_eq!(
             sim_config_fingerprint(&cfg),
-            sim_config_fingerprint(&threaded),
-            "thread count never changes results, so it must share the entry"
+            sim_config_fingerprint(&watched),
+            "the work-item deadline never changes results, so it must share the entry"
         );
 
         let rc11 = ModelRegistry::global().bundled("rc11").unwrap();

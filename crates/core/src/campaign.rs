@@ -55,13 +55,8 @@ pub struct CampaignSpec {
     /// Source model name (`rc11`, or `rc11-lb` for the no-LB rerun).
     pub source_model: String,
     /// Campaign worker threads (tests × profiles are sharded over these).
-    ///
-    /// Composes with the exec-level [`telechat_exec::SimConfig::threads`]
-    /// without oversubscription: when the campaign itself runs more than
-    /// one worker, `run_campaign` forces each simulation to a single
-    /// enumeration thread (many small simulations parallelise better
-    /// across tests than within one); a single-worker campaign keeps the
-    /// configured per-simulation parallelism.
+    /// This is the only parallel layer: each simulation runs on the worker
+    /// that asked for it.
     pub threads: usize,
     /// Enable the campaign-scale sharing layer ([`SimCache`]): the source
     /// leg of each test simulates once per campaign instead of once per
@@ -442,12 +437,6 @@ pub fn run_campaign_source(
     spec: &CampaignSpec,
     config: &PipelineConfig,
 ) -> Result<CampaignResult> {
-    // Compose the two parallelism levels (see `CampaignSpec::threads`):
-    // campaign workers × enumeration threads must not oversubscribe.
-    let mut config = config.clone();
-    if spec.threads > 1 {
-        config.sim.threads = 1;
-    }
     let deadline = config.sim.deadline;
     // Shard/journal sanity before any telemetry or model loading: a journal
     // opened for a different shard must never replay into this campaign.
@@ -473,7 +462,7 @@ pub fn run_campaign_source(
         Arc::new(cache)
     });
     let tool = {
-        let tool = match Telechat::with_config(&spec.source_model, config) {
+        let tool = match Telechat::with_config(&spec.source_model, config.clone()) {
             Ok(tool) => tool,
             Err(e) => {
                 // Disarm on the configuration-error path, or the window

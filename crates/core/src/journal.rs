@@ -412,8 +412,8 @@ fn decode_header(image: &[u8]) -> Option<(u64, ShardSpec)> {
 
 /// Counters describing one journal session: what recovery found, what has
 /// replayed and what has been appended since. Deterministic given the
-/// journal image and the work list — byte-identical across campaign and
-/// simulation thread counts (pinned by `tests/campaign_resume.rs`).
+/// journal image and the work list — byte-identical across campaign
+/// thread counts (pinned by `tests/campaign_resume.rs`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JournalStats {
     /// Valid records recovered on open (items + summaries).

@@ -350,9 +350,7 @@ pub struct StoredSim {
     pub crashed: bool,
     /// Full acyclicity traversals (pinned-zero accounting field).
     pub full_traversals: u64,
-    /// Budget charge covered by pruned subtrees. Deterministic (a charge
-    /// sum), unlike `SimResult::steal_tasks`, which is scheduling-class
-    /// and deliberately *not* persisted — replays report 0.
+    /// Budget charge covered by pruned subtrees.
     pub pruned_candidates: u64,
     /// Incremental session pushes (deterministic, like the charge sums).
     pub pushes: u64,
@@ -410,7 +408,6 @@ impl StoredSim {
             pruned_candidates: self.pruned_candidates,
             pushes: self.pushes,
             frontier_evals: self.frontier_evals,
-            steal_tasks: 0,
             rule_leaves: self.rule_leaves,
             rule_prunes: self.rule_prunes,
             prune_sites: self.prune_sites,

@@ -536,7 +536,7 @@ impl Telechat {
         // metrics registry. Cached/stored replays carry the original run's
         // counters, so the campaign totals are a pure function of the work
         // list — invariant across thread counts, cache on/off and store
-        // warm/cold. (`steal_tasks` is scheduling-class and replays as 0.)
+        // warm/cold.
         for leg in [source.result.as_ref(), target_result.as_ref()] {
             telechat_obs::add(telechat_obs::Counter::SimCandidates, leg.candidates);
             telechat_obs::add(telechat_obs::Counter::SimAllowed, leg.allowed);
@@ -547,7 +547,6 @@ impl Telechat {
             );
             telechat_obs::add(telechat_obs::Counter::SimPushes, leg.pushes);
             telechat_obs::add(telechat_obs::Counter::CatFrontierEvals, leg.frontier_evals);
-            telechat_obs::add(telechat_obs::Counter::SimStealTasks, leg.steal_tasks);
         }
 
         // Attribution: which rule forbade leaves, which rule/site pruned

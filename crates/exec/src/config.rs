@@ -29,9 +29,9 @@ pub struct SimConfig {
     /// checks — is abandoned and becomes a typed
     /// `Error::Deadline` cell while the rest of the campaign completes.
     /// `None` (the default) disables the watchdog. Excluded from the cache
-    /// key (`sim_config_fingerprint`): like `threads`, it is an
-    /// enforcement knob, not a semantic input — cached results are only
-    /// ever recorded from runs that finished.
+    /// key (`sim_config_fingerprint`): it is an enforcement knob, not a
+    /// semantic input — cached results are only ever recorded from runs
+    /// that finished.
     pub deadline: Option<Duration>,
     /// Explore store-exclusive failure paths (off = exclusives always
     /// succeed, the common litmus assumption).
@@ -41,14 +41,6 @@ pub struct SimConfig {
     pub keep_executions: bool,
     /// Maximum executions kept when `keep_executions` is set.
     pub max_kept: usize,
-    /// Worker threads for candidate enumeration (trace combinations are
-    /// sharded across workers; outcome sets are merged deterministically,
-    /// so results do not depend on this value). `0` is treated as `1`.
-    ///
-    /// Campaign-level parallelism composes with this: `run_campaign`
-    /// forces single-threaded simulation when the campaign itself runs
-    /// multiple workers, so the two levels never oversubscribe.
-    pub threads: usize,
 }
 
 impl Default for SimConfig {
@@ -63,7 +55,6 @@ impl Default for SimConfig {
             excl_fail_paths: false,
             keep_executions: false,
             max_kept: 64,
-            threads: 1,
         }
     }
 }
@@ -93,29 +84,12 @@ impl SimConfig {
         self
     }
 
-    /// Sets the enumeration worker-thread count (`0` is treated as `1`).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> SimConfig {
-        self.threads = threads;
-        self
-    }
-
     /// Sets the campaign work-item wall-clock deadline (see
     /// [`SimConfig::deadline`]).
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> SimConfig {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// A configuration using every available core for enumeration.
-    #[must_use]
-    pub fn parallel() -> SimConfig {
-        SimConfig::default().with_threads(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
     }
 }
 
@@ -137,50 +111,36 @@ pub struct SimResult {
     /// Allowed executions, when [`SimConfig::keep_executions`] was set.
     pub executions: Vec<crate::event::Execution>,
     /// Full (non-incremental) acyclicity traversals run during this
-    /// simulation, summed over all worker threads. Zero whenever every
-    /// model session answered from incremental per-edge state — the
-    /// pinned property for the bundled interpreted models, at every
-    /// thread count and under intra-combo work stealing.
+    /// simulation. Zero whenever every model session answered from
+    /// incremental per-edge state — the pinned property for the bundled
+    /// interpreted models.
     pub full_traversals: u64,
-    /// Candidate executions accounted for by pruned subtrees (forced-
-    /// choice and free-choice cutoffs in the coherence DFS) rather than
-    /// visited leaves. Charge sums, so byte-identical across thread
-    /// counts and task-splitting mode: `candidates` = leaves + this.
+    /// Candidate executions accounted for by pruned subtrees (rf and
+    /// coherence cutoffs in the DFS) rather than visited leaves:
+    /// `candidates` = leaves + this.
     pub pruned_candidates: u64,
-    /// rf/co edge pushes into incremental model sessions. A stolen DFS
-    /// task's replayed prefix is counted once, by the first sibling task
-    /// that replays it, so this equals the sequential DFS's push count at
-    /// every thread count (0 when no session is incremental).
+    /// rf/co edge pushes into incremental model sessions (0 when no
+    /// session is incremental).
     pub pushes: u64,
     /// Work units the incremental sessions reported for those pushes
     /// ([`crate::ComboChecker::frontier_evals`]: for the staged Cat
     /// engine, the frontier bindings and staged constraints each push
-    /// evaluated or delta-updated). Counted under the same replay rule as
-    /// [`SimResult::pushes`].
+    /// evaluated or delta-updated).
     pub frontier_evals: u64,
-    /// DFS shard tasks executed when intra-combo work stealing split the
-    /// search (0 in plain per-combo mode). Scheduling-dependent — how the
-    /// search is carved up, never what it finds — and therefore excluded
-    /// from the persist codec: replayed results report 0.
-    pub steal_tasks: u64,
     /// Leaf verdict attribution: for every candidate the model forbade,
     /// the first-violated rule name (a `.cat` constraint, or the built-in
-    /// session's axiom tag) → how many leaves it killed. Charge tallies
-    /// over the visited-leaf set, so byte-identical across thread counts
-    /// and work-stealing mode.
+    /// session's axiom tag) → how many leaves it killed.
     pub rule_leaves: BTreeMap<String, u64>,
     /// Mid-DFS prune attribution: pruned-candidate *charge* blamed on the
     /// rule the incremental session reported as first-violated when the
     /// subtree was cut (empty for models that prune without naming a
-    /// rule). Charge sums, hence thread-invariant; sums to at most
-    /// [`SimResult::pruned_candidates`].
+    /// rule). Sums to at most [`SimResult::pruned_candidates`].
     pub rule_prunes: BTreeMap<String, u64>,
     /// Which of the four enumeration prune sites (rf/co × incremental
     /// check / periodic recheck) accounted each pruned charge.
     pub prune_sites: PruneSites,
     /// Per-combo DFS size distribution: one sample per rf-combo, the
-    /// candidate charge (leaves + pruned) accounted inside it. Merged
-    /// elementwise, so byte-identical across thread counts.
+    /// candidate charge (leaves + pruned) accounted inside it.
     pub combo_candidates: Histogram,
     /// Wall-clock time spent.
     pub elapsed: Duration,
@@ -189,9 +149,8 @@ pub struct SimResult {
 /// Pruned-candidate charge broken down by enumeration prune site: which
 /// assignment layer (`rf` or `co`) cut the subtree, and whether the
 /// incremental per-edge session said so immediately (`incremental`) or a
-/// periodic full recheck caught it (`recheck`). Charge sums — the same
-/// invariant as [`SimResult::pruned_candidates`] — so byte-identical
-/// across thread counts and task-splitting mode.
+/// periodic full recheck caught it (`recheck`). Charge sums, like
+/// [`SimResult::pruned_candidates`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneSites {
     /// Charge pruned at an rf assignment by the incremental session.
@@ -205,14 +164,6 @@ pub struct PruneSites {
 }
 
 impl PruneSites {
-    /// Folds `other` in (field-wise sum).
-    pub fn merge(&mut self, other: &PruneSites) {
-        self.rf_incremental += other.rf_incremental;
-        self.rf_recheck += other.rf_recheck;
-        self.co_incremental += other.co_incremental;
-        self.co_recheck += other.co_recheck;
-    }
-
     /// Total charge across all four sites.
     pub fn total(&self) -> u64 {
         self.rf_incremental + self.rf_recheck + self.co_incremental + self.co_recheck

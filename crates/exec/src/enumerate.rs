@@ -9,7 +9,7 @@
 //! location; that product is what explodes on unoptimised compiled tests
 //! (paper §IV-E / Fig. 11).
 //!
-//! # Architecture: staged builder with pruning and parallel combos
+//! # Architecture: staged builder with pruning
 //!
 //! The engine is organised as a three-stage pipeline per *combo* (one
 //! choice of per-thread traces), instead of the naive
@@ -22,8 +22,8 @@
 //!    dependency relations. These are *fixed* for every candidate of the
 //!    combo and shared immutably; only `rf`, `co` and the outcome vary.
 //!    The model session that judges the combo's candidates comes from the
-//!    worker's last combo when the skeleton is the same (see *Session
-//!    reuse*), and is opened on the graph otherwise.
+//!    previous combo when the skeleton is the same (see *Session reuse*),
+//!    and is opened on the graph otherwise.
 //! 2. **Assign rf** — reads are justified one at a time over their
 //!    statically-filtered candidate writes (same location, same value, not
 //!    po-later in the same thread). After each assignment the model's
@@ -41,6 +41,12 @@
 //! so [`SimResult::candidates`] and the [`SimConfig::max_candidates`]
 //! budget behave identically to exhaustive enumeration — pruning changes
 //! time, not semantics.
+//!
+//! Combos run one after another on the calling thread, in linear-index
+//! order (thread 0's trace least significant) — the reference engine's
+//! odometer order — and each folds its tallies into the [`SimResult`] as
+//! it finishes. Parallelism lives a level up: a campaign runs many
+//! simulations at once.
 //!
 //! # The pre-check
 //!
@@ -63,52 +69,12 @@
 //! event kinds, locations, annotations and their rmw/addr/data/ctrl
 //! pairs. Combos whose per-thread ids agree have the same skeleton up to
 //! values, which is all a session may read
-//! ([`ConsistencyModel::combo_checker`]). A combo-mode worker keeps its
-//! last session with the combo's shape-id vector; the next combo with
-//! the same vector reuses it, any other opens a new one. The DFS pops
-//! every push, so the session is back at its baseline when its combo
-//! ends. A stolen frontier task absorbs its forced prefix, so task mode
-//! opens a fresh session per task, and a combo that stopped early ends
-//! its worker. Sessions report their work as a running total, and each
-//! combo is charged the difference.
-//!
-//! # Parallelism and determinism
-//!
-//! Trace combos are independent, so they are sharded across
-//! [`SimConfig::threads`] workers (an atomic work-list over the linear
-//! combo index). Each worker accumulates a private outcome shard; shards
-//! are merged in combo order after the join. Outcome sets, flags, counts
-//! and the crash bit are set unions/sums, so **results are identical for
-//! every thread count**; with `threads = 1` the engine degenerates to the
-//! exact sequential enumeration order of the reference engine.
-//!
-//! # Intra-combo work stealing
-//!
-//! Combo-granular sharding starves when a simulation has fewer combos
-//! than workers (one giant combo monopolises the budget while the other
-//! workers idle). When `threads > 1` and the combo count is below the
-//! worker count, the engine switches to **frontier tasks**: a sequential
-//! pre-pass sizes each combo's decision tree — rf choice arities first,
-//! then the `m, m-1, …, 1` arities of each location's coherence positions
-//! — and picks the shallowest split depth `D` whose arity product reaches
-//! `threads × 4`. Every task is one assignment of the first `D` decisions
-//! (a mixed-radix index, most-significant-first, so ascending task ids
-//! walk the exact sequential DFS order), and workers claim task ids from
-//! the same atomic work-list.
-//!
-//! A worker *replays* its task's forced prefix — pushing each pre-decoded
-//! edge through the combo session so incremental checkers see the same
-//! prefix states the sequential DFS saw — then calls
-//! [`crate::model::ComboChecker::absorb`] to fold the prefix into the
-//! session baseline (for `IncrementalOrder`-backed sessions this is the
-//! existing `snapshot`, i.e. the worker's pool order is re-seeded from the
-//! split point), and runs the ordinary swap-DFS below `D`. Forced-level
-//! prunes charge the task's *tail product* (the candidates under one task)
-//! rather than the sequential subtree; summed over the sibling tasks that
-//! replay the same pruned prefix this equals the sequential charge
-//! exactly, so candidate accounting, outcome sets and kept executions
-//! (merged by ascending task id) stay **byte-identical to the sequential
-//! DFS** at every thread count.
+//! ([`ConsistencyModel::combo_checker`]). The enumerator keeps its last
+//! session with the combo's shape-id vector; the next combo with the same
+//! vector reuses it, any other opens a new one. The DFS pops every push,
+//! so the session is back at its baseline when its combo ends. Sessions
+//! report their work as a running total, and each combo is charged the
+//! difference.
 
 use crate::config::{PruneSites, SimConfig, SimResult};
 use crate::event::{Event, EventKind, Execution, INIT_THREAD};
@@ -116,8 +82,6 @@ use crate::model::{ComboChecker, ConsistencyModel, PartialVerdict, Verdict};
 use crate::rel::Relation;
 use crate::trace::{interpret_thread, value_pools, InterpBudget, Trace};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 use telechat_common::{
     Annot, AnnotSet, Error, EventId, Loc, Outcome, OutcomeSet, Reg, Result, StateKey, ThreadId,
@@ -190,7 +154,6 @@ pub fn simulate(
         pruned_candidates: 0,
         pushes: 0,
         frontier_evals: 0,
-        steal_tasks: 0,
         rule_leaves: BTreeMap::new(),
         rule_prunes: BTreeMap::new(),
         prune_sites: PruneSites::default(),
@@ -210,20 +173,7 @@ pub fn simulate(
     let total128: u128 = counts.iter().map(|&c| u128::from(c)).product();
     let total: u64 = total128.min(u128::from(u64::MAX)) as u64;
 
-    let threads = config
-        .threads
-        .max(1)
-        .min(usize::try_from(total).unwrap_or(usize::MAX));
-
-    let shared = Shared {
-        next: AtomicU64::new(0),
-        candidates: AtomicU64::new(0),
-        pruned: AtomicU64::new(0),
-        abort: AtomicBool::new(false),
-        error: Mutex::new(None),
-    };
-
-    let ctx = WorkerCtx {
+    let ctx = SimCtx {
         test,
         model,
         config,
@@ -233,128 +183,17 @@ pub fn simulate(
         thread_traces: &thread_traces,
         shapes: &shapes,
         supply: &supply,
-        counts: &counts,
-        total,
-        shared: &shared,
     };
-
-    // Fewer combos than workers: switch to intra-combo frontier tasks so
-    // idle workers steal unexplored subtrees of the swap-DFS (module docs).
-    let task_mode = config.threads > 1 && total < config.threads as u64;
-
-    // Spawned workers start with a fresh thread-local traversal counter,
-    // so their final value is their contribution; the spawning thread
-    // reports its delta. They also re-parent their trace spans under the
-    // caller's current span (the simulation leg).
-    let parent_span = telechat_obs::current();
-    let mut worker_traversals = 0u64;
-    let mut steal_tasks = 0u64;
-    let mut shards: Vec<Vec<(u64, ComboOut)>> = if task_mode {
-        let plans = build_task_plans(&ctx);
-        let total_tasks = plans.last().map_or(0, |p| p.first_task + p.tasks);
-        steal_tasks = total_tasks;
-        let workers = config
-            .threads
-            .min(usize::try_from(total_tasks).unwrap_or(usize::MAX));
-        if total_tasks == 0 {
-            Vec::new()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let _trace = telechat_obs::adopt(parent_span);
-                            let shard = run_task_worker(&ctx, &plans, total_tasks);
-                            (shard, crate::rel::full_traversals())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        let (shard, ft) = h.join().expect("enumeration worker panicked");
-                        worker_traversals += ft;
-                        shard
-                    })
-                    .collect()
-            })
-        }
-    } else if threads == 1 {
-        vec![run_worker(&ctx)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let _trace = telechat_obs::adopt(parent_span);
-                        (run_worker(&ctx), crate::rel::full_traversals())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    let (shard, ft) = h.join().expect("enumeration worker panicked");
-                    worker_traversals += ft;
-                    shard
-                })
-                .collect()
-        })
-    };
-
-    if let Some((_, e)) = shared.error.lock().expect("error slot").take() {
-        return Err(e);
+    let mut session: Option<Session<'_>> = None;
+    for idx in 0..total {
+        // The intra-combo deadline tick only fires every 256 leaves, so a
+        // simulation whose explosion is in *combinations* (many combos,
+        // each small) must also poll here.
+        ctx.check_deadline()?;
+        let _span = telechat_obs::span_idx("combo", idx);
+        run_combo(&ctx, &decode_combo(&counts, idx), &mut session, &mut result)?;
     }
-
-    // Deterministic merge: combo order, regardless of which worker ran what.
-    let mut outs: Vec<(u64, ComboOut)> = shards.drain(..).flatten().collect();
-    outs.sort_unstable_by_key(|(idx, _)| *idx);
-    // Per-combo DFS sizes: after the sort, task-mode shards of one combo
-    // are contiguous (ascending task ids walk ascending combos), so one
-    // histogram sample per combo is the group's charge sum. Zero-charge
-    // groups are skipped — a combo-mode worker emits an empty shard for an
-    // unjustifiable-read combo where task mode emits no tasks at all —
-    // keeping the histogram byte-identical across both scheduling modes.
-    let mut combo_group: Option<u64> = None;
-    let mut combo_charge = 0u64;
-    for (_, out) in outs {
-        if combo_group != Some(out.combo_idx) {
-            if combo_charge > 0 {
-                result.combo_candidates.record(combo_charge);
-            }
-            combo_group = Some(out.combo_idx);
-            combo_charge = 0;
-        }
-        combo_charge += out.charged;
-        result.allowed += out.allowed;
-        result.pushes += out.pushes;
-        result.frontier_evals += out.frontier_evals;
-        result.crashed |= out.crashed;
-        result.flags.extend(out.flags);
-        result.prune_sites.merge(&out.prune_sites);
-        for (rule, n) in out.rule_leaves {
-            *result.rule_leaves.entry(rule).or_insert(0) += n;
-        }
-        for (rule, n) in out.rule_prunes {
-            *result.rule_prunes.entry(rule).or_insert(0) += n;
-        }
-        for o in out.outcomes.iter() {
-            result.outcomes.insert(o.clone());
-        }
-        for x in out.executions {
-            if result.executions.len() < config.max_kept {
-                result.executions.push(x);
-            }
-        }
-    }
-    if combo_charge > 0 {
-        result.combo_candidates.record(combo_charge);
-    }
-    result.candidates = shared.candidates.load(Ordering::Relaxed);
-    result.pruned_candidates = shared.pruned.load(Ordering::Relaxed);
-    result.steal_tasks = steal_tasks;
-    result.full_traversals =
-        (crate::rel::full_traversals() - ft_start).saturating_add(worker_traversals);
+    result.full_traversals = crate::rel::full_traversals() - ft_start;
     result.elapsed = start.elapsed();
     Ok(result)
 }
@@ -386,25 +225,8 @@ pub fn precheck_agreement(test: &LitmusTest, config: &SimConfig) -> Result<Vec<(
         .collect())
 }
 
-/// Cross-worker coordination state.
-struct Shared {
-    /// Next linear combo index to claim.
-    next: AtomicU64,
-    /// Candidate counter (examined + pruned-accounted), shared so the
-    /// budget is global like the sequential engine's.
-    candidates: AtomicU64,
-    /// The pruned-subtree slice of `candidates` (charge sums, not prune
-    /// events, so the total matches the sequential DFS at every thread
-    /// count and in task mode).
-    pruned: AtomicU64,
-    /// Set on error; workers stop claiming and unwind.
-    abort: AtomicBool,
-    /// First error by lowest combo index (deterministic for `threads = 1`).
-    error: Mutex<Option<(u64, Error)>>,
-}
-
-/// Everything a worker needs, by reference.
-struct WorkerCtx<'a> {
+/// Everything a combo's run needs from its simulation, by reference.
+struct SimCtx<'a> {
     test: &'a LitmusTest,
     model: &'a dyn ConsistencyModel,
     config: &'a SimConfig,
@@ -415,44 +237,19 @@ struct WorkerCtx<'a> {
     /// Per thread, per trace: its value-erased shape id ([`shape_ids`]).
     shapes: &'a [Vec<u32>],
     supply: &'a RfSupply,
-    counts: &'a [u64],
-    total: u64,
-    shared: &'a Shared,
 }
 
-/// One combo's private result shard.
-#[derive(Default)]
-struct ComboOut {
-    /// Linear combo index this shard belongs to (set by the claim loops;
-    /// in task mode several shards share one combo). The merge groups
-    /// shards by this to record per-combo DFS sizes.
-    combo_idx: u64,
-    /// Candidate charge (leaves + pruned subtrees) accounted inside this
-    /// shard's DFS.
-    charged: u64,
-    /// Forbidden-leaf tally per first-violated rule name.
-    rule_leaves: BTreeMap<String, u64>,
-    /// Pruned charge per blamed rule name (mid-DFS rejections).
-    rule_prunes: BTreeMap<String, u64>,
-    /// Pruned charge per enumeration prune site.
-    prune_sites: PruneSites,
-    /// Counted session pushes ([`SimResult::pushes`]).
-    pushes: u64,
-    /// Counted session work ([`SimResult::frontier_evals`]).
-    frontier_evals: u64,
-    outcomes: OutcomeSet,
-    allowed: u64,
-    flags: BTreeSet<String>,
-    crashed: bool,
-    executions: Vec<Execution>,
-}
-
-/// Why a combo stopped early.
-enum Stop {
-    /// Another worker failed; discard quietly.
-    Cancelled,
-    /// This worker hit a budget/timeout.
-    Fatal(Error),
+impl SimCtx<'_> {
+    /// [`Error::Timeout`] once the simulation's wall-clock deadline has
+    /// passed.
+    fn check_deadline(&self) -> Result<()> {
+        match self.deadline {
+            Some(d) if Instant::now() > d => Err(Error::Timeout {
+                limit_ms: self.config.timeout.map_or(0, |t| t.as_millis() as u64),
+            }),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Decodes a linear combo index into the per-thread trace indices it
@@ -585,188 +382,13 @@ impl RfSupply {
     }
 }
 
-/// Cross-worker abort / deadline poll at claim boundaries. The intra-combo
-/// deadline tick only fires every 256 leaves, so a workload whose
-/// explosion is in *combinations* (many combos, each small) must also poll
-/// here. Returns `true` when the worker should unwind.
-fn poll_stop(ctx: &WorkerCtx<'_>) -> bool {
-    if ctx.shared.abort.load(Ordering::Relaxed) {
-        return true;
-    }
-    if let Some(d) = ctx.deadline {
-        if Instant::now() > d {
-            let limit_ms = ctx.config.timeout.map(|t| t.as_millis() as u64).unwrap_or(0);
-            let mut slot = ctx.shared.error.lock().expect("error slot");
-            if slot.is_none() {
-                *slot = Some((u64::MAX, Error::Timeout { limit_ms }));
-            }
-            ctx.shared.abort.store(true, Ordering::Relaxed);
-            return true;
-        }
-    }
-    false
-}
-
-/// A worker's open model session and the shape-id vector of the skeleton
-/// it was opened on. The DFS pops every push, so when a combo ends its
-/// session is back at its baseline and serves the next combo of the same
-/// skeleton (module docs, "Session reuse").
+/// The open model session and the shape-id vector of the skeleton it was
+/// opened on. The DFS pops every push, so when a combo ends its session is
+/// back at its baseline and serves the next combo of the same skeleton
+/// (module docs, "Session reuse").
 struct Session<'a> {
     shape: Vec<u32>,
     checker: Box<dyn ComboChecker + 'a>,
-}
-
-fn run_worker<'a>(ctx: &WorkerCtx<'a>) -> Vec<(u64, ComboOut)> {
-    let mut local = Vec::new();
-    let mut session: Option<Session<'a>> = None;
-    loop {
-        if poll_stop(ctx) {
-            return local;
-        }
-        let idx = ctx.shared.next.fetch_add(1, Ordering::Relaxed);
-        if idx >= ctx.total {
-            return local;
-        }
-        let _span = telechat_obs::span_idx("combo", idx);
-        let choice = decode_combo(ctx.counts, idx);
-        match run_combo(ctx, &choice, Vec::new(), 1, &mut session) {
-            Ok(mut out) => {
-                out.combo_idx = idx;
-                local.push((idx, out));
-            }
-            Err(Stop::Cancelled) => return local,
-            Err(Stop::Fatal(e)) => {
-                let mut slot = ctx.shared.error.lock().expect("error slot");
-                if slot.as_ref().is_none_or(|(i, _)| idx < *i) {
-                    *slot = Some((idx, e));
-                }
-                ctx.shared.abort.store(true, Ordering::Relaxed);
-                return local;
-            }
-        }
-    }
-}
-
-/// One combo's slice of the frontier-task space (module docs): the first
-/// `arities.len()` DFS decisions are pre-assigned per task, tasks are
-/// numbered `first_task ..` in sequential DFS order.
-struct TaskPlan {
-    /// Linear combo index (decodes to per-thread traces).
-    combo_idx: u64,
-    /// Global id of this combo's first frontier task.
-    first_task: u64,
-    /// Task count = Π `arities` (the mixed-radix space).
-    tasks: u64,
-    /// Arity of each *forced* decision level, in DFS order: rf choice
-    /// counts first, then the descending `m-k` coherence position
-    /// arities, truncated at the split depth.
-    arities: Vec<u64>,
-    /// Candidates under one task — the Π of the arities *below* the split
-    /// depth (saturating). A forced-level prune charges this much; summed
-    /// over the sibling tasks sharing the pruned prefix it equals the
-    /// sequential subtree charge exactly.
-    task_charge: u64,
-}
-
-/// Sizes every combo's decision tree and splits it into frontier tasks.
-/// Sequential pre-pass: the task-mode trigger guarantees fewer combos
-/// than workers, so the extra `build_combined` here is negligible.
-fn build_task_plans(ctx: &WorkerCtx<'_>) -> Vec<TaskPlan> {
-    let want = (ctx.config.threads as u64).saturating_mul(4);
-    let mut plans = Vec::new();
-    let mut first_task = 0u64;
-    for combo_idx in 0..ctx.total {
-        let choice = decode_combo(ctx.counts, combo_idx);
-        if !ctx.supply.justified(&choice) {
-            continue; // unjustifiable read: no candidates, no tasks
-        }
-        let combined = build_combined(ctx.test, &chosen_traces(ctx.thread_traces, &choice));
-        let rf_choices = combined
-            .rf_candidates()
-            .expect("the pre-check found a writer for every read");
-        // Decision arities in DFS order: rf levels, then the co positions
-        // of each location (m, m-1, …, 1 — the swap DFS picks one of the
-        // remaining writes per position).
-        let mut arities: Vec<u64> = rf_choices.iter().map(|c| c.len() as u64).collect();
-        for writes in combined.writes_by_loc.values() {
-            let m = writes.len() - 1; // element 0 is the init write
-            for k in 0..m {
-                arities.push((m - k) as u64);
-            }
-        }
-        // Shallowest split depth whose arity product covers the workers a
-        // few times over (load balance without flooding the claim queue);
-        // the remaining tail product is the per-task charge.
-        let mut tasks = 1u64;
-        let mut depth = 0;
-        while depth < arities.len() && tasks < want {
-            tasks = tasks.saturating_mul(arities[depth]);
-            depth += 1;
-        }
-        let task_charge = arities[depth..]
-            .iter()
-            .fold(1u64, |p, &a| p.saturating_mul(a));
-        arities.truncate(depth);
-        plans.push(TaskPlan {
-            combo_idx,
-            first_task,
-            tasks,
-            arities,
-            task_charge,
-        });
-        first_task += tasks;
-    }
-    plans
-}
-
-/// The work-stealing claim loop: identical to [`run_worker`] except the
-/// atomic work-list ranges over frontier tasks instead of combos, and
-/// results/errors are keyed by global task id (ascending ids are
-/// sequential DFS order, so the merge stays byte-identical).
-fn run_task_worker(
-    ctx: &WorkerCtx<'_>,
-    plans: &[TaskPlan],
-    total_tasks: u64,
-) -> Vec<(u64, ComboOut)> {
-    let mut local = Vec::new();
-    loop {
-        if poll_stop(ctx) {
-            return local;
-        }
-        let tid = ctx.shared.next.fetch_add(1, Ordering::Relaxed);
-        if tid >= total_tasks {
-            return local;
-        }
-        let _span = telechat_obs::span_idx("dfs-shard", tid);
-        let plan = plans
-            .iter()
-            .find(|p| tid >= p.first_task && tid - p.first_task < p.tasks)
-            .expect("task id within plan range");
-        // Mixed-radix decode, most significant (shallowest) level first:
-        // ascending task ids walk forced prefixes in sequential DFS order.
-        let mut forced = vec![0usize; plan.arities.len()];
-        let mut rem = tid - plan.first_task;
-        for (j, &a) in plan.arities.iter().enumerate().rev() {
-            forced[j] = (rem % a) as usize;
-            rem /= a;
-        }
-        let choice = decode_combo(ctx.counts, plan.combo_idx);
-        match run_combo(ctx, &choice, forced, plan.task_charge, &mut None) {
-            Ok(mut out) => {
-                out.combo_idx = plan.combo_idx;
-                local.push((tid, out));
-            }
-            Err(Stop::Cancelled) => return local,
-            Err(Stop::Fatal(e)) => {
-                let mut slot = ctx.shared.error.lock().expect("error slot");
-                if slot.as_ref().is_none_or(|(i, _)| tid < *i) {
-                    *slot = Some((tid, e));
-                }
-                ctx.shared.abort.store(true, Ordering::Relaxed);
-                return local;
-            }
-        }
-    }
 }
 
 /// Saturating factorial (subtree sizes; saturation only ever *over*-counts,
@@ -781,24 +403,19 @@ fn fact(n: u64) -> u64 {
 /// small simulations at reference-engine speed).
 const PRUNE_THRESHOLD: u64 = 8;
 
-/// Runs one combo's DFS — the whole combo when `forced` is empty, or one
-/// stolen frontier task: the DFS restricted to the pre-decoded choice at
-/// each of the first `forced.len()` decisions, charging `task_charge` per
-/// forced-level prune (see the module docs and [`ComboRun::maybe_absorb`]).
+/// Runs one combo's DFS, folding its tallies into `result`.
 ///
-/// `session` is the worker's last session: reused when its shape matches
-/// this combo's, replaced otherwise. A whole combo that finishes leaves
-/// its session there for the next one; a stolen task's session has
-/// absorbed its prefix, so it is never left behind.
+/// `session` is the previous combo's session: reused when its shape
+/// matches this combo's, replaced otherwise. A combo that finishes leaves
+/// its session there for the next one.
 fn run_combo<'a>(
-    ctx: &WorkerCtx<'a>,
+    ctx: &SimCtx<'a>,
     choice: &[usize],
-    forced: Vec<usize>,
-    task_charge: u64,
     session: &mut Option<Session<'a>>,
-) -> std::result::Result<ComboOut, Stop> {
+    result: &mut SimResult,
+) -> Result<()> {
     if !ctx.supply.justified(choice) {
-        return Ok(ComboOut::default()); // some read unjustifiable
+        return Ok(()); // some read unjustifiable
     }
     let combined = build_combined(ctx.test, &chosen_traces(ctx.thread_traces, choice));
     let rf_choices = combined
@@ -863,17 +480,6 @@ fn run_combo<'a>(
     let loc_index: BTreeMap<&Loc, usize> =
         locs.iter().enumerate().map(|(i, l)| (l, i)).collect();
 
-    // Decision-depth offset of each location's first co position (one
-    // extra entry so the leaf depth is addressable too): the DFS depth of
-    // co position (li, k) is reads.len() + co_offsets[li] + k.
-    let mut co_offsets = Vec::with_capacity(co_writes.len() + 1);
-    let mut off = 0usize;
-    for w in &co_writes {
-        co_offsets.push(off);
-        off += w.len();
-    }
-    co_offsets.push(off);
-
     // The model's combo session on the skeleton: combo-constant derived
     // relations (loc/ext/int, annotation sets, …) are computed when it
     // opens and shared by every candidate below. Incremental sessions
@@ -903,32 +509,31 @@ fn run_combo<'a>(
         chains,
         co_tail,
         loc_index,
-        co_offsets,
-        forced,
-        task_charge,
-        absorbed: false,
         execution,
         reg_outcome,
         writes_readonly,
-        out: ComboOut::default(),
-        replayed_evals: 0,
+        out: result,
+        charged: 0,
         visits: 0,
     };
     run.assign_rf(0)?;
-    run.out.frontier_evals = run.checker.frontier_evals() - evals_before - run.replayed_evals;
-    if run.forced.is_empty() {
-        *session = Some(Session {
-            shape,
-            checker: run.checker,
-        });
+    run.out.frontier_evals += run.checker.frontier_evals() - evals_before;
+    // One DFS-size sample per combo; an unjustifiable combo returned
+    // above without one.
+    if run.charged > 0 {
+        run.out.combo_candidates.record(run.charged);
     }
-    Ok(run.out)
+    *session = Some(Session {
+        shape,
+        checker: run.checker,
+    });
+    Ok(())
 }
 
 /// The per-combo DFS state: one mutable skeleton, extended and undone as
 /// the builder walks rf choices and coherence prefixes.
 struct ComboRun<'a, 'c> {
-    ctx: &'c WorkerCtx<'a>,
+    ctx: &'c SimCtx<'a>,
     checker: Box<dyn ComboChecker + 'a>,
     /// Whether `checker` opted into the per-edge incremental protocol.
     incremental: bool,
@@ -941,49 +546,36 @@ struct ComboRun<'a, 'c> {
     chains: Vec<Vec<EventId>>,
     co_tail: Vec<u64>,
     loc_index: BTreeMap<&'c Loc, usize>,
-    /// Decision-depth offset of each location's first co position
-    /// (`len + 1` entries; see [`run_combo`]).
-    co_offsets: Vec<usize>,
-    /// Forced decision prefix of a stolen frontier task, empty in combo
-    /// mode: `forced[d]` is the choice index taken at DFS depth `d`.
-    forced: Vec<usize>,
-    /// Candidates under one frontier task (1 in combo mode): the charge
-    /// for a prune at a forced level.
-    task_charge: u64,
-    /// Whether the forced prefix has been absorbed into the session.
-    absorbed: bool,
     execution: Execution,
     reg_outcome: Outcome,
     writes_readonly: bool,
-    out: ComboOut,
-    /// Session work spent on forced pushes this task replays but does not
-    /// count (see [`ComboRun::count_forced_push`]).
-    replayed_evals: u64,
+    /// The simulation's result, which this combo's tallies fold into.
+    out: &'c mut SimResult,
+    /// Candidate charge (leaves + pruned subtrees) accounted in this combo.
+    charged: u64,
     visits: u64,
 }
 
 impl ComboRun<'_, '_> {
-    /// Accounts `n` candidates (examined or pruned) against the global
-    /// budget, and against this shard's tally (the per-combo DFS-size
-    /// histogram sums shard tallies at merge).
-    fn charge(&mut self, n: u64) -> std::result::Result<(), Stop> {
-        self.out.charged = self.out.charged.saturating_add(n);
-        let prev = self.ctx.shared.candidates.fetch_add(n, Ordering::Relaxed);
-        let total = prev.saturating_add(n);
-        if total > self.ctx.config.max_candidates {
-            self.ctx.shared.abort.store(true, Ordering::Relaxed);
-            return Err(Stop::Fatal(Error::Budget { steps: total }));
+    /// Accounts `n` candidates (examined or pruned) against the budget and
+    /// against this combo's DFS size.
+    fn charge(&mut self, n: u64) -> Result<()> {
+        self.charged = self.charged.saturating_add(n);
+        self.out.candidates = self.out.candidates.saturating_add(n);
+        if self.out.candidates > self.ctx.config.max_candidates {
+            return Err(Error::Budget {
+                steps: self.out.candidates,
+            });
         }
         Ok(())
     }
 
     /// [`ComboRun::charge`] for a pruned subtree: the charge also lands in
-    /// the shared pruned tally, so `SimResult::pruned_candidates` reports
-    /// how much of the budget prunes covered. Always on (it feeds result
-    /// accounting, not just telemetry) and deterministic by the same
-    /// charge-sum argument as the budget itself.
-    fn charge_pruned(&mut self, n: u64) -> std::result::Result<(), Stop> {
-        self.ctx.shared.pruned.fetch_add(n, Ordering::Relaxed);
+    /// the pruned tally, so `SimResult::pruned_candidates` reports how much
+    /// of the budget prunes covered. Always on: it feeds result
+    /// accounting, not just telemetry.
+    fn charge_pruned(&mut self, n: u64) -> Result<()> {
+        self.out.pruned_candidates = self.out.pruned_candidates.saturating_add(n);
         self.charge(n)
     }
 
@@ -991,18 +583,16 @@ impl ComboRun<'_, '_> {
     /// cut is charged: which site fired (the assignment layer × whether
     /// the incremental session or a periodic recheck said `Forbidden`),
     /// and — when the session can name it — the first-violated rule.
-    /// Rides the `ComboOut` shard, so the merged totals are charge sums:
-    /// byte-identical across thread counts and task-splitting mode, like
-    /// [`SimResult::pruned_candidates`] itself.
     fn attribute_prune(&mut self, n: u64, rf_site: bool) {
+        let sites = &mut self.out.prune_sites;
         match (rf_site, self.incremental) {
-            (true, true) => self.out.prune_sites.rf_incremental += n,
-            (true, false) => self.out.prune_sites.rf_recheck += n,
-            (false, true) => self.out.prune_sites.co_incremental += n,
-            (false, false) => self.out.prune_sites.co_recheck += n,
+            (true, true) => sites.rf_incremental += n,
+            (true, false) => sites.rf_recheck += n,
+            (false, true) => sites.co_incremental += n,
+            (false, false) => sites.co_recheck += n,
         }
-        // Look the rule up by `&str` first: only a shard's first prune per
-        // rule allocates its key.
+        // Look the rule up by `&str` first: only a simulation's first
+        // prune per rule allocates its key.
         if let Some(rule) = self.checker.blame() {
             match self.out.rule_prunes.get_mut(rule) {
                 Some(total) => *total += n,
@@ -1013,55 +603,13 @@ impl ComboRun<'_, '_> {
         }
     }
 
-    /// Counts a forced-prefix push of a stolen task at DFS `depth`. Every
-    /// sibling task under the same prefix replays it, but the sequential
-    /// DFS pushes it once, so only the first sibling (every later forced
-    /// choice 0) counts it; the others discount the session work it cost.
-    /// `sim.pushes` and `cat.frontier_evals` then sum to the sequential
-    /// totals at every thread count.
-    fn count_forced_push(&mut self, depth: usize, evals_before: u64) {
-        if self.forced[depth + 1..].iter().all(|&c| c == 0) {
-            self.out.pushes += 1;
-        } else {
-            self.replayed_evals += self.checker.frontier_evals() - evals_before;
-        }
-    }
-
-    /// Periodic deadline / cross-worker abort check.
-    fn tick(&mut self) -> std::result::Result<(), Stop> {
+    /// Periodic deadline check.
+    fn tick(&mut self) -> Result<()> {
         self.visits += 1;
-        if !self.visits.is_multiple_of(256) {
-            return Ok(());
-        }
-        if self.ctx.shared.abort.load(Ordering::Relaxed) {
-            return Err(Stop::Cancelled);
-        }
-        if let Some(d) = self.ctx.deadline {
-            if Instant::now() > d {
-                self.ctx.shared.abort.store(true, Ordering::Relaxed);
-                let limit_ms = self
-                    .ctx
-                    .config
-                    .timeout
-                    .map(|t| t.as_millis() as u64)
-                    .unwrap_or(0);
-                return Err(Stop::Fatal(Error::Timeout { limit_ms }));
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds the forced prefix into the model session the first time the
-    /// DFS reaches the free region (depth = forced length): from here on
-    /// the task is an ordinary combo DFS whose session was re-seeded from
-    /// the split point, and the forced pushes are never popped (the task
-    /// owns this `ComboRun`; nothing below ever unwinds past the split).
-    fn maybe_absorb(&mut self, depth: usize) {
-        if !self.absorbed && !self.forced.is_empty() && depth >= self.forced.len() {
-            if self.incremental {
-                self.checker.absorb();
-            }
-            self.absorbed = true;
+        if self.visits.is_multiple_of(256) {
+            self.ctx.check_deadline()
+        } else {
+            Ok(())
         }
     }
 
@@ -1071,39 +619,12 @@ impl ComboRun<'_, '_> {
     /// verdict is free, so any `Forbidden` prunes regardless of subtree
     /// size; re-check sessions are only consulted when a subtree of at
     /// least [`PRUNE_THRESHOLD`] completions hangs off the node.
-    fn assign_rf(&mut self, i: usize) -> std::result::Result<(), Stop> {
-        self.maybe_absorb(i);
+    fn assign_rf(&mut self, i: usize) -> Result<()> {
         if i == self.reads.len() {
             return self.assign_co(0, 0);
         }
         let r = self.reads[i];
         let subtree = self.rf_tail[i + 1];
-        if i < self.forced.len() {
-            // Stolen frontier: replay the one pre-decoded choice, with the
-            // same verdict protocol the sequential loop body uses, so the
-            // session and the prune decisions match the sequential DFS
-            // exactly. A prune charges the per-task tail product — summed
-            // over the sibling tasks replaying this prefix that equals
-            // `subtree`, the sequential charge.
-            let w = self.rf_choices[i][self.forced[i]];
-            self.execution.rf.insert(w, r);
-            let verdict = if self.incremental {
-                let evals = self.checker.frontier_evals();
-                let v = self.checker.push_rf(&self.execution, w, r);
-                self.count_forced_push(i, evals);
-                v
-            } else if subtree >= PRUNE_THRESHOLD {
-                self.checker.check_partial(&self.execution)
-            } else {
-                PartialVerdict::Undecided
-            };
-            return if verdict == PartialVerdict::Forbidden {
-                self.attribute_prune(self.task_charge, true);
-                self.charge_pruned(self.task_charge)
-            } else {
-                self.assign_rf(i + 1)
-            };
-        }
         for ci in 0..self.rf_choices[i].len() {
             let w = self.rf_choices[i][ci];
             self.execution.rf.insert(w, r);
@@ -1132,50 +653,13 @@ impl ComboRun<'_, '_> {
 
     /// Stage 3: extend location `li`'s coherence chain by one write
     /// (position `k`), lazily walking permutations with undo.
-    fn assign_co(&mut self, li: usize, k: usize) -> std::result::Result<(), Stop> {
+    fn assign_co(&mut self, li: usize, k: usize) -> Result<()> {
         if li == self.chains.len() {
-            self.maybe_absorb(self.reads.len() + self.co_offsets[li]);
             return self.leaf();
         }
-        let depth = self.reads.len() + self.co_offsets[li] + k;
-        self.maybe_absorb(depth);
         let m = self.co_writes[li].len();
         if k == m {
             return self.assign_co(li + 1, 0);
-        }
-        if depth < self.forced.len() {
-            // Stolen frontier: apply the pre-decoded swap so everything
-            // below the split sees exactly the permutation prefix the
-            // sequential DFS would have built; nothing is unwound.
-            let pick = k + self.forced[depth];
-            self.co_writes[li].swap(k, pick);
-            let w = self.co_writes[li][k];
-            for idx in 0..self.chains[li].len() {
-                let p = self.chains[li][idx];
-                self.execution.co.insert(p, w);
-            }
-            let verdict = if self.incremental {
-                let evals = self.checker.frontier_evals();
-                let v = self.checker.push_co(&self.execution, &self.chains[li], w);
-                self.count_forced_push(depth, evals);
-                v
-            } else {
-                PartialVerdict::Undecided
-            };
-            self.chains[li].push(w);
-            let subtree = fact((m - k - 1) as u64).saturating_mul(self.co_tail[li + 1]);
-            let pruned = if self.incremental {
-                verdict == PartialVerdict::Forbidden
-            } else {
-                subtree >= PRUNE_THRESHOLD
-                    && self.checker.check_partial(&self.execution) == PartialVerdict::Forbidden
-            };
-            return if pruned {
-                self.attribute_prune(self.task_charge, false);
-                self.charge_pruned(self.task_charge)
-            } else {
-                self.assign_co(li, k + 1)
-            };
         }
         for pick in k..m {
             self.co_writes[li].swap(k, pick);
@@ -1220,7 +704,7 @@ impl ComboRun<'_, '_> {
     }
 
     /// A complete candidate: judge it and record the outcome if allowed.
-    fn leaf(&mut self) -> std::result::Result<(), Stop> {
+    fn leaf(&mut self) -> Result<()> {
         self.charge(1)?;
         self.tick()?;
 
@@ -1259,9 +743,7 @@ impl ComboRun<'_, '_> {
             }
             Verdict::Forbidden { rule } => {
                 // First-violated-rule attribution: a pure function of the
-                // candidate (the checker walks its rules in source order),
-                // so the merged tallies are thread-invariant — the visited
-                // leaf set is.
+                // candidate (the checker walks its rules in source order).
                 *self.out.rule_leaves.entry(rule).or_insert(0) += 1;
             }
         }
@@ -1649,23 +1131,9 @@ exists (true)
         }
     }
 
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let test = parse_c11(SB).unwrap();
-        let base = simulate(&test, &SeqCstRef, &SimConfig::default()).unwrap();
-        for threads in [2, 4, 8] {
-            let cfg = SimConfig::default().with_threads(threads);
-            let r = simulate(&test, &SeqCstRef, &cfg).unwrap();
-            assert_eq!(r.outcomes, base.outcomes, "threads={threads}");
-            assert_eq!(r.candidates, base.candidates, "threads={threads}");
-            assert_eq!(r.allowed, base.allowed, "threads={threads}");
-        }
-    }
-
     /// Three same-value writers to one location plus a reader: a single
     /// trace combo whose swap-DFS has decision arities [3, 3, 2, 1]
-    /// (one rf choice of 3, then co positions 3·2·1), so intra-combo
-    /// work stealing splits mid-coherence rather than only at rf.
+    /// (one rf choice of 3, then co positions 3·2·1).
     const WIDE_CO: &str = r#"
 C11 "WIDE-CO"
 { x = 0; }
@@ -1685,48 +1153,20 @@ exists (P3:r0=1)
 "#;
 
     #[test]
-    fn work_stealing_byte_identical_results() {
-        // Intra-combo work stealing (threads > combos) must reproduce the
-        // sequential run byte for byte: outcomes, candidate accounting,
-        // flags, crash bit AND the kept-execution list in order.
-        for model in [&AllowAll as &dyn ConsistencyModel, &SeqCstRef, &CoherenceOnly] {
-            for src in [SB, LB, WIDE_CO] {
-                let test = parse_c11(src).unwrap();
-                let base_cfg = SimConfig::default().keeping_executions();
-                let base = simulate(&test, model, &base_cfg).unwrap();
-                for threads in [2, 4, 8] {
-                    let cfg = base_cfg.clone().with_threads(threads);
-                    let r = simulate(&test, model, &cfg).unwrap();
-                    let tag = format!("{} under {} threads={threads}", test.name, model.name());
-                    assert_eq!(r.outcomes, base.outcomes, "{tag}");
-                    assert_eq!(r.candidates, base.candidates, "{tag}");
-                    assert_eq!(r.allowed, base.allowed, "{tag}");
-                    assert_eq!(r.flags, base.flags, "{tag}");
-                    assert_eq!(r.crashed, base.crashed, "{tag}");
-                    assert_eq!(r.executions, base.executions, "{tag}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn work_stealing_runs_no_full_traversals() {
-        // Stolen frontiers replay their forced prefix and absorb it into
-        // the session baseline — still zero full toposort traversals at
-        // every thread count, including mid-co steal points (WIDE_CO).
+        // Zero full toposort traversals on SB, LB and a single combo with
+        // three coherence positions (WIDE_CO), under both built-in
+        // incremental models.
         for src in [SB, LB, WIDE_CO] {
             let test = parse_c11(src).unwrap();
             for model in [&SeqCstRef as &dyn ConsistencyModel, &CoherenceOnly] {
-                for threads in [1, 2, 4] {
-                    let cfg = SimConfig::default().with_threads(threads);
-                    let r = simulate(&test, model, &cfg).unwrap();
-                    assert_eq!(
-                        r.full_traversals, 0,
-                        "full traversal during {} enumeration of {} at threads={threads}",
-                        model.name(),
-                        test.name
-                    );
-                }
+                let r = simulate(&test, model, &SimConfig::default()).unwrap();
+                assert_eq!(
+                    r.full_traversals, 0,
+                    "full traversal during {} enumeration of {}",
+                    model.name(),
+                    test.name
+                );
             }
         }
     }
@@ -1756,7 +1196,7 @@ exists (P3:r0=1)
         // built-in models' incremental combo sessions, an entire simulation
         // runs zero full Kahn/toposort traversals — partial checks AND leaf
         // checks are answered from per-edge reachability state. (The
-        // counter is thread-local; threads = 1 keeps all work here.)
+        // counter is thread-local, and the whole simulation runs here.)
         for src in [SB, LB] {
             let test = parse_c11(src).unwrap();
             for model in [&SeqCstRef as &dyn ConsistencyModel, &CoherenceOnly] {
@@ -1773,9 +1213,7 @@ exists (P3:r0=1)
         }
     }
 
-    /// Three combos that differ only in the value P2 reads: one skeleton,
-    /// and fewer combos than four workers, so threads = 4 runs in task
-    /// mode.
+    /// Three combos that differ only in the value P2 reads: one skeleton.
     const ONE_SKELETON: &str = r#"
 C11 "ONE-SKELETON"
 { x = 0; }
@@ -1838,36 +1276,15 @@ exists (P1:r0=1 /\ P1:r1=0)
         }
 
         fn combo_checker<'a>(&'a self, skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
-            self.opened.fetch_add(1, Ordering::Relaxed);
+            self.opened.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.inner.combo_checker(skeleton)
         }
     }
 
-    /// Every field of a result that must not depend on scheduling.
-    fn deterministic(r: &SimResult) -> String {
-        format!(
-            "{:?}",
-            (
-                &r.outcomes,
-                r.candidates,
-                r.allowed,
-                &r.flags,
-                r.crashed,
-                &r.executions,
-                (r.pruned_candidates, r.pushes),
-                r.frontier_evals,
-                &r.rule_leaves,
-                &r.rule_prunes,
-                &r.prune_sites,
-                &r.combo_candidates,
-            )
-        )
-    }
-
-    /// A test's combo count, its justifiable combos and the distinct
-    /// value-erased skeletons among them, computed from the built graphs
-    /// rather than from shape ids.
-    fn justifiable_skeletons(test: &LitmusTest) -> (usize, usize, usize) {
+    /// A test's justifiable combos and the distinct value-erased skeletons
+    /// among them, computed from the built graphs rather than from shape
+    /// ids.
+    fn justifiable_skeletons(test: &LitmusTest) -> (usize, usize) {
         let traces = interpret_all_traces(test, &SimConfig::default()).unwrap();
         let counts: Vec<u64> = traces.iter().map(|t| t.len() as u64).collect();
         let total = counts.iter().product::<u64>() as usize;
@@ -1887,19 +1304,17 @@ exists (P1:r0=1 /\ P1:r1=0)
                 ));
             }
         }
-        (total, combos, skeletons.len())
+        (combos, skeletons.len())
     }
 
     #[test]
     fn sessions_are_reused_across_same_skeleton_combos() {
         // Combos of one skeleton that differ only in read values share
-        // one session per worker. Results equal the reference engine and
-        // are byte-identical at every thread count (task mode included),
-        // push and session-work counters too; at threads = 1 exactly one
-        // session opens per skeleton.
+        // one session: exactly one session opens per skeleton, and the
+        // results equal the reference engine's.
         for src in [ONE_SKELETON, TWO_SKELETONS] {
             let test = parse_c11(src).unwrap();
-            let (total, combos, skeletons) = justifiable_skeletons(&test);
+            let (combos, skeletons) = justifiable_skeletons(&test);
             assert!(combos > skeletons, "{}: {combos} combos, {skeletons} skeletons", test.name);
             for model in [&SeqCstRef as &dyn ConsistencyModel, &CoherenceOnly] {
                 let cfg = SimConfig::default().keeping_executions();
@@ -1917,16 +1332,6 @@ exists (P1:r0=1 /\ P1:r1=0)
                 assert_eq!(base.allowed, old.allowed, "{tag}");
                 assert_eq!(base.flags, old.flags, "{tag}");
                 assert_eq!(base.crashed, old.crashed, "{tag}");
-                for threads in [2, 4, 16] {
-                    let r = simulate(&test, model, &cfg.clone().with_threads(threads)).unwrap();
-                    assert_eq!(
-                        deterministic(&r),
-                        deterministic(&base),
-                        "{tag} threads={threads}"
-                    );
-                    // Fewer combos than workers: frontier tasks.
-                    assert_eq!(r.steal_tasks > 0, threads > total, "{tag} threads={threads}");
-                }
             }
         }
     }

@@ -114,17 +114,6 @@ impl IncrementalOrder {
         }
     }
 
-    /// Absorbs every open frame into the permanent baseline: all edges
-    /// recorded so far become seed-like (no longer undoable), the journal
-    /// is discarded, and the cycle count is preserved. Useful when a
-    /// caller builds its base state incrementally (cheaper than a closure
-    /// recomputation) and then wants DFS frames on top.
-    pub fn snapshot(&mut self) {
-        self.journal_idx.clear();
-        self.journal_rows.clear();
-        self.frames.clear();
-    }
-
     /// Opens an undo frame; every subsequent [`add_edge`] belongs to it
     /// until the matching [`undo`].
     ///
@@ -292,39 +281,6 @@ mod tests {
         assert!(!ord.is_acyclic());
         ord.undo();
         assert!(ord.is_acyclic());
-    }
-
-    #[test]
-    fn snapshot_absorbs_frames_into_baseline() {
-        let mut ord = IncrementalOrder::new(8, &[]);
-        ord.begin();
-        assert!(ord.add_edge(e(0), e(1)));
-        assert!(ord.add_edge(e(1), e(2)));
-        ord.snapshot();
-        assert_eq!(ord.depth(), 0);
-        // The absorbed edges behave exactly like seeds: they survive a
-        // full frame unwind…
-        ord.begin();
-        assert!(ord.add_edge(e(2), e(3)));
-        assert!(ord.reaches(e(0), e(3)));
-        ord.undo();
-        assert!(ord.reaches(e(0), e(2)), "snapshot edges survive undo");
-        assert!(!ord.reaches(e(0), e(3)));
-        // …and a cycle against them is detected and undoable.
-        ord.begin();
-        assert!(!ord.add_edge(e(2), e(0)));
-        assert!(!ord.is_acyclic());
-        ord.undo();
-        assert!(ord.is_acyclic());
-    }
-
-    #[test]
-    fn snapshot_preserves_outstanding_cycles() {
-        let mut ord = IncrementalOrder::new(4, &[]);
-        ord.begin();
-        assert!(!ord.add_edge(e(1), e(1)));
-        ord.snapshot();
-        assert!(!ord.is_acyclic(), "absorbed cycle is permanent");
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! dependency relations once, then walks reads-from assignments and
 //! lazily-generated coherence orders as a staged DFS, consulting the
 //! model's [`ConsistencyModel::check_partial`] fast-reject hook to prune
-//! entire subtrees before they are materialised. Trace combinations are
-//! sharded across [`SimConfig::threads`] workers with a deterministic
-//! merge, so outcome sets are identical for every thread count. The naive
-//! generate-then-filter enumerator is retained in [`reference`] as the
-//! differential-testing oracle ([`simulate_reference`]).
+//! entire subtrees before they are materialised. Trace combinations run
+//! one after another on the calling thread. The naive generate-then-filter
+//! enumerator is retained in [`reference`] as the differential-testing
+//! oracle ([`simulate_reference`]).
 //!
 //! # Example
 //!

@@ -128,15 +128,14 @@ pub trait ConsistencyModel: Send + Sync {
 ///
 /// # Reuse across combos
 ///
-/// A session may be reused across combos: the engine keeps a worker's
-/// last session and hands it the next combo whose value-erased skeleton
-/// is the same (combos that differ only in the values their reads and
-/// writes carry). The DFS pops every push it makes, strictly LIFO, so a
-/// session must be back at its baseline — the state it was opened in —
-/// after the pops, with nothing of the finished combo left behind.
-/// [`absorb`] breaks this (absorbed pushes are never popped), so a
-/// session that absorbed is never reused; neither is one whose combo
-/// stopped early on a budget, timeout or cancellation.
+/// A session may be reused across combos: the engine keeps its last
+/// session and hands it the next combo whose value-erased skeleton is the
+/// same (combos that differ only in the values their reads and writes
+/// carry). The DFS pops every push it makes, strictly LIFO, so a session
+/// must be back at its baseline — the state it was opened in — after the
+/// pops, with nothing of the finished combo left behind. A combo that
+/// stops early on a budget or timeout ends the simulation, so its session
+/// is never reused.
 ///
 /// # Incremental sessions
 ///
@@ -154,7 +153,6 @@ pub trait ConsistencyModel: Send + Sync {
 /// state in O(1) instead of re-deriving relations.
 ///
 /// [`incremental`]: ComboChecker::incremental
-/// [`absorb`]: ComboChecker::absorb
 /// [`push_rf`]: ComboChecker::push_rf
 /// [`push_co`]: ComboChecker::push_co
 /// [`pop_rf`]: ComboChecker::pop_rf
@@ -195,26 +193,13 @@ pub trait ComboChecker: Send {
     /// Undoes the most recent [`push_co`](ComboChecker::push_co).
     fn pop_co(&mut self, _partial: &Execution, _preds: &[EventId], _w: EventId) {}
 
-    /// Folds every edge pushed so far into the session's permanent
-    /// baseline: subsequent pops may only unwind pushes made *after* this
-    /// call, and the absorbed pushes will never be popped.
-    ///
-    /// The work-stealing enumerator calls this once per stolen DFS
-    /// frontier, after replaying the frontier's forced edge prefix — the
-    /// session is then re-seeded from the split point exactly like a fresh
-    /// session opened on the extended skeleton, but without re-deriving
-    /// any combo-constant state. Sessions backed by
-    /// [`IncrementalOrder`] implement it with the existing
-    /// [`IncrementalOrder::snapshot`]; the default is a no-op.
-    fn absorb(&mut self) {}
-
     /// The first-violated rule name in the session's *current* state, for
     /// prune attribution: called by the enumerator right after a push (or
     /// recheck) answered `Forbidden`, before the edge is unwound. `None`
     /// when the session cannot name a rule (plain forwarding sessions) —
     /// the prune is still charged, just unattributed. The answer must be a
-    /// pure function of the pushed-edge set, so attribution totals stay
-    /// byte-identical across thread counts.
+    /// pure function of the pushed-edge set, so attribution totals are
+    /// deterministic.
     fn blame(&self) -> Option<&str> {
         None
     }
@@ -371,12 +356,6 @@ impl ComboChecker for SeqCstSession {
 
     fn pop_co(&mut self, _partial: &Execution, _preds: &[EventId], _w: EventId) {
         self.order.undo();
-    }
-
-    fn absorb(&mut self) {
-        // The `readers` mirror needs no frame handling: absorbed edges are
-        // never popped, so the plain bit-matrix is already consistent.
-        self.order.snapshot();
     }
 
     fn blame(&self) -> Option<&str> {
@@ -549,12 +528,6 @@ impl ComboChecker for CoherenceSession {
             }
         }
         self.order.undo();
-    }
-
-    fn absorb(&mut self) {
-        // `readers`/`co`/`fr` are plain mirrors (no undo frames); only the
-        // reachability order carries journal state to collapse.
-        self.order.snapshot();
     }
 
     fn blame(&self) -> Option<&str> {

@@ -28,7 +28,7 @@ use telechat_litmus::LitmusTest;
 /// Simulates `test` under `model` with the naive reference enumerator.
 ///
 /// Semantically equivalent to [`crate::simulate`] (the property tests
-/// enforce it); ignores [`SimConfig::threads`].
+/// enforce it).
 ///
 /// # Errors
 ///
@@ -65,7 +65,6 @@ pub fn simulate_reference(
         pruned_candidates: 0,
         pushes: 0,
         frontier_evals: 0,
-        steal_tasks: 0,
         rule_leaves: std::collections::BTreeMap::new(),
         rule_prunes: std::collections::BTreeMap::new(),
         prune_sites: crate::config::PruneSites::default(),

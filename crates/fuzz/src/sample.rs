@@ -5,7 +5,7 @@
 //! kinds from one [`XorShiftRng`] stream, rejection-sampling until the
 //! shape is well-formed. Everything is a pure function of the seed and the
 //! draw index, so a fixed-seed stream is byte-identical on every machine
-//! and for every campaign/simulation thread count — the campaign driver
+//! and for every campaign thread count — the campaign driver
 //! pulls tests from the stream under a lock, in order, no matter how many
 //! workers consume them.
 

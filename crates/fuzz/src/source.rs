@@ -45,7 +45,7 @@ impl FuzzConfig {
 ///
 /// Byte-determinism contract: the sequence of emitted tests — and therefore
 /// [`FuzzSource::stream_hash`] — is a pure function of the [`FuzzConfig`].
-/// Campaign or simulation thread counts play no part: the campaign driver
+/// The campaign thread count plays no part: the campaign driver
 /// pulls from the iterator under a lock in a fixed order.
 #[derive(Debug)]
 pub struct FuzzSource {

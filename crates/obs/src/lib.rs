@@ -35,7 +35,7 @@
 //! * [`Class::Deterministic`] — byte-identical across thread counts,
 //!   cache on/off and store warm/cold; the set CI gates on.
 //! * [`Class::Scheduling`] — honest about depending on scheduling (gate
-//!   waits, stolen tasks, deadline kills).
+//!   waits, deadline kills).
 //! * [`Class::Process`] — process-scoped monotone state (model-registry
 //!   traffic, fault firings) that earlier work in the same process can
 //!   have absorbed already.
@@ -320,7 +320,6 @@ counters! {
     SimFullTraversals => ("sim.full_traversals", Deterministic),
     SimPushes => ("sim.pushes", Deterministic),
     CatFrontierEvals => ("cat.frontier_evals", Deterministic),
-    SimStealTasks => ("sim.steal_tasks", Scheduling),
     CacheGateWaits => ("cache.gate_waits", Scheduling),
     CatSessions => ("cat.combo_sessions", Scheduling),
     CampaignDeadlineKills => ("campaign.deadline_kills", Scheduling),
@@ -587,7 +586,7 @@ pub fn merge_hist(name: &str, class: Class, h: &Histogram) {
 // ---------------------------------------------------------------------------
 
 /// Metrics kept per thread because existing pin tests read per-thread
-/// deltas (spawned enumeration workers report their own contribution).
+/// deltas (a simulation runs entirely on its caller's thread).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalMetric {
     /// Full-graph acyclicity/topological traversals — the counter the
@@ -1265,14 +1264,14 @@ mod tests {
         begin();
         add(Counter::SimCandidates, 3);
         add(Counter::SimCandidates, 4);
-        add(Counter::SimStealTasks, 2);
+        add(Counter::CacheGateWaits, 2);
         {
             let _root = span("campaign");
             let _leg = span_with("work-item", || "SB:clang".into());
         }
         let report = finish();
         assert_eq!(report.counter("sim.candidates"), Some(7));
-        assert_eq!(report.counter("sim.steal_tasks"), Some(2));
+        assert_eq!(report.counter("cache.gate_waits"), Some(2));
         assert_eq!(report.spans().len(), 2);
         let spans = report.spans();
         let root = spans[0];
@@ -1285,7 +1284,7 @@ mod tests {
         assert!(report
             .deterministic_counters()
             .iter()
-            .all(|(n, _)| n != "sim.steal_tasks"));
+            .all(|(n, _)| n != "cache.gate_waits"));
     }
 
     #[test]

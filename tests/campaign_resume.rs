@@ -1,8 +1,8 @@
 //! Resume/shard pins for the campaign work-item journal: a journaled
 //! campaign killed at **every** work-item boundary (and mid-append)
 //! resumes to a result byte-identical — cells, positive list, accounting —
-//! to an uninterrupted run, at every campaign × simulation thread count
-//! and over cold or warm leg stores; the journal counters themselves are
+//! to an uninterrupted run, at every campaign thread count and over cold
+//! or warm leg stores; the journal counters themselves are
 //! thread-count-invariant; an injected fault is one unjournaled error cell
 //! that heals on resume; and an N-way shard partition covers the work-item
 //! space disjointly with `merge` reproducing the unsharded table.
@@ -223,34 +223,28 @@ fn resume_matrix_campaign_and_sim_threads_cold_and_warm_store() {
 
     let mut all_stats = Vec::new();
     for campaign_threads in [1usize, 4] {
-        for sim_threads in [1usize, 4] {
-            for warm_store in [false, true] {
-                let mut config = PipelineConfig::default();
-                config.sim.threads = sim_threads;
-                let journal = open_journal(&mem_with(image[..cut].to_vec()), fp, ShardSpec::whole());
-                let mut spec = wide_spec(campaign_threads);
-                spec.journal = Some(journal);
-                let store_mem = if warm_store {
-                    warm_store_mem.clone()
-                } else {
-                    MemBackend::new()
-                };
-                spec.store = Some(Arc::new(
-                    PersistStore::open_backend(Box::new(store_mem)).unwrap(),
-                ));
-                let resumed = run_campaign(&tests, &spec, &config).unwrap();
-                let label = format!(
-                    "campaign={campaign_threads} sim={sim_threads} warm_store={warm_store}"
-                );
-                assert_eq!(fingerprint(&resumed), fingerprint(&baseline), "{label}");
-                let stats = resumed.journal.clone().unwrap();
-                assert_eq!(stats.replayed, replayed, "{label}");
-                all_stats.push(stats);
-            }
+        for warm_store in [false, true] {
+            let journal = open_journal(&mem_with(image[..cut].to_vec()), fp, ShardSpec::whole());
+            let mut spec = wide_spec(campaign_threads);
+            spec.journal = Some(journal);
+            let store_mem = if warm_store {
+                warm_store_mem.clone()
+            } else {
+                MemBackend::new()
+            };
+            spec.store = Some(Arc::new(
+                PersistStore::open_backend(Box::new(store_mem)).unwrap(),
+            ));
+            let resumed = run_campaign(&tests, &spec, &config).unwrap();
+            let label = format!("campaign={campaign_threads} warm_store={warm_store}");
+            assert_eq!(fingerprint(&resumed), fingerprint(&baseline), "{label}");
+            let stats = resumed.journal.clone().unwrap();
+            assert_eq!(stats.replayed, replayed, "{label}");
+            all_stats.push(stats);
         }
     }
-    // One journal-counter value across the whole matrix: campaign threads,
-    // simulation threads and store temperature all invisible.
+    // One journal-counter value across the whole matrix: campaign threads
+    // and store temperature both invisible.
     for stats in &all_stats[1..] {
         assert_eq!(stats, &all_stats[0]);
     }

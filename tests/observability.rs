@@ -1,8 +1,8 @@
 //! Observability invariants (PR 8): instrumentation off is semantically
 //! invisible, the deterministic (`count`-class) metric totals are
-//! byte-identical across every campaign × simulation thread combination,
-//! and the JSONL trace of a seeded campaign round-trips a schema check
-//! with a well-nested single-root span tree.
+//! byte-identical across campaign thread counts, and the JSONL trace of
+//! a seeded campaign round-trips a schema check with a well-nested
+//! single-root span tree.
 //!
 //! The obs registry is process-global, so every test in this binary takes
 //! [`SERIAL`] first — campaigns with `metrics: true` must not overlap.
@@ -33,15 +33,9 @@ fn spec(threads: usize, metrics: bool) -> CampaignSpec {
     }
 }
 
-fn config(sim_threads: usize) -> PipelineConfig {
-    let mut config = PipelineConfig::default();
-    config.sim.threads = sim_threads;
-    config
-}
-
-fn run(seed: u64, count: usize, spec: &CampaignSpec, config: &PipelineConfig) -> CampaignResult {
+fn run(seed: u64, count: usize, spec: &CampaignSpec) -> CampaignResult {
     let mut source = FuzzSource::new(&FuzzConfig::smoke(seed, count));
-    run_campaign_source(&mut source, spec, config).unwrap()
+    run_campaign_source(&mut source, spec, &PipelineConfig::default()).unwrap()
 }
 
 /// Everything a campaign result *means*: cells, positives, accounting,
@@ -59,20 +53,19 @@ fn fingerprint(r: &CampaignResult) -> (String, Vec<(String, String)>, usize, usi
 #[test]
 fn instrumentation_off_is_semantically_invisible() {
     let _guard = SERIAL.lock().unwrap();
-    let config = config(1);
-    let off = run(7, 16, &spec(1, false), &config);
+    let off = run(7, 16, &spec(1, false));
     assert!(off.obs.is_none(), "metrics: false must not attach a report");
     // Rendering an uninstrumented, unstored campaign stays the pre-PR
     // shape: no `metrics:` block sneaks into `Display`.
     let mut plain = spec(1, false);
     plain.cache = false;
-    let plain_run = run(7, 16, &plain, &config);
+    let plain_run = run(7, 16, &plain);
     assert!(
         !format!("{plain_run}").contains("metrics:"),
         "uncached campaigns without --metrics render exactly as before"
     );
 
-    let on = run(7, 16, &spec(1, true), &config);
+    let on = run(7, 16, &spec(1, true));
     let report = on.obs.as_ref().expect("metrics: true attaches a report");
     assert_eq!(
         fingerprint(&on),
@@ -90,13 +83,9 @@ fn instrumentation_off_is_semantically_invisible() {
 #[test]
 fn deterministic_totals_invariant_across_thread_matrix() {
     let _guard = SERIAL.lock().unwrap();
-    // (campaign threads, sim threads). The campaign driver forces sim
-    // threads to 1 when it is itself parallel, so the interesting axes
-    // are campaign 1/4 and sim 1/4 under a serial campaign.
-    let matrix = [(1, 1), (1, 4), (4, 1), (4, 4)];
     let mut baseline: Option<(Vec<(String, u64)>, _)> = None;
-    for (campaign_threads, sim_threads) in matrix {
-        let r = run(7, 24, &spec(campaign_threads, true), &config(sim_threads));
+    for campaign_threads in [1, 4] {
+        let r = run(7, 24, &spec(campaign_threads, true));
         let counters = r.obs.as_ref().unwrap().deterministic_counters();
         // The work counters ride the same `SimResult` replay path: the
         // pushes into incremental sessions and the frontier work they cost.
@@ -112,7 +101,7 @@ fn deterministic_totals_invariant_across_thread_matrix() {
                 assert_eq!(
                     &counters, c0,
                     "count-class totals must be byte-identical at \
-                     campaign={campaign_threads} sim={sim_threads}"
+                     campaign={campaign_threads}"
                 );
                 assert_eq!(&fingerprint(&r), f0);
             }
@@ -136,7 +125,7 @@ fn obs_fingerprint(r: &CampaignResult) -> (Vec<(String, u64)>, String) {
 #[test]
 fn attribution_and_histograms_invariant_across_configs() {
     let _guard = SERIAL.lock().unwrap();
-    let base = run(7, 24, &spec(1, true), &config(1));
+    let base = run(7, 24, &spec(1, true));
     let fp0 = obs_fingerprint(&base);
     let (counters, hists) = &fp0;
 
@@ -169,21 +158,18 @@ fn attribution_and_histograms_invariant_across_configs() {
         "per-combo DFS-size histogram is reported: {hists}"
     );
 
-    // Byte-identical across the campaign × simulation thread matrix.
-    for (campaign_threads, sim_threads) in [(1, 4), (4, 1), (4, 4)] {
-        let r = run(7, 24, &spec(campaign_threads, true), &config(sim_threads));
-        assert_eq!(
-            obs_fingerprint(&r),
-            fp0,
-            "attribution drifted at campaign={campaign_threads} sim={sim_threads}"
-        );
-    }
+    // Byte-identical at another campaign thread count.
+    assert_eq!(
+        obs_fingerprint(&run(7, 24, &spec(4, true))),
+        fp0,
+        "attribution drifted at campaign=4"
+    );
 
     // Byte-identical with the in-memory cache off (every leg recomputed).
     let mut uncached = spec(1, true);
     uncached.cache = false;
     assert_eq!(
-        obs_fingerprint(&run(7, 24, &uncached, &config(1))),
+        obs_fingerprint(&run(7, 24, &uncached)),
         fp0,
         "attribution drifted with cache off"
     );
@@ -198,14 +184,14 @@ fn attribution_and_histograms_invariant_across_configs() {
         PersistStore::open_backend(Box::new(log.clone())).unwrap(),
     ));
     assert_eq!(
-        obs_fingerprint(&run(7, 24, &stored, &config(1))),
+        obs_fingerprint(&run(7, 24, &stored)),
         fp0,
         "attribution drifted on the store cold run"
     );
     stored.store = Some(std::sync::Arc::new(
         PersistStore::open_backend(Box::new(log)).unwrap(),
     ));
-    let warm = run(7, 24, &stored, &config(1));
+    let warm = run(7, 24, &stored);
     assert!(warm.cache.disk_hits > 0, "warm rerun answers from the store");
     assert_eq!(
         obs_fingerprint(&warm),
@@ -217,7 +203,7 @@ fn attribution_and_histograms_invariant_across_configs() {
 #[test]
 fn jsonl_trace_round_trips_and_spans_nest() {
     let _guard = SERIAL.lock().unwrap();
-    let r = run(7, 64, &spec(2, true), &config(1));
+    let r = run(7, 64, &spec(2, true));
     let report = r.obs.as_ref().unwrap();
     let mut bytes = Vec::new();
     report.write_jsonl(&mut bytes).unwrap();
