@@ -205,7 +205,8 @@ pub fn sim_config_fingerprint(cfg: &SimConfig) -> u64 {
     h
 }
 
-fn model_fingerprint(model: &CatModel) -> u64 {
+/// A model's identity in cache keys: a fingerprint of its name.
+pub(crate) fn model_fingerprint(model: &CatModel) -> u64 {
     fnv1a64(0, model.model_name().as_bytes())
 }
 
@@ -543,6 +544,13 @@ impl SimCache {
         });
         self.count(&self.target_hits, &self.target_misses, hit);
         v
+    }
+
+    /// Counts the target-leg hit of a work item whose whole target half
+    /// the pipeline's per-test memo served: the [`SimCache::target_leg_keyed`]
+    /// probe it skipped would have found the entry that filled the memo.
+    pub(crate) fn count_target_hit(&self) {
+        self.target_hits.fetch_add(1, Ordering::Relaxed);
     }
 }
 

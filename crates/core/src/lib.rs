@@ -78,7 +78,7 @@ pub use l2c::{prepare, PreparedSource};
 pub use mapping::StateMapping;
 pub use mcompare::{mcompare, mcompare_shared, Comparison, SourceObservables};
 pub use persist::{PersistStore, StoreStats};
-pub use pipeline::{PipelineConfig, Telechat, TestReport, TestScope, TestVerdict};
+pub use pipeline::{NamedAsm, PipelineConfig, Telechat, TestReport, TestScope, TestVerdict};
 pub use s2l::{object_to_asm_test, object_to_litmus, S2lOptions};
 pub use telechat_obs as obs;
 

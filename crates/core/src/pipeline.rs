@@ -12,24 +12,30 @@
 //! program is parsed and staged once per process rather than once per
 //! `Telechat`/run.
 //!
-//! # Per-test compile and extraction memos
+//! # Per-test compile, extraction and comparison memos
 //!
-//! Every run goes through a [`TestScope`]: the test plus two memos. The
+//! Every run goes through a [`TestScope`]: the test plus three memos. The
 //! compile memo keys on the profile's [`Codegen`] (with the pipeline's
 //! `augment`/`optimise` settings), so profiles that drive the same code
 //! generation compile the test once. A compile that misses goes through
 //! the extraction memo, keyed by the compiled object and register map, so
 //! distinct code generations that still emit the same code share one
-//! extraction. The campaign driver shares one scope between all of a
-//! test's work items; [`Telechat::run`] uses a fresh one per call.
+//! extraction. The comparison memo holds an item's **target half** — the
+//! target leg, `mcompare` and the verdict — per extraction, models,
+//! budget and cache, so profiles that share an extraction compare once.
+//! The campaign driver shares one scope between all of a test's work
+//! items; [`Telechat::run`] uses a fresh one per call.
 
-use crate::cache::{lock_unpoisoned, SimCache, SourceLeg};
+use crate::cache::{
+    lock_unpoisoned, model_fingerprint, sim_config_fingerprint, SimCache, SourceLeg,
+};
 use crate::fault::{self, FaultLeg};
 use crate::l2c::{self, PreparedSource};
 use crate::mapping::StateMapping;
-use crate::mcompare::{mcompare_shared, Comparison, SourceObservables};
+use crate::mcompare::{mcompare_shared, SourceObservables};
 use crate::s2l::{self, S2lOptions};
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 use telechat_cat::{CatModel, ModelRegistry};
@@ -97,25 +103,70 @@ pub struct TestReport {
     /// with every other profile's report of the same test) rather than
     /// deep-copied per profile.
     pub source_outcomes: Arc<OutcomeSet>,
-    /// Compiled-test outcomes, renamed into source observables.
-    pub target_outcomes: OutcomeSet,
+    /// Compiled-test outcomes, renamed into source observables. Like the
+    /// two difference sets below, `Arc`-shared with every other profile's
+    /// report of the same test that extracted the same code.
+    pub target_outcomes: Arc<OutcomeSet>,
     /// The positive differences, if any.
-    pub positive: OutcomeSet,
+    pub positive: Arc<OutcomeSet>,
     /// The negative differences, if any.
-    pub negative: OutcomeSet,
+    pub negative: Arc<OutcomeSet>,
     /// Wall-clock time of the source simulation (of the original
     /// computation when the result was cache-shared).
     pub source_time: Duration,
     /// Wall-clock time of the compiled-test simulation — the number the
     /// paper's Claim 5 reports in milliseconds.
     pub target_time: Duration,
-    /// The extracted assembly litmus test (for logs and figures).
-    pub asm_test: AsmTest,
+    /// The extracted assembly litmus test (for logs and figures), under
+    /// this report's own `"{profile}.{test}"` name.
+    pub asm_test: NamedAsm,
+}
+
+/// An extracted assembly test as one work item sees it: the item's own
+/// `"{profile}.{test}"` name beside the test, which is shared with every
+/// profile of the same test that extracted the same code. Prints (and
+/// compares) under the item's name.
+#[derive(Debug, Clone)]
+pub struct NamedAsm {
+    /// The work item's own name.
+    pub name: String,
+    /// The shared test. Its own `name` is that of the profile that
+    /// extracted it first.
+    pub code: Arc<AsmTest>,
+}
+
+impl PartialEq for NamedAsm {
+    /// Equal item names and equal tests, the shared test's own name aside.
+    fn eq(&self, other: &NamedAsm) -> bool {
+        let AsmTest {
+            name: _,
+            locs,
+            reg_init,
+            threads,
+            condition,
+            observed,
+        } = &*self.code;
+        let theirs = &*other.code;
+        self.name == other.name
+            && *locs == theirs.locs
+            && *reg_init == theirs.reg_init
+            && *threads == theirs.threads
+            && *condition == theirs.condition
+            && *observed == theirs.observed
+    }
+}
+
+impl Eq for NamedAsm {}
+
+impl fmt::Display for NamedAsm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.code.fmt_named(&self.name, f)
+    }
 }
 
 /// One test's share of the pipeline, reused by every compiler profile the
 /// test runs under: the test, its content fingerprint (rendered at most
-/// once), and the **compile and extraction memos**.
+/// once), and the **compile, extraction and comparison memos**.
 ///
 /// With the test and the pipeline's `augment`/`optimise` settings fixed,
 /// compile and extraction (`StateMapping::build` +
@@ -125,21 +176,33 @@ pub struct TestReport {
 /// the object comparison and extraction. A miss compiles and looks the
 /// `(object, reg_map)` pair up in the extraction memo, which compares by
 /// equality, because different code generations often still emit the same
-/// code. Either way an item only clones the assembly test and renames it
-/// to its own `"{profile}.{test}"`. Compile and extraction errors are
-/// memoised too: both are deterministic.
+/// code. Either way an item shares the assembly test under its own
+/// `"{profile}.{test}"` name. Compile and extraction errors are memoised
+/// too: both are deterministic.
+///
+/// The comparison memo holds an item's target half: the target-leg
+/// result, the comparison and the verdict. Besides the extraction (by
+/// identity) these read only the target and source models, the
+/// simulation budget and the pipeline's [`SimCache`] (by identity, or its
+/// absence), which together are the key. A hit skips the target leg,
+/// `mcompare` and the verdict and shares their outcome sets. Errors are
+/// memoised like cached leg errors. A hit on a cached pipeline counts the
+/// one target-leg cache hit its skipped probe would have counted. An
+/// uncached item fires its target-leg fault hook before the memo is
+/// consulted, so a fault armed on its name fires on a hit too.
 ///
 /// A scope belongs to one test. It is per test rather than per campaign
 /// because every hit comes from the same test's profiles, while a
 /// campaign-wide memo would hold every test's entries until the campaign
-/// ends. Pipelines with different settings may share it: the settings are
-/// part of both keys.
+/// ends. Pipelines with different settings, models or caches may share
+/// it: all of those are part of the keys.
 #[derive(Debug)]
 pub struct TestScope {
     test: LitmusTest,
     fingerprint: OnceLock<u128>,
     compiled: Mutex<HashMap<(Codegen, Settings), Arc<Slot>>>,
     extracted: Mutex<Vec<Memoised>>,
+    compared: Mutex<Vec<(HalfKey, Arc<HalfSlot>)>>,
 }
 
 /// The pipeline settings compile and extraction depend on besides the
@@ -165,11 +228,12 @@ struct Memoised {
 }
 
 /// One distinct extraction. `asm` and `litmus` carry the name of the
-/// profile that first extracted it; each item renames its own copy.
+/// profile that first extracted it; each item reports `asm` under its own
+/// name and fires target faults with it.
 #[derive(Debug)]
 struct Extracted {
     mapping: StateMapping,
-    asm: AsmTest,
+    asm: Arc<AsmTest>,
     litmus: LitmusTest,
     /// The target test's content fingerprint, rendered on the first
     /// cached target leg.
@@ -182,6 +246,47 @@ impl Extracted {
     }
 }
 
+/// A comparison-memo key: what an item's target half reads besides the
+/// extraction's content. The extraction and the cache compare by
+/// identity; the key holds both, so neither address can be reused while
+/// the scope lives.
+#[derive(Debug)]
+struct HalfKey {
+    extracted: Arc<Extracted>,
+    target_model: u64,
+    source_model: u64,
+    config: u64,
+    cache: Option<Arc<SimCache>>,
+}
+
+impl HalfKey {
+    fn matches(&self, other: &HalfKey) -> bool {
+        Arc::ptr_eq(&self.extracted, &other.extracted)
+            && self.target_model == other.target_model
+            && self.source_model == other.source_model
+            && self.config == other.config
+            && match (&self.cache, &other.cache) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            }
+    }
+}
+
+/// A comparison-memo slot, filled by the first item of its key.
+type HalfSlot = OnceLock<Result<Arc<TargetHalf>>>;
+
+/// The target half of a work item: steps 4 and 5 of Fig. 5 and the
+/// verdict.
+#[derive(Debug)]
+struct TargetHalf {
+    result: Arc<SimResult>,
+    target: Arc<OutcomeSet>,
+    positive: Arc<OutcomeSet>,
+    negative: Arc<OutcomeSet>,
+    verdict: TestVerdict,
+}
+
 impl TestScope {
     /// A fresh scope for `test`, with empty memos.
     pub fn new(test: LitmusTest) -> TestScope {
@@ -190,6 +295,7 @@ impl TestScope {
             fingerprint: OnceLock::new(),
             compiled: Mutex::new(HashMap::new()),
             extracted: Mutex::new(Vec::new()),
+            compared: Mutex::new(Vec::new()),
         }
     }
 
@@ -216,6 +322,17 @@ impl TestScope {
     /// extracted.
     pub fn extractions(&self) -> usize {
         lock_unpoisoned(&self.extracted).len()
+    }
+
+    /// How many distinct target halves have been compared: one per
+    /// `(extraction, target model)` pair for a single pipeline, more when
+    /// pipelines with different source models, budgets or caches share
+    /// the scope.
+    pub fn comparisons(&self) -> usize {
+        lock_unpoisoned(&self.compared)
+            .iter()
+            .filter(|(_, slot)| matches!(slot.get(), Some(Ok(_))))
+            .count()
     }
 
     /// The extraction for `key`, computed by `compile_and_extract` on the
@@ -260,6 +377,37 @@ impl TestScope {
             extracted: extracted.clone(),
         });
         extracted
+    }
+
+    /// The target half for `key`, computed by `compare` on the first
+    /// request and shared after; `true` beside it when this request did
+    /// not compute it. Like the compile memo, the slot is taken under the
+    /// scope lock and filled outside it, so each key is computed exactly
+    /// once however many workers share the scope.
+    fn compared(
+        &self,
+        key: HalfKey,
+        compare: impl FnOnce() -> Result<Arc<TargetHalf>>,
+    ) -> (Result<Arc<TargetHalf>>, bool) {
+        let slot = {
+            let mut memo = lock_unpoisoned(&self.compared);
+            match memo.iter().find(|(k, _)| k.matches(&key)) {
+                Some((_, slot)) => slot.clone(),
+                None => {
+                    let slot = Arc::new(OnceLock::new());
+                    memo.push((key, slot.clone()));
+                    slot
+                }
+            }
+        };
+        let mut computed = false;
+        let half = slot
+            .get_or_init(|| {
+                computed = true;
+                compare()
+            })
+            .clone();
+        (half, !computed)
     }
 }
 
@@ -380,8 +528,9 @@ impl Telechat {
         }
     }
 
-    /// The target leg: the extracted test simulated under `model`. Faults
-    /// fire with the item's own derived `name`, not the memoised one.
+    /// The target leg: the extracted test simulated under `model`. A cache
+    /// fires faults with the item's own derived `name`, not the memoised
+    /// one; without a cache, [`Telechat::target_half`] has fired them.
     fn target_leg(
         &self,
         extracted: &Extracted,
@@ -396,14 +545,11 @@ impl Telechat {
                 model,
                 &self.config.sim,
             ),
-            None => {
-                fault::fire(FaultLeg::Target, name);
-                Ok(Arc::new(simulate(
-                    &extracted.litmus,
-                    model,
-                    &self.config.sim,
-                )?))
-            }
+            None => Ok(Arc::new(simulate(
+                &extracted.litmus,
+                model,
+                &self.config.sim,
+            )?)),
         }
     }
 
@@ -439,7 +585,7 @@ impl Telechat {
         )?;
         Ok(Extracted {
             mapping,
-            asm,
+            asm: Arc::new(asm),
             litmus,
             fingerprint: OnceLock::new(),
         })
@@ -477,7 +623,13 @@ impl Telechat {
             litmus,
             ..
         } = self.extract_object(test, &name, &prepared, &compiled)?;
-        Ok((prepared, compiled, mapping, asm, litmus))
+        Ok((
+            prepared,
+            compiled,
+            mapping,
+            Arc::unwrap_or_clone(asm),
+            litmus,
+        ))
     }
 
     /// Runs the whole `test_tv` check for one test and compiler.
@@ -524,20 +676,16 @@ impl Telechat {
             self.source_leg(&prepared)?
         };
 
-        // Step 4: simulate the compiled test under the architecture model
-        // (shared across profiles that extracted identical code).
-        let target_result: Arc<SimResult> = {
-            let _span = telechat_obs::span("target-sim");
-            let target_model = self.target_model(&extracted.litmus)?;
-            self.target_leg(&extracted, &name, &target_model)?
-        };
+        // Steps 4 and 5, shared across profiles that extracted identical
+        // code.
+        let half = self.target_half(scope, &extracted, &name, &source)?;
 
         // Both legs succeeded: absorb their simulation accounting into the
         // metrics registry. Cached/stored replays carry the original run's
         // counters, so the campaign totals are a pure function of the work
         // list — invariant across thread counts, cache on/off and store
         // warm/cold.
-        for leg in [source.result.as_ref(), target_result.as_ref()] {
+        for leg in [source.result.as_ref(), half.result.as_ref()] {
             telechat_obs::add(telechat_obs::Counter::SimCandidates, leg.candidates);
             telechat_obs::add(telechat_obs::Counter::SimAllowed, leg.allowed);
             telechat_obs::add(telechat_obs::Counter::SimPruned, leg.pruned_candidates);
@@ -555,7 +703,7 @@ impl Telechat {
         // so the labelled totals and merged histograms share the counters'
         // determinism guarantee. Gated: the label formatting is not free.
         if telechat_obs::enabled() {
-            for leg in [source.result.as_ref(), target_result.as_ref()] {
+            for leg in [source.result.as_ref(), half.result.as_ref()] {
                 for (rule, n) in &leg.rule_leaves {
                     telechat_obs::add_labelled(&format!("sim.rule.leaf.{rule}"), *n);
                 }
@@ -575,43 +723,80 @@ impl Telechat {
             }
         }
 
-        // Step 5: mcompare — only the target half runs per profile.
-        let cmp: Comparison = {
-            let _span = telechat_obs::span("compare");
-            mcompare_shared(
-                &source.observables,
-                &target_result.outcomes,
-                &extracted.mapping,
-            )
-        };
-
-        let verdict = if source.result.has_flag("race") {
-            TestVerdict::SourceRace
-        } else if target_result.crashed {
-            TestVerdict::RuntimeCrash
-        } else if !cmp.positive.is_empty() {
-            TestVerdict::PositiveDifference
-        } else if !cmp.negative.is_empty() {
-            TestVerdict::NegativeDifference
-        } else {
-            TestVerdict::Pass
-        };
-
         Ok(TestReport {
             test_name: test.name.clone(),
             profile: compiler.profile_name(),
-            verdict,
-            source_outcomes: cmp.source,
-            target_outcomes: cmp.target,
-            positive: cmp.positive,
-            negative: cmp.negative,
+            verdict: half.verdict.clone(),
+            source_outcomes: source.observables.outcomes.clone(),
+            target_outcomes: half.target.clone(),
+            positive: half.positive.clone(),
+            negative: half.negative.clone(),
             source_time: source.result.elapsed,
-            target_time: target_result.elapsed,
-            asm_test: AsmTest {
+            target_time: half.result.elapsed,
+            asm_test: NamedAsm {
                 name,
-                ..extracted.asm.clone()
+                code: extracted.asm.clone(),
             },
         })
+    }
+
+    /// Steps 4 and 5 of Fig. 5 and the verdict for one work item, served
+    /// by the scope's comparison memo: step 4 simulates the extracted
+    /// test under the architecture model, step 5 compares its outcomes
+    /// with the source's. A memo hit opens neither phase span.
+    fn target_half(
+        &self,
+        scope: &TestScope,
+        extracted: &Arc<Extracted>,
+        name: &str,
+        source: &SourceLeg,
+    ) -> Result<Arc<TargetHalf>> {
+        let target_model = self.target_model(&extracted.litmus)?;
+        // Every uncached item fires, hit or miss; a cached one fires only
+        // where its cache simulates.
+        if self.cache.is_none() {
+            fault::fire(FaultLeg::Target, name);
+        }
+        let key = HalfKey {
+            extracted: extracted.clone(),
+            target_model: model_fingerprint(&target_model),
+            source_model: model_fingerprint(&self.source_model),
+            config: sim_config_fingerprint(&self.config.sim),
+            cache: self.cache.clone(),
+        };
+        let (half, hit) = scope.compared(key, || {
+            let result = {
+                let _span = telechat_obs::span("target-sim");
+                self.target_leg(extracted, name, &target_model)?
+            };
+            let cmp = {
+                let _span = telechat_obs::span("compare");
+                telechat_obs::add(telechat_obs::Counter::McompareCompares, 1);
+                mcompare_shared(&source.observables, &result.outcomes, &extracted.mapping)
+            };
+            let verdict = if source.result.has_flag("race") {
+                TestVerdict::SourceRace
+            } else if result.crashed {
+                TestVerdict::RuntimeCrash
+            } else if !cmp.positive.is_empty() {
+                TestVerdict::PositiveDifference
+            } else if !cmp.negative.is_empty() {
+                TestVerdict::NegativeDifference
+            } else {
+                TestVerdict::Pass
+            };
+            Ok(Arc::new(TargetHalf {
+                result,
+                target: Arc::new(cmp.target),
+                positive: Arc::new(cmp.positive),
+                negative: Arc::new(cmp.negative),
+                verdict,
+            }))
+        });
+        if let (true, Some(cache)) = (hit, &self.cache) {
+            cache.count_target_hit();
+        }
+        half
     }
 
     /// Simulates only the source side (used by baselines like C4 that

@@ -175,10 +175,12 @@ impl AsmTest {
     }
 }
 
-impl fmt::Display for AsmTest {
-    /// Renders in the classic assembly-litmus layout.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{} \"{}\"", self.arch(), self.name)?;
+impl AsmTest {
+    /// Renders the test as [`fmt::Display`] does, but under `name` rather
+    /// than its own: a test shared by several work items prints each
+    /// item's name without being copied.
+    pub fn fmt_named(&self, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "{} \"{}\"", self.arch(), name)?;
         write!(f, "{{ ")?;
         for d in &self.locs {
             let ro = if d.readonly { "const " } else { "" };
@@ -195,6 +197,13 @@ impl fmt::Display for AsmTest {
             }
         }
         write!(f, "{}", self.condition)
+    }
+}
+
+impl fmt::Display for AsmTest {
+    /// Renders in the classic assembly-litmus layout.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.fmt_named(&self.name, f)
     }
 }
 

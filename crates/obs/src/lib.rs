@@ -314,6 +314,7 @@ counters! {
     CampaignResumed => ("campaign.resumed", Deterministic),
     CompilerCompiles => ("compiler.compiles", Deterministic),
     S2lExtractions => ("s2l.extractions", Deterministic),
+    McompareCompares => ("mcompare.compares", Deterministic),
     SimCandidates => ("sim.candidates", Deterministic),
     SimAllowed => ("sim.allowed", Deterministic),
     SimPruned => ("sim.pruned_candidates", Deterministic),

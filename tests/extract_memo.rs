@@ -1,10 +1,12 @@
-//! Per-test compile and extraction memo pins: running a test's profiles
-//! through one shared [`TestScope`] gives, for every profile, the report a
-//! fresh [`Telechat::run`] gives, also when pipelines with different
-//! settings share the scope; the scope compiles each distinct [`Codegen`]
-//! and extracts each distinct compiled `(object, reg_map)` exactly once,
-//! in a campaign at every thread count too; and target-leg faults still
-//! see each item's own profile name.
+//! Per-test compile, extraction and comparison memo pins: running a
+//! test's profiles through one shared [`TestScope`] gives, for every
+//! profile, the report a fresh [`Telechat::run`] gives, also when
+//! pipelines with different settings, or a cached and an uncached one,
+//! share the scope; the scope compiles each distinct [`Codegen`], extracts
+//! each distinct compiled `(object, reg_map)` and compares each distinct
+//! (extraction, target model) exactly once, in a campaign at every thread
+//! count too; and target-leg faults still see each item's own profile
+//! name.
 //!
 //! Every test here takes [`SERIAL`]: one arms a process-global fault and
 //! one opens the process-global metrics window.
@@ -86,19 +88,43 @@ fn distinct_codegens(test: &LitmusTest, profiles: &[Compiler]) -> usize {
 }
 
 /// The distinct `(object, reg_map)` pairs `test` compiles to across
-/// `profiles`, counted without the pipeline.
-fn distinct_pairs(test: &LitmusTest, profiles: &[Compiler]) -> usize {
+/// `profiles`, and the distinct (pair, target model) triples, counted
+/// without the pipeline.
+fn distinct_pairs(test: &LitmusTest, profiles: &[Compiler]) -> (usize, usize) {
     let prepared = prepare(test, PipelineConfig::default().augment);
-    let mut seen: Vec<(ObjectFile, Vec<_>)> = Vec::new();
+    let mut pairs: Vec<(ObjectFile, Vec<_>)> = Vec::new();
+    let mut compared: Vec<(usize, &str)> = Vec::new();
     for compiler in profiles {
         if let Ok(out) = compiler.compile(&prepared.test) {
             let key = (out.object, out.reg_map);
-            if !seen.contains(&key) {
-                seen.push(key);
+            let pair = pairs.iter().position(|p| *p == key).unwrap_or_else(|| {
+                pairs.push(key);
+                pairs.len() - 1
+            });
+            let triple = (pair, compiler.target.arch.default_model());
+            if !compared.contains(&triple) {
+                compared.push(triple);
             }
         }
     }
-    seen.len()
+    (pairs.len(), compared.len())
+}
+
+/// Two profiles that compile `test` to the same object and register map,
+/// so that the second one is a memo hit.
+fn sharing_profiles(test: &LitmusTest, profiles: &[Compiler]) -> (usize, usize) {
+    let prepared = prepare(test, PipelineConfig::default().augment);
+    let compiled: Vec<_> = profiles
+        .iter()
+        .map(|c| c.compile(&prepared.test).ok())
+        .collect();
+    (0..profiles.len())
+        .flat_map(|i| (i + 1..profiles.len()).map(move |j| (i, j)))
+        .find(|&(i, j)| match (&compiled[i], &compiled[j]) {
+            (Some(a), Some(b)) => a.object == b.object && a.reg_map == b.reg_map,
+            _ => false,
+        })
+        .expect("some profiles share compiled code")
 }
 
 /// Every field of a report but the two wall-clock times.
@@ -197,7 +223,7 @@ fn each_distinct_compiled_pair_is_extracted_once() {
     let tool = Telechat::new("rc11").unwrap();
     let profiles = profiles();
     let tests = tests();
-    let (mut expected, mut expected_compiles) = (0u64, 0u64);
+    let (mut expected, mut expected_compiles, mut expected_compares) = (0u64, 0u64, 0u64);
     for test in &tests {
         let scope = TestScope::new(test.clone());
         for compiler in &profiles {
@@ -206,8 +232,10 @@ fn each_distinct_compiled_pair_is_extracted_once() {
         let codegens = distinct_codegens(test, &profiles);
         assert_eq!(scope.compiles(), codegens, "{}", test.name);
         expected_compiles += codegens as u64;
-        let distinct = distinct_pairs(test, &profiles);
+        let (distinct, compared) = distinct_pairs(test, &profiles);
         assert_eq!(scope.extractions(), distinct, "{}", test.name);
+        assert_eq!(scope.comparisons(), compared, "{}", test.name);
+        expected_compares += compared as u64;
         assert!(
             distinct < profiles.len(),
             "{}: profiles share compiled code, so the memo saves work",
@@ -237,6 +265,11 @@ fn each_distinct_compiled_pair_is_extracted_once() {
             Some(expected),
             "threads={threads} cache={cache}"
         );
+        assert_eq!(
+            report.counter("mcompare.compares"),
+            Some(expected_compares),
+            "threads={threads} cache={cache}"
+        );
     }
 }
 
@@ -246,20 +279,7 @@ fn target_faults_fire_with_the_items_own_profile_name() {
     let _disarm = Disarm;
     let profiles = profiles();
     let test = tests().remove(0);
-    let prepared = prepare(&test, PipelineConfig::default().augment);
-    // Two profiles that compile the test to the same object and register
-    // map, so the second one is a memo hit.
-    let compiled: Vec<_> = profiles
-        .iter()
-        .map(|c| c.compile(&prepared.test).ok())
-        .collect();
-    let (first, second) = (0..profiles.len())
-        .flat_map(|i| (i + 1..profiles.len()).map(move |j| (i, j)))
-        .find(|&(i, j)| match (&compiled[i], &compiled[j]) {
-            (Some(a), Some(b)) => a.object == b.object && a.reg_map == b.reg_map,
-            _ => false,
-        })
-        .expect("some profiles share compiled code");
+    let (first, second) = sharing_profiles(&test, &profiles);
     let derived = format!("{}.{}", profiles[second].profile_name(), test.name);
 
     // Uncached, and with a cache that has not simulated the target yet:
@@ -286,5 +306,69 @@ fn target_faults_fire_with_the_items_own_profile_name() {
         assert!(message.contains(&derived), "cached={cached}: {message}");
         assert_eq!(scope.extractions(), 1, "the second profile hit the memo");
         fault::disarm_all();
+    }
+}
+
+#[test]
+fn cached_and_uncached_pipelines_share_a_scope_without_crosstalk() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _disarm = Disarm;
+    let profiles = profiles();
+    let fresh_tool = Telechat::new("rc11").unwrap();
+    for test in tests().into_iter().take(2) {
+        let (_, second) = sharing_profiles(&test, &profiles);
+        let derived = format!("{}.{}", profiles[second].profile_name(), test.name);
+        let cache = SimCache::shared();
+        let cached = Telechat::new("rc11").unwrap().with_cache(cache.clone());
+        let uncached = Telechat::new("rc11").unwrap();
+        let scope = TestScope::new(test.clone());
+        for (i, compiler) in profiles.iter().enumerate() {
+            let fresh = fresh_tool.run(&test, compiler);
+            // Alternate which pipeline meets the profile first.
+            let order = if i % 2 == 0 {
+                [&cached, &uncached]
+            } else {
+                [&uncached, &cached]
+            };
+            for tool in order {
+                if i == second && tool.cache().is_none() {
+                    // The uncached pipeline compared this extraction at an
+                    // earlier profile: the fault fires on its memo hit.
+                    fault::arm(EngineFault {
+                        leg: FaultLeg::Target,
+                        test_contains: derived.clone(),
+                        action: FaultAction::Panic,
+                        fires: 1,
+                    });
+                    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        tool.run_in(&scope, compiler)
+                    }))
+                    .expect_err("the fault fires on the uncached memo hit");
+                    let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+                    assert!(message.contains(&derived), "{message}");
+                    fault::disarm_all();
+                }
+                match (tool.run_in(&scope, compiler), &fresh) {
+                    (Ok(memo), Ok(fresh)) => assert_same_report(&memo, fresh),
+                    (Err(memo), Err(fresh)) => assert_eq!(&memo, fresh),
+                    (memo, fresh) => panic!(
+                        "{} {} cached={}: shared scope {memo:?} vs fresh {fresh:?}",
+                        test.name,
+                        compiler.profile_name(),
+                        tool.cache().is_some()
+                    ),
+                }
+            }
+        }
+
+        // The uncached pipeline's memo entries never stand in for the
+        // cached pipeline's cache traffic.
+        let alone = SimCache::shared();
+        let alone_tool = Telechat::new("rc11").unwrap().with_cache(alone.clone());
+        let alone_scope = TestScope::new(test.clone());
+        for compiler in &profiles {
+            let _ = alone_tool.run_in(&alone_scope, compiler);
+        }
+        assert_eq!(cache.stats(), alone.stats(), "{}", test.name);
     }
 }
