@@ -498,7 +498,10 @@ impl ComboChecker for IntersectionChecker<'_> {
     // The incremental edge protocol is forwarded to every part, so a part
     // whose session answers from push-fed state (the built-in models and
     // staged Cat sessions) stays in sync even when composed. Forbidden
-    // from any part forbids the intersection.
+    // from any part forbids the intersection. Every part is pushed and
+    // popped once per engine push, so a part whose push answered
+    // `Forbidden` sees only `blame` and its pop, as the `ComboChecker`
+    // contract requires.
 
     fn incremental(&self) -> bool {
         self.parts.iter().any(|c| c.incremental())

@@ -39,13 +39,20 @@
 //!    [`IncrementalOrder::add_edge`] — filtered against its own value, so
 //!    the delta is exact. Only recursive `let` groups keep full
 //!    evaluation plus diff. Every value change goes into the push's undo
-//!    frame, and a pop restores every node exactly, so the state always
-//!    equals a from-scratch evaluation of the current rf/co/fr. `acyclic`
+//!    frame, and a pop restores every node exactly. `acyclic`
 //!    constraints feed their root's delta into a per-constraint
 //!    [`IncrementalOrder`] (journal + LIFO undo, zero full Kahn
 //!    traversals per simulation); `irreflexive` tracks the value's
-//!    diagonal; `empty` reads the value's size. Verdicts at DFS nodes
-//!    *and* leaves are O(#constraints).
+//!    diagonal; `empty` reads the value's size. The walk applies each
+//!    constraint as soon as it has passed the constraint's root and every
+//!    earlier constraint (source order) is applied, and **stops at the
+//!    first violated one**: the push answers `Forbidden`, later nodes are
+//!    neither updated nor journaled, and later acyclicity orders open
+//!    only an empty frame. The engine asks a forbidden push only for its
+//!    blame and then pops it, so every state it builds on equals a
+//!    from-scratch evaluation of the current rf/co/fr. The push's work
+//!    counter (`cat.frontier_evals`) charges only what the walk visited.
+//!    Leaf verdicts are O(#constraints).
 //!
 //! Soundness: a violated staged constraint stays violated in every
 //! completion (the relations only grow and the expressions are monotone),
@@ -180,6 +187,10 @@ struct Node {
     op: NodeOp,
     /// `READS_RF | READS_CO` bits: which pushes can change the value.
     reads: u8,
+    /// Frontier bindings whose value this node holds (a recursive group
+    /// counts once, at its first member): the `cat.frontier_evals` charge
+    /// of a push whose walk visits the node.
+    binds: u32,
 }
 
 /// A frontier `let rec` group: its step and its members' nodes.
@@ -206,11 +217,6 @@ pub struct StagedPlan {
     /// `(constraint, root)` of every `irreflexive` constraint: undoing a
     /// diagonal edge of that root lowers the constraint's self-loop count.
     irreflexive_roots: Vec<(usize, usize)>,
-    /// Frontier bindings (one per non-recursive binding or recursive
-    /// group) plus staged constraints an rf push updates …
-    evals_rf: u64,
-    /// … and a co push.
-    evals_co: u64,
     /// Number of per-combo constant check/flag result slots.
     const_slots: usize,
     /// True if any `CheckConst` exists (a violated one forbids the whole
@@ -422,7 +428,7 @@ impl Dag {
     }
 
     fn push(&mut self, op: NodeOp, reads: u8) -> usize {
-        self.nodes.push(Node { op, reads });
+        self.nodes.push(Node { op, reads, binds: 0 });
         self.nodes.len() - 1
     }
 
@@ -636,14 +642,9 @@ impl StagedPlan {
         }
 
         // The frontier DAG, in program order, with the read sets and the
-        // per-push work counts.
+        // bindings each node holds.
         let mut dag = Dag::new();
         let mut rec_groups = Vec::new();
-        let (mut evals_rf, mut evals_co) = (0u64, 0u64);
-        let mut count = |reads: u8| {
-            evals_rf += u64::from(reads & READS_RF != 0);
-            evals_co += u64::from(reads & READS_CO != 0);
-        };
         for (si, step) in steps.iter().enumerate() {
             match step {
                 Step::BindDyn {
@@ -654,7 +655,7 @@ impl StagedPlan {
                 } => {
                     for (sym, expr) in bindings {
                         let node = dag.expr(expr);
-                        count(dag.nodes[node].reads);
+                        dag.nodes[node].binds += 1;
                         dag.bind(*sym, node);
                     }
                 }
@@ -677,9 +678,8 @@ impl StagedPlan {
                             _ => None,
                         })
                         .fold(0u8, |acc, n| acc | dag.nodes[n].reads);
-                    count(reads);
                     let group = rec_groups.len();
-                    let members = bindings
+                    let members: Vec<usize> = bindings
                         .iter()
                         .enumerate()
                         .map(|(i, (sym, _))| {
@@ -688,12 +688,11 @@ impl StagedPlan {
                             node
                         })
                         .collect();
+                    dag.nodes[members[0]].binds += 1;
                     rec_groups.push(RecGroup { step: si, members });
                 }
                 Step::CheckStaged { idx } => {
-                    let root = dag.expr(&constraints[*idx].expr);
-                    count(dag.nodes[root].reads);
-                    constraints[*idx].root = root;
+                    constraints[*idx].root = dag.expr(&constraints[*idx].expr);
                 }
                 _ => {}
             }
@@ -711,8 +710,6 @@ impl StagedPlan {
             index: dag.index,
             rec_groups,
             irreflexive_roots,
-            evals_rf,
-            evals_co,
             const_slots,
             has_const_checks,
             stageable,
@@ -815,19 +812,28 @@ pub struct StagedState<'a> {
     /// placeholder: their value is in `base`). Read by leaf evaluation
     /// through [`Env::view`].
     vals: Vec<CatValue>,
-    /// Per node, what the current push added (cleared when the node is
-    /// skipped, so a parent never reads a stale delta).
+    /// Per node, what a push added. A delta is valid only within the push
+    /// that visited its node: the walk sets it (or clears it, when the
+    /// node is skipped) before any parent reads it, and a push that stops
+    /// early leaves the deltas past the stop stale.
     deltas: Vec<Delta>,
     cons: Vec<ConState>,
     /// Results of constant checks/flags, by `cslot`: "holds"/"fires".
     const_results: Vec<bool>,
-    /// True if some constant *check* is violated: every candidate of the
-    /// combo is forbidden.
-    const_violated: bool,
+    /// If some constant *check* is violated (every candidate of the combo
+    /// is forbidden): the number of staged constraints before the first
+    /// such check in source order. Every push stops once it has applied
+    /// those.
+    const_gate: Option<usize>,
     /// Every value change since the session baseline, newest last.
     journal: Vec<Change>,
     /// Journal length at each open push (one frame per push).
     frames: Vec<usize>,
+    /// True while the newest frame is a push that answered `Forbidden`:
+    /// its walk stopped at the first violated check, so node values,
+    /// deltas and constraint states past the stop are unspecified until
+    /// the pop. Only [`StagedState::blame`] and the pop may follow.
+    stopped: bool,
     /// Reusable `fr` edge-delta buffer for [`StagedState::push_co`].
     fr_scratch: Vec<(EventId, EventId)>,
     /// Frontier bindings plus staged constraints updated by pushes so far.
@@ -848,9 +854,10 @@ impl<'a> StagedState<'a> {
             deltas: vec![Delta::default(); plan.nodes.len()],
             cons: Vec::with_capacity(plan.constraints.len()),
             const_results: vec![false; plan.const_slots],
-            const_violated: false,
+            const_gate: None,
             journal: Vec::new(),
             frames: Vec::new(),
+            stopped: false,
             fr_scratch: Vec::new(),
             frontier_evals: 0,
             nodes,
@@ -861,6 +868,7 @@ impl<'a> StagedState<'a> {
             index: &[],
             vals: &[],
         };
+        let mut staged_before = 0;
         for step in &plan.steps {
             match step {
                 Step::BindConst {
@@ -889,10 +897,11 @@ impl<'a> StagedState<'a> {
                     let v = eval_expr(expr, &env)?;
                     let holds = check_holds(*kind, *negated, &v, name)?;
                     state.const_results[*cslot] = holds;
-                    if !holds {
-                        state.const_violated = true;
+                    if !holds && state.const_gate.is_none() {
+                        state.const_gate = Some(staged_before);
                     }
                 }
+                Step::CheckStaged { .. } => staged_before += 1,
                 Step::Flag {
                     cslot: Some(cslot),
                     kind,
@@ -1082,6 +1091,7 @@ impl<'a> StagedState<'a> {
 
     /// The engine assigned `rf(w, r)`.
     pub fn push_rf(&mut self, w: EventId, r: EventId) -> Result<PartialVerdict> {
+        debug_assert!(!self.stopped, "push_rf on a stopped push: pop it first");
         self.frames.push(self.journal.len());
         self.push_base(RF, &[(w, r)]);
         self.advance(READS_RF)
@@ -1095,6 +1105,7 @@ impl<'a> StagedState<'a> {
 
     /// The engine extended a coherence chain (`co(p, w)` for `p ∈ preds`).
     pub fn push_co(&mut self, preds: &[EventId], w: EventId) -> Result<PartialVerdict> {
+        debug_assert!(!self.stopped, "push_co on a stopped push: pop it first");
         self.frames.push(self.journal.len());
         let mut scratch = std::mem::take(&mut self.fr_scratch);
         scratch.clear();
@@ -1115,66 +1126,128 @@ impl<'a> StagedState<'a> {
         );
     }
 
-    /// Propagates the push's base deltas through every node whose read
-    /// set meets `touched`, then applies each staged constraint's root
-    /// delta. The push's frame is already open.
+    /// Walks the frontier DAG in node order, propagating the push's base
+    /// deltas through every node whose read set meets `touched`, and
+    /// applies each staged constraint as soon as the walk has passed its
+    /// root and every earlier constraint is applied (source order). The
+    /// push stops at the first violated check: later nodes are neither
+    /// updated nor journaled. The constraints before the stop were fully
+    /// updated and hold, and constant checks do not change within a push,
+    /// so [`StagedState::blame`] names the rule a complete update would.
+    /// The push's frame is already open.
     fn advance(&mut self, touched: u8) -> Result<PartialVerdict> {
         let plan = self.plan;
+        let mut applied = 0;
         for (i, node) in plan.nodes.iter().enumerate() {
             if node.reads & touched == 0 {
                 self.deltas[i].clear();
-                continue;
-            }
-            match node.op {
-                // The push set the base deltas; constants never change.
-                NodeOp::Base | NodeOp::Const(_) => continue,
-                NodeOp::Rec { group, first } => {
-                    if first {
-                        self.refresh_rec_group(group)?;
+            } else {
+                self.frontier_evals += u64::from(node.binds);
+                match node.op {
+                    // The push set the base deltas; constants never change.
+                    NodeOp::Base | NodeOp::Const(_) => {}
+                    NodeOp::Rec { group, first } => {
+                        if first {
+                            self.refresh_rec_group(group)?;
+                        }
                     }
-                    continue;
+                    NodeOp::Bin(op, a, b) => {
+                        self.delta_bin(i, op, a, b);
+                        self.journal_delta(i);
+                    }
+                    NodeOp::Un(op, a) => {
+                        self.delta_un(i, op, a);
+                        self.journal_delta(i);
+                    }
                 }
-                NodeOp::Bin(op, a, b) => self.delta_bin(i, op, a, b),
-                NodeOp::Un(op, a) => self.delta_un(i, op, a),
             }
-            let node = i as u32;
-            let delta = &self.deltas[i];
-            self.journal.extend(delta.edges.iter().map(|&(a, b)| Change {
-                node,
-                added: true,
-                a,
-                b,
-            }));
-            self.journal.extend(delta.elems.iter().map(|&a| Change {
-                node,
-                added: true,
-                a,
-                b: a,
-            }));
+            // Apply, in source order, every constraint whose root the walk
+            // has passed; stop at the first violated one, or at a violated
+            // constant check once the constraints before it are applied.
+            loop {
+                if self.const_gate == Some(applied) {
+                    return Ok(self.stop(applied));
+                }
+                match plan.constraints.get(applied) {
+                    Some(c) if c.root <= i => {
+                        applied += 1;
+                        if self.apply(applied - 1, touched) {
+                            return Ok(self.stop(applied));
+                        }
+                    }
+                    _ => break,
+                }
+            }
         }
-        for (c, con) in plan.constraints.iter().zip(&mut self.cons) {
-            let delta = &self.deltas[c.root].edges;
-            match con {
-                // A skipped constraint still opens a frame, so every pop
-                // undoes exactly one frame per order.
-                ConState::Acyclic { order } => {
-                    order.begin();
-                    for &(a, b) in delta {
-                        order.add_edge(a, b);
-                    }
+        Ok(PartialVerdict::Undecided)
+    }
+
+    /// Journals the delta the walk just computed for node `i`.
+    fn journal_delta(&mut self, i: usize) {
+        let node = i as u32;
+        let delta = &self.deltas[i];
+        self.journal.extend(delta.edges.iter().map(|&(a, b)| Change {
+            node,
+            added: true,
+            a,
+            b,
+        }));
+        self.journal.extend(delta.elems.iter().map(|&a| Change {
+            node,
+            added: true,
+            a,
+            b: a,
+        }));
+    }
+
+    /// Feeds constraint `idx`'s root delta into its state; true if the
+    /// constraint is now violated.
+    fn apply(&mut self, idx: usize, touched: u8) -> bool {
+        let root = self.plan.constraints[idx].root;
+        self.frontier_evals += u64::from(self.plan.nodes[root].reads & touched != 0);
+        // An untouched root's delta was cleared by the walk.
+        let delta = &self.deltas[root].edges;
+        match &mut self.cons[idx] {
+            ConState::Acyclic { order } => {
+                order.begin();
+                for &(a, b) in delta {
+                    order.add_edge(a, b);
                 }
+            }
+            ConState::Irreflexive { selfloops } => {
+                *selfloops += delta.iter().filter(|(a, b)| a == b).count() as u32;
+            }
+            ConState::Empty => {}
+        }
+        self.violated(idx)
+    }
+
+    /// Ends a push that answered `Forbidden` after applying its first
+    /// `applied` constraints. Every later acyclicity order opens an empty
+    /// frame, so the pop still undoes exactly one frame per order; a later
+    /// `irreflexive` constraint counts the diagonal edges this push
+    /// journaled on its root, which the pop un-counts.
+    fn stop(&mut self, applied: usize) -> PartialVerdict {
+        let mark = *self.frames.last().expect("a push frame is open");
+        let changes = &self.journal[mark..];
+        for (c, con) in self.plan.constraints[applied..].iter().zip(&mut self.cons[applied..]) {
+            match con {
+                ConState::Acyclic { order } => order.begin(),
                 ConState::Irreflexive { selfloops } => {
-                    *selfloops += delta.iter().filter(|(a, b)| a == b).count() as u32;
+                    let on_root = |ch: &&Change| ch.node as usize == c.root && ch.a == ch.b;
+                    for ch in changes.iter().filter(on_root) {
+                        if ch.added {
+                            *selfloops += 1;
+                        } else {
+                            *selfloops -= 1;
+                        }
+                    }
                 }
                 ConState::Empty => {}
             }
         }
-        self.frontier_evals += if touched == READS_RF {
-            plan.evals_rf
-        } else {
-            plan.evals_co
-        };
-        Ok(self.verdict())
+        self.stopped = true;
+        PartialVerdict::Forbidden
     }
 
     /// The semi-naive delta of a binary node from its children's deltas
@@ -1329,6 +1402,7 @@ impl<'a> StagedState<'a> {
     /// most recent push.
     fn undo_frame(&mut self) {
         let mark = self.frames.pop().expect("pop without matching push");
+        self.stopped = false;
         for con in &mut self.cons {
             if let ConState::Acyclic { order } = con {
                 order.undo();
@@ -1380,9 +1454,13 @@ impl<'a> StagedState<'a> {
         }
     }
 
-    /// The current partial verdict, O(#constraints).
+    /// The current partial verdict, O(#constraints). Pushes answer their
+    /// own verdict; this scan serves [`ComboChecker::check_partial`]
+    /// callers outside the engine.
+    ///
+    /// [`ComboChecker::check_partial`]: telechat_exec::ComboChecker::check_partial
     pub fn verdict(&self) -> PartialVerdict {
-        if self.const_violated || (0..self.cons.len()).any(|i| self.violated(i)) {
+        if self.const_gate.is_some() || (0..self.cons.len()).any(|i| self.violated(i)) {
             PartialVerdict::Forbidden
         } else {
             PartialVerdict::Undecided
@@ -1416,6 +1494,7 @@ impl<'a> StagedState<'a> {
     /// evaluated — so the first-violated rule name and the flag list are
     /// byte-identical to [`crate::eval::run_program`].
     pub fn check_leaf(&self) -> Result<Verdict> {
+        debug_assert!(!self.stopped, "check_leaf on a stopped push: pop it first");
         let mut flags = Vec::new();
         let mut env = Env::view(&self.base, self.dyn_slots());
         for step in &self.plan.steps {
@@ -1731,7 +1810,8 @@ exists (P0:r0=0 /\ P1:r0=0)
             assert_eq!(binding_reads(a64.plan(), name), READS_RF, "aarch64 {name}");
         }
         assert_eq!(binding_reads(a64.plan(), "coe"), READS_CO, "aarch64 coe");
-        // Per-push work: only what reads the pushed relation.
+        // Per-push work: only what reads the pushed relation, even when
+        // the push runs to the end of the walk.
         let plan = rc11.plan();
         let frontier = plan
             .steps
@@ -1739,7 +1819,13 @@ exists (P0:r0=0 /\ P1:r0=0)
             .filter(|s| matches!(s, Step::BindDyn { frontier: true, .. }))
             .count()
             + plan.constraints.len();
-        assert!(plan.evals_rf < frontier as u64 && plan.evals_co < frontier as u64);
+        let full_walk = |touched: u8| {
+            let reads = |n: usize| plan.nodes[n].reads & touched != 0;
+            let nodes = 0..plan.nodes.len();
+            let binds: u32 = nodes.filter(|&n| reads(n)).map(|n| plan.nodes[n].binds).sum();
+            binds as usize + plan.constraints.iter().filter(|c| reads(c.root)).count()
+        };
+        assert!(full_walk(READS_RF) < frontier && full_walk(READS_CO) < frontier);
     }
 
     const RMW3: &str = r#"
@@ -1818,7 +1904,8 @@ exists (P1:r1=0)
         assert_eq!(a.nodes, b.nodes, "{at}: node universe");
         assert_eq!(a.vals, b.vals, "{at}: node values");
         assert_eq!(a.const_results, b.const_results, "{at}: constant checks");
-        assert_eq!(a.const_violated, b.const_violated, "{at}: constant verdict");
+        assert_eq!(a.const_gate, b.const_gate, "{at}: constant verdict");
+        assert_eq!(a.stopped, b.stopped, "{at}: stopped push");
         assert_eq!(
             (a.journal.len(), a.frames.len()),
             (b.journal.len(), b.frames.len()),
@@ -1862,132 +1949,341 @@ exists (P1:r1=0)
         skeleton
     }
 
-    /// A scripted DFS over [`rmw3_skeleton`] that leaves the plain
-    /// push-then-pop path: rf for every read, co for every location, pop
-    /// all co, pop one rf, push a different rf, co again in another order,
-    /// then pop everything. Each step is applied to every session in
-    /// `states` (all opened on the skeleton). At every node the first
-    /// session is compared with a from-scratch evaluation and every other
-    /// session with the first; both leaves are compared with
-    /// `run_program`.
-    fn run_script(model: &CatModel, states: &mut [StagedState]) {
-        let skeleton = rmw3_skeleton();
-        let reads: Vec<EventId> = skeleton.reads().iter().collect();
-        let mut writes: std::collections::BTreeMap<_, Vec<EventId>> = Default::default();
-        for id in skeleton.init_writes().iter() {
-            writes.entry(skeleton.events[id.index()].loc.clone()).or_default().push(id);
-        }
-        for id in skeleton.writes().iter() {
-            if !skeleton.init_writes().contains(id) {
-                writes.entry(skeleton.events[id.index()].loc.clone()).or_default().push(id);
+    /// One push of a scripted DFS: read `i` reads from `w`, or location
+    /// `li`'s coherence chain is extended with `w`.
+    #[derive(Debug, Clone, Copy)]
+    enum Push {
+        Rf { i: usize, w: EventId },
+        Co { li: usize, w: EventId },
+    }
+
+    /// The push a DFS position awaits, before its write is chosen: read
+    /// `i`'s rf, or location `li`'s next coherence write.
+    #[derive(Debug, Clone, Copy)]
+    enum Slot {
+        Rf(usize),
+        Co(usize),
+    }
+
+    impl Slot {
+        fn with(self, w: EventId) -> Push {
+            match self {
+                Slot::Rf(i) => Push::Rf { i, w },
+                Slot::Co(li) => Push::Co { li, w },
             }
-        }
-        assert_eq!(reads.len(), 3);
-        assert!(writes.values().all(|w| w.len() == 3), "{writes:?}");
-        let rf_choice = |i: usize, shift: usize| {
-            let ws = &writes[&skeleton.events[reads[i].index()].loc];
-            ws[(i + shift) % ws.len()]
-        };
-        let name = model.model_name();
-        let check = |states: &[StagedState], partial: &Execution, at: &str| {
-            assert_matches_scratch(model, &states[0], partial, at);
-            for other in &states[1..] {
-                assert_same_state(&states[0], other, at);
-            }
-        };
-        let leaf = |states: &[StagedState], partial: &Execution, at: &str| {
-            let scratch = run_program(model.program(), partial).unwrap();
-            for state in states {
-                assert_eq!(state.check_leaf().unwrap(), scratch, "{name}: {at}");
-            }
-        };
-        let mut partial = skeleton.clone();
-        check(states, &partial, "seed");
-        let co_stage = |states: &mut [StagedState], partial: &mut Execution, reverse: bool| {
-            let mut pushed = Vec::new();
-            for ws in writes.values() {
-                let mut order = ws[1..].to_vec();
-                if reverse {
-                    order.reverse();
-                }
-                let mut chain = vec![ws[0]];
-                for w in order {
-                    for &p in &chain {
-                        partial.co.insert(p, w);
-                    }
-                    for state in states.iter_mut() {
-                        state.push_co(&chain, w).unwrap();
-                    }
-                    check(states, partial, &format!("co {w:?}"));
-                    pushed.push((chain.clone(), w));
-                    chain.push(w);
-                }
-            }
-            pushed
-        };
-        let pop_co_stage = |states: &mut [StagedState], partial: &mut Execution, pushed: Vec<(Vec<EventId>, EventId)>| {
-            for (chain, w) in pushed.into_iter().rev() {
-                for state in states.iter_mut() {
-                    state.pop_co(&chain, w);
-                }
-                for &p in &chain {
-                    partial.co.remove(p, w);
-                }
-                check(states, partial, &format!("pop co {w:?}"));
-            }
-        };
-        let mut rf_pushed = Vec::new();
-        for (i, &r) in reads.iter().enumerate() {
-            let w = rf_choice(i, 1);
-            partial.rf.insert(w, r);
-            for state in states.iter_mut() {
-                state.push_rf(w, r).unwrap();
-            }
-            check(states, &partial, &format!("rf {i}"));
-            rf_pushed.push((w, r));
-        }
-        let pushed = co_stage(states, &mut partial, false);
-        leaf(states, &partial, "leaf verdict");
-        pop_co_stage(states, &mut partial, pushed);
-        let (old, r) = rf_pushed.pop().expect("three reads");
-        for state in states.iter_mut() {
-            state.pop_rf(old, r);
-        }
-        partial.rf.remove(old, r);
-        check(states, &partial, "pop rf");
-        let new = rf_choice(reads.len() - 1, 2);
-        assert_ne!(new, old);
-        partial.rf.insert(new, r);
-        for state in states.iter_mut() {
-            state.push_rf(new, r).unwrap();
-        }
-        check(states, &partial, "re-push rf");
-        rf_pushed.push((new, r));
-        let pushed = co_stage(states, &mut partial, true);
-        leaf(states, &partial, "second leaf verdict");
-        pop_co_stage(states, &mut partial, pushed);
-        for (w, r) in rf_pushed.into_iter().rev() {
-            for state in states.iter_mut() {
-                state.pop_rf(w, r);
-            }
-            partial.rf.remove(w, r);
-            check(states, &partial, &format!("pop rf {r:?}"));
         }
     }
 
-    /// [`run_script`] on one fresh session.
-    fn run_script_fresh(model: &CatModel) {
+    /// The first check a complete update would find violated on
+    /// `partial`: the program evaluated from scratch, checks in source
+    /// order. Exact for models whose checks all stage or are constant
+    /// (residual checks are leaf-only and never blamed mid-DFS).
+    fn scratch_blame(model: &CatModel, partial: &Execution) -> Option<String> {
+        assert!(
+            !model.plan().steps.iter().any(|s| matches!(s, Step::CheckResidual { .. })),
+            "{}: a residual check makes run_program's first violation differ from blame",
+            model.model_name()
+        );
+        match run_program(model.program(), partial).unwrap() {
+            Verdict::Forbidden { rule } => Some(rule),
+            Verdict::Allowed { .. } => None,
+        }
+    }
+
+    /// Drives sessions opened on one skeleton through the engine's
+    /// protocol: rf pushes before co pushes, and a push that answers
+    /// `Forbidden` is asked only for its blame and then popped. Every push
+    /// is applied to every session in `states` and to a materialised
+    /// partial candidate. A `Forbidden` push is checked on its verdict and
+    /// blame against [`scratch_blame`]. With `exact`, every state the
+    /// engine can reach (after each other push, and after every pop) is
+    /// compared node for node: the first session with a from-scratch
+    /// evaluation, every other session with the first.
+    struct Script<'m, 's, 'a> {
+        model: &'m CatModel,
+        states: &'s mut [StagedState<'a>],
+        exact: bool,
+        /// The skeleton's reads, and per read its location's index.
+        reads: Vec<(EventId, usize)>,
+        /// Per location, its writes, init write first.
+        writes: Vec<Vec<EventId>>,
+        partial: Execution,
+        /// Per location, the current coherence chain.
+        chains: Vec<Vec<EventId>>,
+        stack: Vec<Push>,
+        leaves: usize,
+        forbidden: usize,
+    }
+
+    impl<'m, 's, 'a> Script<'m, 's, 'a> {
+        fn new(
+            model: &'m CatModel,
+            states: &'s mut [StagedState<'a>],
+            skeleton: &Execution,
+            exact: bool,
+        ) -> Self {
+            let mut by_loc: std::collections::BTreeMap<_, Vec<EventId>> = Default::default();
+            for id in skeleton.init_writes().iter() {
+                by_loc.entry(skeleton.events[id.index()].loc.clone()).or_default().push(id);
+            }
+            for id in skeleton.writes().iter() {
+                if !skeleton.init_writes().contains(id) {
+                    by_loc.entry(skeleton.events[id.index()].loc.clone()).or_default().push(id);
+                }
+            }
+            let locs: Vec<_> = by_loc.keys().cloned().collect();
+            let reads = skeleton
+                .reads()
+                .iter()
+                .map(|r| {
+                    let loc = &skeleton.events[r.index()].loc;
+                    let li = locs.iter().position(|l| l == loc);
+                    (r, li.expect("every read's location is written"))
+                })
+                .collect();
+            let writes: Vec<Vec<EventId>> = by_loc.into_values().collect();
+            let script = Script {
+                model,
+                states,
+                exact,
+                reads,
+                chains: writes.iter().map(|ws| vec![ws[0]]).collect(),
+                writes,
+                partial: skeleton.clone(),
+                stack: Vec::new(),
+                leaves: 0,
+                forbidden: 0,
+            };
+            script.check("seed");
+            script
+        }
+
+        fn check(&self, at: &str) {
+            if self.exact {
+                assert_matches_scratch(self.model, &self.states[0], &self.partial, at);
+                for other in &self.states[1..] {
+                    assert_same_state(&self.states[0], other, at);
+                }
+            }
+        }
+
+        /// Pushes `p`; true if it answered `Undecided` (it stays pushed),
+        /// false if it answered `Forbidden` (checked, then popped).
+        fn push(&mut self, p: Push) -> bool {
+            let at = format!("{p:?} after {:?}", self.stack);
+            let verdicts: Vec<PartialVerdict> = match p {
+                Push::Rf { i, w } => {
+                    let r = self.reads[i].0;
+                    self.partial.rf.insert(w, r);
+                    self.states.iter_mut().map(|s| s.push_rf(w, r).unwrap()).collect()
+                }
+                Push::Co { li, w } => {
+                    let chain = &self.chains[li];
+                    for &c in chain {
+                        self.partial.co.insert(c, w);
+                    }
+                    let verdicts =
+                        self.states.iter_mut().map(|s| s.push_co(chain, w).unwrap()).collect();
+                    self.chains[li].push(w);
+                    verdicts
+                }
+            };
+            let name = self.model.model_name();
+            let scratch = scratch_blame(self.model, &self.partial);
+            for (verdict, state) in verdicts.iter().zip(self.states.iter()) {
+                assert_eq!(
+                    *verdict == PartialVerdict::Forbidden,
+                    scratch.is_some(),
+                    "{name} {at}: verdict (scratch blames {scratch:?})"
+                );
+                if *verdict == PartialVerdict::Forbidden {
+                    assert_eq!(state.blame(), scratch.as_deref(), "{name} {at}: blame");
+                }
+            }
+            if scratch.is_some() {
+                self.forbidden += 1;
+                self.undo(p, &format!("pop forbidden {at}"));
+                return false;
+            }
+            self.stack.push(p);
+            self.check(&at);
+            true
+        }
+
+        fn undo(&mut self, p: Push, at: &str) {
+            match p {
+                Push::Rf { i, w } => {
+                    let r = self.reads[i].0;
+                    for state in self.states.iter_mut() {
+                        state.pop_rf(w, r);
+                    }
+                    self.partial.rf.remove(w, r);
+                }
+                Push::Co { li, w } => {
+                    self.chains[li].pop();
+                    let chain = &self.chains[li];
+                    for state in self.states.iter_mut() {
+                        state.pop_co(chain, w);
+                    }
+                    for &c in chain {
+                        self.partial.co.remove(c, w);
+                    }
+                }
+            }
+            self.check(at);
+        }
+
+        fn pop(&mut self) -> Push {
+            let p = self.stack.pop().expect("a push to pop");
+            self.undo(p, &format!("pop {p:?}"));
+            p
+        }
+
+        /// The next push the DFS owes: the next read's rf, else the first
+        /// incomplete coherence chain's next write; `None` at a leaf.
+        fn next_slot(&self) -> Option<Slot> {
+            let assigned = self.stack.iter().filter(|p| matches!(p, Push::Rf { .. })).count();
+            if assigned < self.reads.len() {
+                return Some(Slot::Rf(assigned));
+            }
+            let open = |&li: &usize| self.chains[li].len() < self.writes[li].len();
+            (0..self.chains.len()).find(open).map(Slot::Co)
+        }
+
+        /// The candidate writes for `slot`: every write of the read's
+        /// location, or the writes not yet in the chain.
+        fn candidates(&self, slot: Slot) -> Vec<EventId> {
+            match slot {
+                Slot::Rf(i) => self.writes[self.reads[i].1].clone(),
+                Slot::Co(li) => {
+                    let placed = &self.chains[li];
+                    self.writes[li].iter().copied().filter(|w| !placed.contains(w)).collect()
+                }
+            }
+        }
+
+        /// Checks the leaf verdict of every session against `run_program`.
+        fn leaf(&mut self) {
+            let scratch = run_program(self.model.program(), &self.partial).unwrap();
+            let name = self.model.model_name();
+            for state in self.states.iter() {
+                assert_eq!(state.check_leaf().unwrap(), scratch, "{name}: leaf {:?}", self.stack);
+            }
+            self.leaves += 1;
+        }
+
+        /// Depth-first search to the first allowed leaf, trying each slot's
+        /// candidates in the order `order` gives. On success the leaf stays
+        /// pushed; on failure every push made here is popped.
+        fn first_leaf(&mut self, order: &dyn Fn(Slot, Vec<EventId>) -> Vec<EventId>) -> bool {
+            let Some(slot) = self.next_slot() else {
+                self.leaf();
+                return true;
+            };
+            for w in order(slot, self.candidates(slot)) {
+                if self.push(slot.with(w)) {
+                    if self.first_leaf(order) {
+                        return true;
+                    }
+                    self.pop();
+                }
+            }
+            false
+        }
+
+        /// A seeded walk of `steps` protocol moves: push a random
+        /// candidate of the next slot, or pop, or judge a leaf and pop.
+        fn random_walk(&mut self, seed: u64, steps: usize) {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            for _ in 0..steps {
+                let roll = next();
+                match self.next_slot() {
+                    _ if !self.stack.is_empty() && roll % 4 == 0 => {
+                        self.pop();
+                    }
+                    None => {
+                        self.leaf();
+                        self.pop();
+                    }
+                    Some(slot) => {
+                        let candidates = self.candidates(slot);
+                        let w = candidates[(roll >> 8) as usize % candidates.len()];
+                        self.push(slot.with(w));
+                    }
+                }
+            }
+            while !self.stack.is_empty() {
+                self.pop();
+            }
+        }
+    }
+
+    /// A scripted DFS over [`rmw3_skeleton`] that leaves the plain
+    /// push-then-pop path: the first allowed leaf (read `i` tries its
+    /// location's writes from the `i + 1`-th on, chains in write order),
+    /// pop all co, pop the last rf, the first allowed leaf under a
+    /// different write for that read with every chain in reverse order,
+    /// then pop everything. Each step is applied to every session in
+    /// `states` (all opened on the skeleton) and checked as [`Script`]
+    /// describes; both leaves are compared with `run_program`. Returns
+    /// the number of leaves reached and of pushes that answered
+    /// `Forbidden`.
+    fn run_script(model: &CatModel, states: &mut [StagedState]) -> (usize, usize) {
         let skeleton = rmw3_skeleton();
-        run_script(model, &mut [StagedState::new(model.plan(), &skeleton).unwrap()]);
+        let mut script = Script::new(model, states, &skeleton, true);
+        assert_eq!(script.reads.len(), 3);
+        assert!(script.writes.iter().all(|w| w.len() == 3), "{:?}", script.writes);
+        let rotate = |shift: usize| {
+            move |slot: Slot, mut ws: Vec<EventId>| {
+                if let Slot::Rf(i) = slot {
+                    let k = (i + shift) % ws.len();
+                    ws.rotate_left(k);
+                }
+                ws
+            }
+        };
+        let reached = script.first_leaf(&rotate(1));
+        while matches!(script.stack.last(), Some(Push::Co { .. })) {
+            script.pop();
+        }
+        if reached {
+            let Push::Rf { w: old, .. } = script.pop() else {
+                unreachable!("rf pushes precede co pushes")
+            };
+            let second = rotate(2);
+            script.first_leaf(&move |slot: Slot, ws: Vec<EventId>| match slot {
+                Slot::Rf(_) => second(slot, ws).into_iter().filter(|&w| w != old).collect(),
+                Slot::Co(_) => ws.into_iter().rev().collect(),
+            });
+        }
+        while !script.stack.is_empty() {
+            script.pop();
+        }
+        (script.leaves, script.forbidden)
+    }
+
+    /// [`run_script`] on one fresh session.
+    fn run_script_fresh(model: &CatModel) -> (usize, usize) {
+        let skeleton = rmw3_skeleton();
+        run_script(model, &mut [StagedState::new(model.plan(), &skeleton).unwrap()])
     }
 
     /// The hazard that read-set skipping creates: a value a pop left stale
     /// is never recomputed by later pushes that skip it. Pops must
-    /// restore every maintained value, checked on the bundled models.
+    /// restore every maintained value, checked on the bundled models; the
+    /// script reaches both of its leaves and stops some pushes early.
     #[test]
     fn scripted_push_pop_keeps_every_value_exact() {
         for model_name in ["aarch64", "rc11"] {
-            run_script_fresh(&CatModel::bundled(model_name).unwrap());
+            let (leaves, forbidden) = run_script_fresh(&CatModel::bundled(model_name).unwrap());
+            assert_eq!(leaves, 2, "{model_name}: both leaves");
+            assert!(forbidden > 0, "{model_name}: no push was forbidden");
         }
     }
 
@@ -2003,11 +2299,122 @@ exists (P1:r1=0)
             let model = CatModel::bundled(model_name).unwrap();
             let open = || StagedState::new(model.plan(), &skeleton).unwrap();
             let mut reused = open();
-            run_script(&model, std::slice::from_mut(&mut reused));
+            assert_eq!(run_script(&model, std::slice::from_mut(&mut reused)).0, 2);
             assert!(reused.frontier_evals() > 0);
             assert_same_state(&open(), &reused, &format!("{model_name} after the script"));
-            run_script(&model, &mut [open(), reused]);
+            assert_eq!(run_script(&model, &mut [open(), reused]).0, 2);
         }
+    }
+
+    /// A push stops at its first violated check, so its blame must be the
+    /// rule a complete update names: at every `Forbidden` push of seeded
+    /// protocol walks over the RMW3 and diy SB/MP/LB/2+2W skeletons, the
+    /// blame equals the first violated check of a from-scratch evaluation.
+    #[test]
+    fn stopped_push_blames_the_first_violated_rule() {
+        use telechat_common::Annot;
+        use telechat_diy::{AccessKind, Edge, Family};
+        let po = Edge::Po { sameloc: false };
+        let mut skeletons = vec![("RMW3".to_string(), rmw3_skeleton())];
+        for family in [Family::Sb, Family::Mp, Family::Lb, Family::W2Plus2] {
+            let kind = AccessKind::Atomic(Annot::Relaxed);
+            let test = family.generate(family.tag(), po, kind).unwrap();
+            let r = simulate(&test, &AllowAll, &SimConfig::default().keeping_executions()).unwrap();
+            let mut skeleton = r.executions.into_iter().next().unwrap();
+            skeleton.rf = Relation::new();
+            skeleton.co = Relation::new();
+            skeletons.push((family.tag().to_string(), skeleton));
+        }
+        for model_name in ["aarch64", "armv7", "x86tso", "rc11"] {
+            let model = CatModel::bundled(model_name).unwrap();
+            let mut forbidden = 0;
+            for (name, skeleton) in &skeletons {
+                let mut state = StagedState::new(model.plan(), skeleton).unwrap();
+                for seed in 1..=4 {
+                    let states = std::slice::from_mut(&mut state);
+                    let mut script = Script::new(&model, states, skeleton, false);
+                    script.random_walk(seed, 120);
+                    forbidden += script.forbidden;
+                }
+                assert_same_state(
+                    &StagedState::new(model.plan(), skeleton).unwrap(),
+                    &state,
+                    &format!("{model_name} {name} after the walks"),
+                );
+            }
+            assert!(forbidden > 0, "{model_name}: no push was forbidden");
+        }
+    }
+
+    /// A push that stops after the walk passed a later `irreflexive`
+    /// constraint's root has journaled that root's diagonal edges without
+    /// applying the constraint; the pop must still leave the self-loop
+    /// count exact. Here `second`'s root (`a`, diagonal on every rf edge)
+    /// precedes `first`'s, which stops every rf push.
+    #[test]
+    fn stop_past_a_later_irreflexive_root_pops_exactly() {
+        let src = "let a = rf ; rf^-1\nempty a | rf as first\nirreflexive a as second";
+        let program = crate::parse::parse_cat("t", src, &|_| None).unwrap();
+        let model = CatModel::from_program(program);
+        let plan = model.plan();
+        assert_eq!(plan.constraints[1].mode, Mode::Irreflexive);
+        assert!(plan.constraints[1].root < plan.constraints[0].root);
+        let skeleton = sb_skeleton();
+        let mut state = StagedState::new(plan, &skeleton).unwrap();
+        let mut script = Script::new(&model, std::slice::from_mut(&mut state), &skeleton, true);
+        let (r, li) = script.reads[0];
+        let w = script.writes[li][1];
+        assert!(!script.push(Push::Rf { i: 0, w }), "rf({w:?}, {r:?}) must be forbidden");
+        assert_eq!(script.forbidden, 1);
+        drop(script);
+        assert_same_state(&StagedState::new(plan, &skeleton).unwrap(), &state, "after the pop");
+    }
+
+    /// A violated constant check forbids every push, which stops once it
+    /// has applied the staged constraints before that check in source
+    /// order, so a violated staged constraint listed before the check
+    /// still takes the blame (`before` in the last program, which every rf
+    /// push violates).
+    #[test]
+    fn violated_constant_check_stops_every_push() {
+        let skeleton = sb_skeleton();
+        for src in [
+            "empty co as before\nempty po as konst\nacyclic rf | po as after",
+            "empty po as konst\nempty co as after",
+            "empty rf as before\nempty po as konst",
+        ] {
+            let program = crate::parse::parse_cat("t", src, &|_| None).unwrap();
+            let model = CatModel::from_program(program);
+            assert!(model.plan().has_const_checks, "{src:?}");
+            let mut state = StagedState::new(model.plan(), &skeleton).unwrap();
+            let mut script = Script::new(&model, std::slice::from_mut(&mut state), &skeleton, true);
+            let (_, li) = script.reads[0];
+            let w = script.writes[li][0];
+            assert!(!script.push(Push::Rf { i: 0, w }), "{src:?}");
+            assert_eq!(script.forbidden, 1);
+            script.random_walk(3, 40);
+            drop(script);
+            assert_eq!(state.blame(), Some("konst"), "{src:?}: blame at the baseline");
+        }
+    }
+
+    /// The protocol guard: pushing onto a push that answered `Forbidden`
+    /// before popping it is a caller bug, caught in debug builds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "pop it first")]
+    fn pushing_onto_a_stopped_push_panics() {
+        let skeleton = sb_skeleton();
+        let model = CatModel::bundled("sc").unwrap();
+        let mut state = StagedState::new(model.plan(), &skeleton).unwrap();
+        // Both reads read the initial value, then both chains put the new
+        // write last: the SB cycle, forbidden under SC.
+        let [wx0, wy0, wx1, ry, wy1, rx] = [0, 1, 2, 3, 4, 5].map(EventId);
+        assert_eq!(state.push_rf(wy0, ry).unwrap(), PartialVerdict::Undecided);
+        assert_eq!(state.push_rf(wx0, rx).unwrap(), PartialVerdict::Undecided);
+        assert_eq!(state.push_co(&[wx0], wx1).unwrap(), PartialVerdict::Undecided);
+        assert_eq!(state.push_co(&[wy0], wy1).unwrap(), PartialVerdict::Forbidden);
+        let _ = state.push_rf(wx0, rx);
     }
 
     /// Every delta rule, including the ones no bundled model uses (`*`,

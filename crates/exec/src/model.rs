@@ -152,12 +152,20 @@ pub trait ConsistencyModel: Send + Sync {
 /// exactly that state — an incremental session may answer from its own
 /// state in O(1) instead of re-deriving relations.
 ///
+/// After a push answers `Forbidden`, the engine calls only [`blame`] and
+/// then the matching pop: it never pushes on top of a forbidden push and
+/// never checks a leaf under one. A session may therefore stop a push at
+/// its first violated constraint. Until that pop, the session's values
+/// past the stop are unspecified; the verdict and the blamed rule must
+/// still be those a complete update would give.
+///
 /// [`incremental`]: ComboChecker::incremental
 /// [`push_rf`]: ComboChecker::push_rf
 /// [`push_co`]: ComboChecker::push_co
 /// [`pop_rf`]: ComboChecker::pop_rf
 /// [`pop_co`]: ComboChecker::pop_co
 /// [`check`]: ComboChecker::check
+/// [`blame`]: ComboChecker::blame
 pub trait ComboChecker: Send {
     /// Judges one complete candidate (same contract as
     /// [`ConsistencyModel::check`]).
@@ -195,7 +203,8 @@ pub trait ComboChecker: Send {
 
     /// The first-violated rule name in the session's *current* state, for
     /// prune attribution: called by the enumerator right after a push (or
-    /// recheck) answered `Forbidden`, before the edge is unwound. `None`
+    /// recheck) answered `Forbidden`, before the edge is unwound (the only
+    /// call a forbidden push allows before its pop). `None`
     /// when the session cannot name a rule (plain forwarding sessions) —
     /// the prune is still charged, just unattributed. The answer must be a
     /// pure function of the pushed-edge set, so attribution totals are
@@ -207,7 +216,7 @@ pub trait ComboChecker: Send {
     /// Work units this session has spent on pushes so far, for the
     /// deterministic `cat.frontier_evals` counter: the staged Cat engine
     /// reports the frontier bindings plus staged constraints each push
-    /// evaluated or delta-updated. Must be a pure function of the push
+    /// visited before it answered. Must be a pure function of the push
     /// sequence; a running total across every combo the session served
     /// (the engine charges each combo the difference). The default
     /// (sessions that do not report) is 0.
