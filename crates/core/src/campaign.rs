@@ -13,8 +13,7 @@ use crate::persist::PersistStore;
 use crate::pipeline::{PipelineConfig, Telechat, TestReport, TestScope, TestVerdict};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use telechat_common::{fnv1a64, Arch, Error, Result};
 use telechat_compiler::{Compiler, CompilerFamily, CompilerId, OptLevel, Target};
@@ -54,9 +53,9 @@ pub struct CampaignSpec {
     pub targets: Vec<Target>,
     /// Source model name (`rc11`, or `rc11-lb` for the no-LB rerun).
     pub source_model: String,
-    /// Campaign worker threads (tests × profiles are sharded over these).
-    /// This is the only parallel layer: each simulation runs on the worker
-    /// that asked for it.
+    /// Campaign worker threads. Tests are spread over these, and a worker
+    /// runs every profile of the test it pulled. This is the only parallel
+    /// layer: each simulation runs on the worker that asked for it.
     pub threads: usize,
     /// Enable the campaign-scale sharing layer ([`SimCache`]): the source
     /// leg of each test simulates once per campaign instead of once per
@@ -403,25 +402,12 @@ pub fn run_campaign(
 }
 
 /// Runs the campaign over a streaming [`TestSource`]: every supplied test ×
-/// every applicable profile, sharded over `spec.threads` workers. The work
-/// item is one `(test, profile)` pair, so parallelism is not capped by the
-/// test count even for few-tests × many-profiles sweeps.
-///
-/// **Hit-aware scheduling.** With the sharing layer on (`spec.cache`), a
-/// pulled test fans out *source-leg-first*: one **lead** item (the first
-/// profile) enters the frontier immediately and its worker warms the
-/// test's prepare + source-leg cache entries, while other workers pull
-/// *other tests'* leads — so with `N` workers, `N` distinct source legs
-/// simulate concurrently instead of `N` workers racing (or blocking) on
-/// one. As soon as the warm-up completes — before the lead's own
-/// compile/extract/target work — the **follower** items (the remaining
-/// profiles, now pure source-cache hits) are released at the *front* of
-/// the frontier so they run while the entry is hot, their compiles in
-/// parallel with the lead's. Workers that find the source dry while leads
-/// are still warming *wait* for the follower release instead of exiting,
-/// so the tail of a campaign — and a few-tests × many-profiles sweep —
-/// stays parallel. Without the cache, every profile is queued immediately
-/// (the sharing-free behaviour).
+/// every applicable profile, on `spec.threads` workers. A worker pulls one
+/// test and runs each of its pending profiles in profile order, one
+/// `(test, profile)` work item at a time, each behind its own
+/// failure-isolation boundary. Tests, not items, are spread over the
+/// workers, so a campaign with fewer tests than workers leaves the rest
+/// idle.
 ///
 /// The result is byte-identical for every worker count and for cache
 /// on/off: tests are pulled from the source in a fixed order, cells
@@ -499,47 +485,6 @@ pub fn run_campaign_source(
         return Ok(empty);
     }
 
-    /// One frontier entry: a pulled test, the profile index to run, and —
-    /// for a lead item — the follower profile indices to release on
-    /// completion.
-    type Item = (Arc<Pulled>, usize, Vec<usize>);
-
-    /// The shared frontier: queued (test, profile) items, refilled from
-    /// the source one test at a time when it runs dry, plus the count of
-    /// lead items whose followers have not been released yet — while that
-    /// is non-zero an empty frontier does **not** mean the campaign is
-    /// done, so idle workers wait (on `idle`) instead of exiting.
-    struct Frontier<'a> {
-        source: &'a mut dyn TestSource,
-        queue: std::collections::VecDeque<Item>,
-        outstanding_leads: usize,
-    }
-
-    /// Releases a lead's followers when dropped, so they are published
-    /// (and waiting workers woken) even if the lead's pipeline run panics
-    /// — otherwise idle workers would wait forever on a decrement that
-    /// never comes and the panic would become a hang.
-    struct FollowerRelease<'a, 'b> {
-        frontier: &'a Mutex<Frontier<'b>>,
-        idle: &'a Condvar,
-        pulled: Arc<Pulled>,
-        followers: Vec<usize>,
-    }
-
-    impl Drop for FollowerRelease<'_, '_> {
-        fn drop(&mut self) {
-            let mut fr = lock_unpoisoned(self.frontier);
-            // Cache-hot: ahead of queued leads (front of the deque, in the
-            // original profile order).
-            for p in self.followers.drain(..).rev() {
-                fr.queue.push_front((self.pulled.clone(), p, Vec::new()));
-            }
-            fr.outstanding_leads -= 1;
-            drop(fr);
-            self.idle.notify_all();
-        }
-    }
-
     let result = Mutex::new(CampaignResult::default());
     // Coverage: distinct source-outcome-set fingerprints seen across the
     // campaign (the precursor to observation-equivalence dedup). A set of
@@ -547,198 +492,144 @@ pub fn run_campaign_source(
     // list — byte-identical across thread counts, cache and store.
     let outcome_sets: Mutex<std::collections::BTreeSet<u64>> =
         Mutex::new(std::collections::BTreeSet::new());
-    let frontier: Mutex<Frontier> = Mutex::new(Frontier {
-        source,
-        queue: std::collections::VecDeque::new(),
-        outstanding_leads: 0,
-    });
-    let idle = Condvar::new();
+    let source = Mutex::new(source);
 
     // The root span of the trace; workers re-parent themselves under it so
     // every work item nests below "campaign" whichever thread ran it.
     let root_span = telechat_obs::span("campaign");
     let root_ref = telechat_obs::current();
 
-    std::thread::scope(|scope| {
+    std::thread::scope(|threads| {
         for _ in 0..spec.threads.max(1) {
-            scope.spawn(|| {
+            threads.spawn(|| {
                 let _trace = telechat_obs::adopt(root_ref);
                 loop {
-                    let item = {
-                        let mut fr = lock_unpoisoned(&frontier);
-                        loop {
-                            if let Some(item) = fr.queue.pop_front() {
-                                break Some(item);
-                            }
-                            match fr.source.next_test() {
-                                Some(test) => {
-                                    telechat_obs::add(telechat_obs::Counter::CampaignTests, 1);
-                                    // Which profiles still need computing:
-                                    // sharded-out items belong to another
-                                    // shard and are skipped; journaled items
-                                    // replay their recorded outcome now.
-                                    let pulled = Arc::new(Pulled {
-                                        scope: TestScope::new(test),
-                                        covered: AtomicBool::new(false),
-                                    });
-                                    let tfp = (spec.journal.is_some() || !shard.is_whole())
-                                        .then(|| pulled.scope.fingerprint());
-                                    let mut pending = Vec::with_capacity(profiles.len());
-                                    let mut replays = Vec::new();
-                                    for (p, pfp) in profile_fps.iter().enumerate() {
-                                        if let Some(t) = tfp {
-                                            let key = ItemKey {
-                                                test: t,
-                                                profile: *pfp,
-                                            };
-                                            if key.shard(shard.count) != shard.index {
-                                                continue;
-                                            }
-                                            if let Some(rec) = spec
-                                                .journal
-                                                .as_ref()
-                                                .and_then(|j| j.replay(&key))
-                                            {
-                                                replays.push(rec);
-                                                continue;
-                                            }
-                                        }
-                                        pending.push(p);
-                                    }
-                                    {
-                                        let mut res = lock_unpoisoned(&result);
-                                        // Accounting totals describe the full
-                                        // stream even for a shard campaign.
-                                        res.source_tests += 1;
-                                        res.compiled_tests += profiles.len();
-                                        for rec in replays {
-                                            telechat_obs::add(
-                                                telechat_obs::Counter::CampaignResumed,
-                                                1,
-                                            );
-                                            apply_outcome(
-                                                &mut res,
-                                                (rec.arch, rec.family, rec.opt),
-                                                rec.outcome,
-                                            );
-                                        }
-                                    }
-                                    if cache.is_some() && pending.len() > 1 {
-                                        // Source-leg-first: queue the lead,
-                                        // defer the followers until the lead
-                                        // has populated the shared entries.
-                                        fr.outstanding_leads += 1;
-                                        let lead = pending[0];
-                                        let followers = pending.split_off(1);
-                                        fr.queue.push_back((pulled, lead, followers));
-                                    } else {
-                                        for p in pending {
-                                            fr.queue.push_back((pulled.clone(), p, Vec::new()));
-                                        }
-                                    }
-                                }
-                                // Source dry: finished only once every lead's
-                                // followers have been released; otherwise wait
-                                // for a release to refill the queue.
-                                None if fr.outstanding_leads == 0 => break None,
-                                None => {
-                                    fr = idle.wait(fr).unwrap_or_else(|e| e.into_inner());
-                                }
-                            }
-                        }
-                    };
-                    let Some((pulled, p, followers)) = item else {
+                    // Bound before matching, so the source lock is released
+                    // before the test runs.
+                    let next = lock_unpoisoned(&source).next_test();
+                    let Some(test) = next else {
                         return;
                     };
-                    let test = pulled.scope.test();
-                    telechat_obs::add(telechat_obs::Counter::CampaignWorkItems, 1);
-                    let _span = telechat_obs::span_with(telechat_obs::WORK_ITEM, || {
-                        format!("{}:{}", test.name, profiles[p].profile_name())
-                    });
-                    if !followers.is_empty() {
-                        let release = FollowerRelease {
-                            frontier: &frontier,
-                            idle: &idle,
-                            pulled: pulled.clone(),
-                            followers,
-                        };
-                        // Populate the shared prepare + source-leg entries,
-                        // then release the followers *before* this worker's
-                        // own profile-specific compile/extract/target work —
-                        // followers hit the source cache immediately and run
-                        // their compiles in parallel with the lead's. A
-                        // simulation error is cached too and replays
-                        // identically for every item, so it is ignored here.
-                        // Panics are contained (the gate poisons, and the
-                        // item run below recomputes the leg) — a warm-up
-                        // must never take down the worker.
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let _span = telechat_obs::span("warm-up");
-                            tool.simulate_source_in(&pulled.scope)
-                        }));
-                        drop(release);
-                    }
-                    let compiler = &profiles[p];
-                    let key = (compiler.target.arch, compiler.id.family, compiler.opt);
-                    let outcome = run_isolated(&tool, &pulled, compiler, deadline);
-                    match &outcome {
-                        Err(Error::Deadline { .. }) => {
-                            telechat_obs::add(telechat_obs::Counter::CampaignDeadlineKills, 1);
-                        }
-                        Err(Error::Panicked(_)) => {
-                            telechat_obs::add(telechat_obs::Counter::CampaignPanics, 1);
-                        }
-                        _ => {}
-                    }
-                    // Bin the outcome. Every error — fault or deterministic —
-                    // is an error cell, but only non-fault completions are
-                    // durable: fault-class failures are never journaled, so
-                    // a resumed campaign recomputes them and a transient
-                    // infrastructure fault heals instead of replaying.
-                    let binned = match &outcome {
-                        Ok(report) => match report.verdict {
-                            TestVerdict::Pass => ItemOutcome::Pass,
-                            TestVerdict::NegativeDifference => ItemOutcome::Negative,
-                            TestVerdict::PositiveDifference => ItemOutcome::Positive {
-                                test: test.name.clone(),
-                                profile: compiler.profile_name(),
-                            },
-                            TestVerdict::RuntimeCrash => ItemOutcome::Crashed,
-                            TestVerdict::SourceRace => ItemOutcome::Racy,
-                        },
-                        Err(_) => ItemOutcome::Error,
-                    };
-                    let durable = !outcome.as_ref().is_err_and(Error::is_fault);
-                    {
-                        let mut res = lock_unpoisoned(&result);
-                        if spec.metrics {
-                            // Every report of a test carries the same
-                            // source outcome set: hash it once per test.
-                            if let Ok(report) = &outcome {
-                                if !pulled.covered.swap(true, Ordering::Relaxed) {
-                                    let h =
-                                        fnv1a64(0, report.source_outcomes.to_string().as_bytes());
-                                    lock_unpoisoned(&outcome_sets).insert(h);
-                                }
+                    telechat_obs::add(telechat_obs::Counter::CampaignTests, 1);
+                    let scope = Arc::new(TestScope::new(test));
+                    // Which profiles still need computing: sharded-out items
+                    // belong to another shard and are skipped; journaled
+                    // items replay their recorded outcome now.
+                    let tfp =
+                        (spec.journal.is_some() || !shard.is_whole()).then(|| scope.fingerprint());
+                    let mut pending = Vec::with_capacity(profiles.len());
+                    let mut replays = Vec::new();
+                    for (p, pfp) in profile_fps.iter().enumerate() {
+                        if let Some(t) = tfp {
+                            let key = ItemKey {
+                                test: t,
+                                profile: *pfp,
+                            };
+                            if key.shard(shard.count) != shard.index {
+                                continue;
+                            }
+                            if let Some(rec) = spec.journal.as_ref().and_then(|j| j.replay(&key)) {
+                                replays.push(rec);
+                                continue;
                             }
                         }
-                        if matches!(binned, ItemOutcome::Positive { .. }) {
-                            telechat_obs::add(telechat_obs::Counter::CampaignPositives, 1);
-                        }
-                        apply_outcome(&mut res, key, binned.clone());
+                        pending.push(p);
                     }
-                    if durable {
-                        if let Some(journal) = &spec.journal {
-                            journal.record(&ItemRecord {
-                                key: ItemKey {
-                                    test: pulled.scope.fingerprint(),
-                                    profile: profile_fps[p],
+                    {
+                        let mut res = lock_unpoisoned(&result);
+                        // Accounting totals describe the full stream even
+                        // for a shard campaign.
+                        res.source_tests += 1;
+                        res.compiled_tests += profiles.len();
+                        for rec in replays {
+                            telechat_obs::add(telechat_obs::Counter::CampaignResumed, 1);
+                            apply_outcome(&mut res, (rec.arch, rec.family, rec.opt), rec.outcome);
+                        }
+                    }
+                    let test = scope.test();
+                    let warm_up = cache.is_some() && pending.len() > 1;
+                    let mut covered = false;
+                    for (i, p) in pending.into_iter().enumerate() {
+                        let compiler = &profiles[p];
+                        telechat_obs::add(telechat_obs::Counter::CampaignWorkItems, 1);
+                        let _span = telechat_obs::span_with(telechat_obs::WORK_ITEM, || {
+                            format!("{}:{}", test.name, compiler.profile_name())
+                        });
+                        if warm_up && i == 0 {
+                            // Simulate the source leg ahead of the first
+                            // item. Its cache traffic (one more prepare and
+                            // source probe per test) is part of
+                            // `CacheStats`, which perfbench's item-by-item
+                            // pass reproduces. A simulation error is cached
+                            // and replays in the item run, so it is ignored
+                            // here. Panics are contained (the gate poisons,
+                            // and the item run below recomputes the leg) — a
+                            // warm-up must never take down the worker.
+                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                let _span = telechat_obs::span("warm-up");
+                                tool.simulate_source_in(&scope)
+                            }));
+                        }
+                        let key = (compiler.target.arch, compiler.id.family, compiler.opt);
+                        let outcome = run_isolated(&tool, &scope, compiler, deadline);
+                        match &outcome {
+                            Err(Error::Deadline { .. }) => {
+                                telechat_obs::add(telechat_obs::Counter::CampaignDeadlineKills, 1);
+                            }
+                            Err(Error::Panicked(_)) => {
+                                telechat_obs::add(telechat_obs::Counter::CampaignPanics, 1);
+                            }
+                            _ => {}
+                        }
+                        // Bin the outcome. Every error — fault or
+                        // deterministic — is an error cell, but only
+                        // non-fault completions are durable: fault-class
+                        // failures are never journaled, so a resumed
+                        // campaign recomputes them and a transient
+                        // infrastructure fault heals instead of replaying.
+                        let binned = match &outcome {
+                            Ok(report) => match report.verdict {
+                                TestVerdict::Pass => ItemOutcome::Pass,
+                                TestVerdict::NegativeDifference => ItemOutcome::Negative,
+                                TestVerdict::PositiveDifference => ItemOutcome::Positive {
+                                    test: test.name.clone(),
+                                    profile: compiler.profile_name(),
                                 },
-                                arch: key.0,
-                                family: key.1,
-                                opt: key.2,
-                                outcome: binned,
-                            });
+                                TestVerdict::RuntimeCrash => ItemOutcome::Crashed,
+                                TestVerdict::SourceRace => ItemOutcome::Racy,
+                            },
+                            Err(_) => ItemOutcome::Error,
+                        };
+                        let durable = !outcome.as_ref().is_err_and(Error::is_fault);
+                        // Every report of a test carries the same source
+                        // outcome set: hash it once per test.
+                        if spec.metrics && !covered {
+                            if let Ok(report) = &outcome {
+                                covered = true;
+                                let h = fnv1a64(0, report.source_outcomes.to_string().as_bytes());
+                                lock_unpoisoned(&outcome_sets).insert(h);
+                            }
+                        }
+                        {
+                            let mut res = lock_unpoisoned(&result);
+                            if matches!(binned, ItemOutcome::Positive { .. }) {
+                                telechat_obs::add(telechat_obs::Counter::CampaignPositives, 1);
+                            }
+                            apply_outcome(&mut res, key, binned.clone());
+                        }
+                        if durable {
+                            if let Some(journal) = &spec.journal {
+                                journal.record(&ItemRecord {
+                                    key: ItemKey {
+                                        test: scope.fingerprint(),
+                                        profile: profile_fps[p],
+                                    },
+                                    arch: key.0,
+                                    family: key.1,
+                                    opt: key.2,
+                                    outcome: binned,
+                                });
+                            }
                         }
                     }
                 }
@@ -768,15 +659,6 @@ pub fn run_campaign_source(
         result.obs = Some(telechat_obs::finish());
     }
     Ok(result)
-}
-
-/// A test pulled from the source, shared by all of its work items and
-/// dropped with the last one: the pipeline scope (the test, its
-/// fingerprint and its extraction memo) and whether its source outcome set
-/// has been counted for coverage.
-struct Pulled {
-    scope: TestScope,
-    covered: AtomicBool,
 }
 
 /// Folds one binned work-item outcome into a result's cells — the one
@@ -809,24 +691,24 @@ pub(crate) fn apply_outcome(
 /// campaign completes; the faulted item is a typed error cell.
 fn run_isolated(
     tool: &Telechat,
-    pulled: &Arc<Pulled>,
+    scope: &Arc<TestScope>,
     compiler: &Compiler,
     deadline: Option<Duration>,
 ) -> Result<TestReport> {
     let Some(limit) = deadline else {
-        return catch_run(tool, &pulled.scope, compiler);
+        return catch_run(tool, scope, compiler);
     };
     let (done, took) = std::sync::mpsc::channel();
     let watched = {
         let tool = tool.clone();
-        let pulled = pulled.clone();
+        let scope = scope.clone();
         let compiler = *compiler;
         // The watchdog thread re-parents under the caller's work-item
         // span, so leg spans stay nested even when the item is watched.
         let parent = telechat_obs::current();
         std::thread::spawn(move || {
             let _trace = telechat_obs::adopt(parent);
-            let _ = done.send(catch_run(&tool, &pulled.scope, &compiler));
+            let _ = done.send(catch_run(&tool, &scope, &compiler));
         })
     };
     match took.recv_timeout(limit) {

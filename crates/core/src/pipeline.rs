@@ -196,6 +196,11 @@ impl fmt::Display for NamedAsm {
 /// campaign-wide memo would hold every test's entries until the campaign
 /// ends. Pipelines with different settings, models or caches may share
 /// it: all of those are part of the keys.
+///
+/// A campaign worker runs a test's profiles one after another, yet the
+/// memos keep their locks and fill-once slots: a work item that overruns
+/// its deadline is abandoned on its watchdog thread, which can still be
+/// filling the scope while the worker runs the test's next profile.
 #[derive(Debug)]
 pub struct TestScope {
     test: LitmusTest,

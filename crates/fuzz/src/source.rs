@@ -98,7 +98,7 @@ impl FuzzSource {
         self.hash = fnv1a64(self.hash, telechat_litmus::print::to_litmus(&test).as_bytes());
         // Coverage accounting: which edge kinds and canonical shape
         // classes the stream actually exercised. The campaign driver
-        // pulls tests under its frontier lock in a fixed order, so these
+        // pulls tests under its source lock in a fixed order, so these
         // tallies are a pure function of the work list — deterministic
         // across thread counts like every other `count`-class row. Gated:
         // the labels are only formatted while a metrics window is open.

@@ -99,7 +99,7 @@ fn cached_campaign_is_byte_identical_on_a_fixed_suite() {
         "LB+fences on AArch64 must show up"
     );
     assert!(!baseline.cache.any(), "uncached run reports no traffic");
-    for threads in [1, 4] {
+    for threads in [1, 2, 4] {
         for cache in [false, true] {
             let r = run_campaign(&suite, &spec(threads, cache), &config).unwrap();
             assert_eq!(
@@ -122,7 +122,7 @@ fn cached_campaign_is_byte_identical_on_a_seeded_fuzz_stream() {
         r
     };
     let baseline = run(1, false);
-    for threads in [1, 4] {
+    for threads in [1, 2, 4] {
         for cache in [false, true] {
             let r = run(threads, cache);
             assert_eq!(
@@ -149,8 +149,8 @@ fn cache_stats_pin_one_source_simulation_per_test() {
         s.source_misses, tests,
         "a whole campaign performs exactly one source simulation per test"
     );
-    // The lead's warm-up takes the miss; all `items` pipeline runs (lead
-    // included) then hit the shared entry.
+    // Each test's warm-up takes the miss; all `items` pipeline runs then
+    // hit the shared entry.
     assert_eq!(s.source_hits, items, "every work item shares it");
     assert_eq!(s.prepare_misses, tests, "l2c::prepare runs once per test");
     assert_eq!(s.prepare_hits, items);

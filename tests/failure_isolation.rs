@@ -1,9 +1,9 @@
 //! Failure-isolation pins: injected engine faults (panics, stalls) on a
 //! simulation leg are contained to the faulted work item — the rest of the
-//! campaign completes, blocked cache followers are woken (a poisoned gate
-//! never becomes a hang), a panicking leg is one typed error cell, and a
-//! stalled leg overrunning [`SimConfig::deadline`] becomes a typed error
-//! cell instead of wedging the campaign.
+//! campaign completes, a panicked warm-up heals (a poisoned gate is retried,
+//! never a hang), a panicking leg is one typed error cell in its profile's
+//! cell, and a stalled leg overrunning [`SimConfig::deadline`] becomes a
+//! typed error cell instead of wedging the campaign.
 //!
 //! The fault registry is process-global, so every test here serialises on
 //! one mutex and disarms via a drop guard — a failing assertion cannot
@@ -104,7 +104,8 @@ fn total_errors(r: &CampaignResult) -> usize {
 
 /// Runs the campaign on a helper thread with a generous wall-clock bound,
 /// so an isolation bug that *hangs* the campaign (a poisoned gate that
-/// never wakes its waiters) fails the test instead of wedging CI.
+/// never wakes its waiters, or a worker that never exits) fails the test
+/// instead of wedging CI.
 fn run_bounded(
     tests: Vec<LitmusTest>,
     spec: CampaignSpec,
@@ -115,7 +116,7 @@ fn run_bounded(
         let _ = tx.send(run_campaign(&tests, &spec, &config).unwrap());
     });
     rx.recv_timeout(Duration::from_secs(300))
-        .expect("campaign must complete — a panicked lead must wake its followers, not hang them")
+        .expect("campaign must complete — a faulted item must not hang its worker or the others")
 }
 
 /// True if the given fault is still armed (probed by firing it from under
@@ -138,9 +139,11 @@ fn lead_panic_in_the_source_leg_wakes_followers_and_the_campaign_heals() {
     let baseline =
         run_campaign(&tests, &spec(1, both.clone(), o23.clone()), &config).unwrap();
 
-    // The lead work item's warm-up is the first source-leg compute for the
-    // test, taken inside `Striped::get_or_compute` — the panic poisons the
-    // shared gate while the followers are queued behind it.
+    // The warm-up before the test's first work item is the first
+    // source-leg compute for the test, taken inside
+    // `Striped::get_or_compute` — the panic poisons the shared gate, and
+    // the warm-up's catch keeps the worker alive. Three tests on four
+    // workers also leave one worker with nothing to pull: it must exit.
     fault::arm(EngineFault {
         leg: FaultLeg::Source,
         test_contains: "SB".into(),
@@ -153,10 +156,64 @@ fn lead_panic_in_the_source_leg_wakes_followers_and_the_campaign_heals() {
         "the armed fault must have fired inside the campaign"
     );
     // The poisoned entry is retried by the next claimant (the fault is
-    // burned by then), so the campaign heals completely: every follower
-    // woke, recomputed and classified — byte-identical, zero error cells.
+    // burned by then), so the campaign heals completely: every item
+    // recomputed and classified — byte-identical, zero error cells.
     assert_eq!(fingerprint(&r), fingerprint(&baseline));
     assert_eq!(total_errors(&r), 0);
+}
+
+#[test]
+fn a_panicking_profile_leaves_its_tests_other_profiles_intact() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    fault::disarm_all();
+    let _guard = Disarm;
+
+    let tests = suite(&[SB, MP_REL_ACQ, LB_FENCES]);
+    let both = vec![CompilerId::llvm(11), CompilerId::gcc(10)];
+    let o23 = vec![OptLevel::O2, OptLevel::O3];
+    let config = PipelineConfig::default();
+    let baseline = run_campaign(&tests, &spec(1, both.clone(), o23.clone()), &config).unwrap();
+    assert_eq!(total_errors(&baseline), 0);
+    // The target leg fires with the item's derived `{profile}.{test}` name,
+    // so only this one (test, profile) item is faulted. It is the test's
+    // first profile: with the cache on, the later ones extract the same
+    // code and share its target leg, so only the first one simulates it.
+    // The worker that ran the panicked item then runs the test's other
+    // three profiles.
+    let faulted = "clang-11-O2-AArch64.SB";
+    let key = (Arch::AArch64, CompilerFamily::Llvm, OptLevel::O2);
+
+    for threads in [1, 2, 4] {
+        for cache in [false, true] {
+            let mut spec = spec(threads, both.clone(), o23.clone());
+            spec.cache = cache;
+            fault::arm(EngineFault {
+                leg: FaultLeg::Target,
+                test_contains: faulted.into(),
+                action: FaultAction::Panic,
+                fires: 1,
+            });
+            let r = run_bounded(tests.clone(), spec, config.clone());
+            let at = format!("threads={threads} cache={cache}");
+            assert!(
+                !panic_still_armed(FaultLeg::Target, faulted),
+                "the armed fault must have fired inside the campaign ({at})"
+            );
+            assert_eq!(total_errors(&r), 1, "exactly one error cell ({at})");
+            assert_eq!(
+                r.cells[&key].errors, 1,
+                "in the faulted profile's cell ({at})"
+            );
+            assert_eq!(r.cells[&key].total(), baseline.cells[&key].total(), "{at}");
+            assert!(r.cells.keys().eq(baseline.cells.keys()), "{at}");
+            for (k, cell) in &r.cells {
+                if *k != key {
+                    assert_eq!(cell, &baseline.cells[k], "{k:?} ({at})");
+                }
+            }
+            assert_eq!((r.source_tests, r.compiled_tests), (3, 12), "{at}");
+        }
+    }
 }
 
 #[test]
