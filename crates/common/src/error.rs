@@ -24,9 +24,14 @@ pub enum Error {
     Model(String),
     /// A litmus program is ill-formed (undefined register, bad address…).
     IllFormed(String),
-    /// The enumerator exceeded its step budget (state explosion).
+    /// The simulator exceeded a budget (state explosion).
     Budget {
-        /// Number of enumeration steps performed before giving up.
+        /// What was counted when the budget ran out, by source: for the
+        /// trace interpreter's step budget, the interpreter steps spent;
+        /// for the candidate budget, the candidate executions of the trace
+        /// combos up to and including the one that crossed it (counted
+        /// before any of them is enumerated, so it does not depend on the
+        /// clock).
         steps: u64,
     },
     /// The simulation exceeded its wall-clock timeout.

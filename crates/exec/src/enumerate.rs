@@ -38,9 +38,11 @@
 //!
 //! Pruned subtrees are still *accounted*: the engine adds the number of
 //! complete candidates a cut subtree contains to the candidate counter,
-//! so [`SimResult::candidates`] and the [`SimConfig::max_candidates`]
-//! budget behave identically to exhaustive enumeration — pruning changes
-//! time, not semantics.
+//! so a combo's DFS charges its whole rf × co space and
+//! [`SimResult::candidates`] equals exhaustive enumeration's count —
+//! pruning changes time, not semantics. The charge is also the combo's
+//! `sim.combo_candidates` sample, and debug builds assert that it equals
+//! the space the pre-check counted.
 //!
 //! Combos run one after another on the calling thread, in linear-index
 //! order (thread 0's trace least significant) — the reference engine's
@@ -50,17 +52,30 @@
 //!
 //! # The pre-check
 //!
-//! Many combos cannot be justified: some read takes a value no write of
-//! its location supplies (37% of the combos of the diy `c11` suite, 41%
-//! of those of compiled deep fuzz tests). Whether a combo is one of them
-//! is decided before stage 1, from the chosen traces and the test's init
-//! values alone (`RfSupply`): a read is justified by its location's init
-//! write, by a po-earlier write of its own trace, or by any write of
-//! another thread, each carrying the value it reads.
-//! That is exactly "`Combined::rf_candidates` is `Some`", pinned by
-//! [`precheck_agreement`] on the diy suite and on compiled tests. An
-//! unjustifiable combo has no candidates, so it builds no graph and opens
-//! no session; it is not charged against the candidate budget either.
+//! Since the DFS charges exactly a combo's space, whether a simulation
+//! exhausts its [`SimConfig::max_candidates`] budget is a function of the
+//! traces alone, and [`simulate`] decides it before any enumeration, in
+//! two passes:
+//!
+//! 1. **Count.** Every combo's space is counted from the chosen traces and
+//!    the test's init values (`RfSupply::space`), with no graph built: per
+//!    read, the candidate writers are its location's init write, the
+//!    po-earlier writes of its own trace and every write of another
+//!    thread, each carrying the value it reads; each location with `m`
+//!    non-init writes has `m!` coherence orders. The product is exactly
+//!    the built graph's Π|`Combined::rf_candidates`| × Π `m!`, pinned by
+//!    [`precheck_agreement`] on the diy suite and on compiled tests. The
+//!    moment the running sum passes the budget the simulation fails with
+//!    [`Error::Budget`], whose `steps` is that sum; no session has been
+//!    opened and no push made.
+//! 2. **Enumerate.** The combos of nonzero space run their DFS, in combo
+//!    order. Many combos have space 0 — some read takes a value no write
+//!    of its location supplies (37% of the combos of the diy `c11` suite,
+//!    41% of those of compiled deep fuzz tests) — and build no graph and
+//!    open no session.
+//!
+//! Only the wall-clock [`SimConfig::timeout`] still depends on the
+//! machine; both passes poll it per combo, and the DFS every 256 leaves.
 //!
 //! # Session reuse
 //!
@@ -182,32 +197,54 @@ pub fn simulate(
         deadline,
         thread_traces: &thread_traces,
         shapes: &shapes,
-        supply: &supply,
     };
-    let mut session: Option<Session<'_>> = None;
+
+    // Count pass: the candidate space of every combo, from its traces.
+    // The DFS charges exactly a combo's space, so whether the simulation
+    // exceeds its candidate budget is known here, before any graph is
+    // built or session opened. Each justified combo has space ≥ 1, so at
+    // most `max_candidates` of them are kept.
+    let mut justified: Vec<(u64, u64)> = Vec::new();
+    let mut space_total = 0u64;
     for idx in 0..total {
-        // The intra-combo deadline tick only fires every 256 leaves, so a
-        // simulation whose explosion is in *combinations* (many combos,
-        // each small) must also poll here.
+        // A simulation whose explosion is in *combinations* (many combos,
+        // each small) must poll the deadline per combo.
+        ctx.check_deadline()?;
+        let space = supply.space(&decode_combo(&counts, idx));
+        if space == 0 {
+            continue; // some read unjustifiable
+        }
+        space_total = space_total.saturating_add(space);
+        if space_total > config.max_candidates {
+            return Err(Error::Budget { steps: space_total });
+        }
+        justified.push((idx, space));
+    }
+
+    // DFS pass over the justified combos, in combo order.
+    let mut session: Option<Session<'_>> = None;
+    for (idx, space) in justified {
+        // The intra-combo deadline tick only fires every 256 leaves.
         ctx.check_deadline()?;
         let _span = telechat_obs::span_idx("combo", idx);
-        run_combo(&ctx, &decode_combo(&counts, idx), &mut session, &mut result)?;
+        run_combo(&ctx, &decode_combo(&counts, idx), space, &mut session, &mut result)?;
     }
     result.full_traversals = crate::rel::full_traversals() - ft_start;
     result.elapsed = start.elapsed();
     Ok(result)
 }
 
-/// Every trace combo of `test`, in combo order, judged twice: by the
-/// read-justification pre-check [`simulate`] uses to skip combos without
-/// building them, and by building the combo's graph and asking for its rf
-/// candidates. The two agree on every combo; this is the differential
-/// hook for tests built outside this crate (compiled, extracted ones).
+/// Every trace combo of `test`, in combo order, sized twice: by the
+/// pre-check [`simulate`] uses to count a combo's candidate space from its
+/// traces, and by building the combo's graph and multiplying its rf
+/// candidates per read by `m_l!` per location (0 when some read has none).
+/// The two agree on every combo; this is the differential hook for tests
+/// built outside this crate (compiled, extracted ones).
 ///
 /// # Errors
 ///
 /// Interpretation failures, as in [`simulate`].
-pub fn precheck_agreement(test: &LitmusTest, config: &SimConfig) -> Result<Vec<(bool, bool)>> {
+pub fn precheck_agreement(test: &LitmusTest, config: &SimConfig) -> Result<Vec<(u64, u64)>> {
     let thread_traces = interpret_all_traces(test, config)?;
     let supply = RfSupply::new(test, &thread_traces);
     let counts: Vec<u64> = thread_traces.iter().map(|t| t.len() as u64).collect();
@@ -215,12 +252,17 @@ pub fn precheck_agreement(test: &LitmusTest, config: &SimConfig) -> Result<Vec<(
     Ok((0..total)
         .map(|idx| {
             let choice = decode_combo(&counts, idx);
-            (
-                supply.justified(&choice),
-                build_combined(test, &chosen_traces(&thread_traces, &choice))
-                    .rf_candidates()
-                    .is_some(),
-            )
+            let combined = build_combined(test, &chosen_traces(&thread_traces, &choice));
+            let built = combined.rf_candidates().map_or(0, |rf_choices| {
+                let co = combined
+                    .writes_by_loc
+                    .values()
+                    .fold(1u64, |p, w| p.saturating_mul(fact(w.len() as u64 - 1)));
+                rf_choices
+                    .iter()
+                    .fold(co, |p, c| p.saturating_mul(c.len() as u64))
+            });
+            (supply.space(&choice), built)
         })
         .collect())
 }
@@ -236,7 +278,6 @@ struct SimCtx<'a> {
     thread_traces: &'a [Vec<Trace>],
     /// Per thread, per trace: its value-erased shape id ([`shape_ids`]).
     shapes: &'a [Vec<u32>],
-    supply: &'a RfSupply,
 }
 
 impl SimCtx<'_> {
@@ -314,18 +355,29 @@ fn shape_ids(thread_traces: &[Vec<Trace>]) -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// Decides from the chosen traces alone whether every read of a combo has
-/// a candidate writer — exactly `build_combined(..).rf_candidates()
-/// .is_some()`, without building the combo's graph. A read is justified
-/// by its location's init write, by a po-earlier write of its own trace,
-/// or by any write of another thread, each with the value it reads.
+/// Counts a combo's candidate space — the number of rf × co candidates
+/// its DFS charges — from the chosen traces alone, without building the
+/// combo's graph: exactly `run_combo`'s `rf_tail[0]`, and 0 iff some read
+/// has no candidate writer (`build_combined(..).rf_candidates()` is
+/// `None`). A read's candidate writers are its location's init write, the
+/// po-earlier writes of its own trace and every write of another trace,
+/// each carrying the value it reads; each location with `m` non-init
+/// writes contributes `m!` coherence orders.
 struct RfSupply {
-    /// Per thread, per trace: the sorted `(location, value)` ids its reads
-    /// need from another thread — those neither the init write nor a
-    /// po-earlier write of their own trace supplies.
-    open: Vec<Vec<Vec<u32>>>,
-    /// Per thread, per trace: the sorted `(location, value)` ids it writes.
-    writes: Vec<Vec<Vec<u32>>>,
+    /// Per thread, per trace: its reads as `(own, id)` — the number of
+    /// writers the init write and the trace's own po-earlier writes supply
+    /// to a read of the `(location, value)` id `id`. Sorted, so the reads
+    /// only other threads can justify come first and an unjustifiable
+    /// combo is rejected early.
+    reads: Vec<Vec<Vec<(u64, u32)>>>,
+    /// Per thread, per trace: `(id, count)` of the `(location, value)` ids
+    /// it writes, sorted by id.
+    writes: Vec<Vec<Vec<(u32, u64)>>>,
+    /// Per thread, per trace: its write count per location index (up to
+    /// the last location it writes).
+    loc_writes: Vec<Vec<Vec<u64>>>,
+    /// Number of distinct locations the traces access.
+    locs: usize,
 }
 
 impl RfSupply {
@@ -333,51 +385,99 @@ impl RfSupply {
         // A location declared twice keeps its last init write, as in
         // `build_combined`.
         let init: HashMap<&Loc, &Val> = test.locs.iter().map(|d| (&d.loc, &d.init)).collect();
-        let mut ids: HashMap<(&Loc, &Val), u32> = HashMap::new();
-        let mut open = Vec::with_capacity(thread_traces.len());
+        // Per distinct (location, value): its id, whether it is the
+        // location's init value, and the location's index in `locs`.
+        let mut ids: HashMap<(&Loc, &Val), (u32, bool, usize)> = HashMap::new();
+        let mut locs: Vec<&Loc> = Vec::new();
+        let mut reads = Vec::with_capacity(thread_traces.len());
         let mut writes = Vec::with_capacity(thread_traces.len());
+        let mut loc_writes = Vec::with_capacity(thread_traces.len());
         for traces in thread_traces {
-            let mut t_open = Vec::with_capacity(traces.len());
+            let mut t_reads = Vec::with_capacity(traces.len());
             let mut t_writes = Vec::with_capacity(traces.len());
+            let mut t_loc_writes = Vec::with_capacity(traces.len());
             for tr in traces {
-                let mut needs = Vec::new();
-                let mut wrote = Vec::new();
+                let mut read: Vec<(u64, u32)> = Vec::new();
+                let mut wrote: Vec<(u32, u64)> = Vec::new();
+                let mut by_loc: Vec<u64> = Vec::new();
                 for e in &tr.events {
                     let (Some(loc), Some(val)) = (e.loc.as_ref(), e.val.as_ref()) else {
                         continue;
                     };
                     let next = ids.len() as u32;
-                    let id = *ids.entry((loc, val)).or_insert(next);
+                    let (id, is_init, l) = *ids.entry((loc, val)).or_insert_with(|| {
+                        let l = locs.iter().position(|&x| x == loc).unwrap_or_else(|| {
+                            locs.push(loc);
+                            locs.len() - 1
+                        });
+                        (next, init.get(loc) == Some(&val), l)
+                    });
                     match e.kind {
-                        EventKind::Read if init.get(loc) != Some(&val) && !wrote.contains(&id) => {
-                            needs.push(id);
+                        EventKind::Read => {
+                            let own = u64::from(is_init)
+                                + wrote.iter().find(|&&(w, _)| w == id).map_or(0, |&(_, n)| n);
+                            read.push((own, id));
                         }
-                        EventKind::Write => wrote.push(id),
-                        _ => {}
+                        EventKind::Write => {
+                            match wrote.iter_mut().find(|(w, _)| *w == id) {
+                                Some((_, n)) => *n += 1,
+                                None => wrote.push((id, 1)),
+                            }
+                            if by_loc.len() <= l {
+                                by_loc.resize(l + 1, 0);
+                            }
+                            by_loc[l] += 1;
+                        }
+                        EventKind::Fence => {}
                     }
                 }
-                needs.sort_unstable();
-                needs.dedup();
+                read.sort_unstable();
                 wrote.sort_unstable();
-                wrote.dedup();
-                t_open.push(needs);
+                t_reads.push(read);
                 t_writes.push(wrote);
+                t_loc_writes.push(by_loc);
             }
-            open.push(t_open);
+            reads.push(t_reads);
             writes.push(t_writes);
+            loc_writes.push(t_loc_writes);
         }
-        RfSupply { open, writes }
+        RfSupply {
+            reads,
+            writes,
+            loc_writes,
+            locs: locs.len(),
+        }
     }
 
-    /// True iff every read of the combo `choice` (per-thread trace
-    /// indices) has a candidate writer.
-    fn justified(&self, choice: &[usize]) -> bool {
-        self.open.iter().enumerate().all(|(t, open)| {
-            open[choice[t]].iter().all(|id| {
-                choice.iter().enumerate().any(|(u, &i)| {
-                    u != t && self.writes[u][i].binary_search(id).is_ok()
-                })
-            })
+    /// The candidate space of the combo `choice` (per-thread trace
+    /// indices): Π over reads of their candidate writers × Π over
+    /// locations of `m_l!`, saturating like the DFS's subtree sizes; 0 iff
+    /// some read has no candidate writer.
+    fn space(&self, choice: &[usize]) -> u64 {
+        let mut space = 1u64;
+        for (t, reads) in self.reads.iter().enumerate() {
+            for &(own, id) in &reads[choice[t]] {
+                let writers = choice
+                    .iter()
+                    .enumerate()
+                    .filter(|&(u, _)| u != t)
+                    .fold(own, |sum, (u, &i)| {
+                        let w = &self.writes[u][i];
+                        sum + w.binary_search_by_key(&id, |&(wid, _)| wid).map_or(0, |k| w[k].1)
+                    });
+                if writers == 0 {
+                    return 0;
+                }
+                space = space.saturating_mul(writers);
+            }
+        }
+        (0..self.locs).fold(space, |p, l| {
+            let m = choice
+                .iter()
+                .enumerate()
+                .map(|(t, &i)| self.loc_writes[t][i].get(l).copied().unwrap_or(0))
+                .sum();
+            p.saturating_mul(fact(m))
         })
     }
 }
@@ -403,7 +503,8 @@ fn fact(n: u64) -> u64 {
 /// small simulations at reference-engine speed).
 const PRUNE_THRESHOLD: u64 = 8;
 
-/// Runs one combo's DFS, folding its tallies into `result`.
+/// Runs the DFS of one justified combo, whose candidate space the count
+/// pass found to be `space`, folding its tallies into `result`.
 ///
 /// `session` is the previous combo's session: reused when its shape
 /// matches this combo's, replaced otherwise. A combo that finishes leaves
@@ -411,12 +512,10 @@ const PRUNE_THRESHOLD: u64 = 8;
 fn run_combo<'a>(
     ctx: &SimCtx<'a>,
     choice: &[usize],
+    space: u64,
     session: &mut Option<Session<'a>>,
     result: &mut SimResult,
 ) -> Result<()> {
-    if !ctx.supply.justified(choice) {
-        return Ok(()); // some read unjustifiable
-    }
     let combined = build_combined(ctx.test, &chosen_traces(ctx.thread_traces, choice));
     let rf_choices = combined
         .rf_candidates()
@@ -497,6 +596,7 @@ fn run_combo<'a>(
     };
     let incremental = checker.incremental();
     let evals_before = checker.frontier_evals();
+    let candidates_before = result.candidates;
 
     let mut run = ComboRun {
         ctx,
@@ -513,16 +613,14 @@ fn run_combo<'a>(
         reg_outcome,
         writes_readonly,
         out: result,
-        charged: 0,
         visits: 0,
     };
     run.assign_rf(0)?;
+    let charged = run.out.candidates - candidates_before;
+    debug_assert_eq!(charged, space, "the DFS charges the counted space");
     run.out.frontier_evals += run.checker.frontier_evals() - evals_before;
-    // One DFS-size sample per combo; an unjustifiable combo returned
-    // above without one.
-    if run.charged > 0 {
-        run.out.combo_candidates.record(run.charged);
-    }
+    // One DFS-size sample per combo.
+    run.out.combo_candidates.record(charged);
     *session = Some(Session {
         shape,
         checker: run.checker,
@@ -551,32 +649,24 @@ struct ComboRun<'a, 'c> {
     writes_readonly: bool,
     /// The simulation's result, which this combo's tallies fold into.
     out: &'c mut SimResult,
-    /// Candidate charge (leaves + pruned subtrees) accounted in this combo.
-    charged: u64,
     visits: u64,
 }
 
 impl ComboRun<'_, '_> {
-    /// Accounts `n` candidates (examined or pruned) against the budget and
-    /// against this combo's DFS size.
-    fn charge(&mut self, n: u64) -> Result<()> {
-        self.charged = self.charged.saturating_add(n);
+    /// Accounts `n` candidates (examined or pruned) to the simulation. The
+    /// count pass already checked the budget against the combo's whole
+    /// space.
+    fn charge(&mut self, n: u64) {
         self.out.candidates = self.out.candidates.saturating_add(n);
-        if self.out.candidates > self.ctx.config.max_candidates {
-            return Err(Error::Budget {
-                steps: self.out.candidates,
-            });
-        }
-        Ok(())
     }
 
     /// [`ComboRun::charge`] for a pruned subtree: the charge also lands in
     /// the pruned tally, so `SimResult::pruned_candidates` reports how much
-    /// of the budget prunes covered. Always on: it feeds result
+    /// of the candidate space prunes covered. Always on: it feeds result
     /// accounting, not just telemetry.
-    fn charge_pruned(&mut self, n: u64) -> Result<()> {
+    fn charge_pruned(&mut self, n: u64) {
         self.out.pruned_candidates = self.out.pruned_candidates.saturating_add(n);
-        self.charge(n)
+        self.charge(n);
     }
 
     /// Attribution for a prune of `n` candidates, recorded just before the
@@ -638,7 +728,8 @@ impl ComboRun<'_, '_> {
             };
             let res = if verdict == PartialVerdict::Forbidden {
                 self.attribute_prune(subtree, true);
-                self.charge_pruned(subtree)
+                self.charge_pruned(subtree);
+                Ok(())
             } else {
                 self.assign_rf(i + 1)
             };
@@ -685,7 +776,8 @@ impl ComboRun<'_, '_> {
             };
             let res = if pruned {
                 self.attribute_prune(subtree, false);
-                self.charge_pruned(subtree)
+                self.charge_pruned(subtree);
+                Ok(())
             } else {
                 self.assign_co(li, k + 1)
             };
@@ -705,7 +797,7 @@ impl ComboRun<'_, '_> {
 
     /// A complete candidate: judge it and record the outcome if allowed.
     fn leaf(&mut self) -> Result<()> {
-        self.charge(1)?;
+        self.charge(1);
         self.tick()?;
 
         // Outcome: registers (fixed) + observed locations (co-final).
@@ -1131,9 +1223,9 @@ exists (true)
         }
     }
 
-    /// Three same-value writers to one location plus a reader: a single
-    /// trace combo whose swap-DFS has decision arities [3, 3, 2, 1]
-    /// (one rf choice of 3, then co positions 3·2·1).
+    /// Three same-value writers to one location plus a reader: two trace
+    /// combos (P3 reads 0 or 1); the second's swap-DFS has decision
+    /// arities [3, 3, 2, 1] (one rf choice of 3, then co positions 3·2·1).
     const WIDE_CO: &str = r#"
 C11 "WIDE-CO"
 { x = 0; }
@@ -1256,6 +1348,22 @@ P2 (atomic_int* x, atomic_int* y) {
 exists (P1:r0=1 /\ P1:r1=0)
 "#;
 
+    /// P0 reads back a value its own po-earlier store and P1's store both
+    /// write: reading 1 has those two candidate writers, reading 0 only
+    /// the init write.
+    const OWN_WRITE: &str = r#"
+C11 "OWN-WRITE"
+{ x = 0; }
+P0 (atomic_int* x) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+}
+P1 (atomic_int* x) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+}
+exists (P0:r0=0)
+"#;
+
     /// Counts the sessions a simulation opens.
     struct CountSessions<'m> {
         inner: &'m dyn ConsistencyModel,
@@ -1338,18 +1446,60 @@ exists (P1:r0=1 /\ P1:r1=0)
 
     #[test]
     fn precheck_matches_rf_candidates() {
-        // The pre-check rejects exactly the combos whose graph has a read
-        // without a candidate writer, here including both verdicts.
-        for src in [SB, LB, WIDE_CO, ONE_SKELETON, TWO_SKELETONS] {
+        // The pre-check counts exactly the built graph's candidate space,
+        // 0 for the combos with a read without a candidate writer.
+        for src in [SB, LB, WIDE_CO, ONE_SKELETON, TWO_SKELETONS, OWN_WRITE] {
             let test = parse_c11(src).unwrap();
             let pairs = precheck_agreement(&test, &SimConfig::default()).unwrap();
-            for (i, (pre, built)) in pairs.iter().enumerate() {
-                assert_eq!(pre, built, "{} combo {i}", test.name);
+            for (i, (counted, built)) in pairs.iter().enumerate() {
+                assert_eq!(counted, built, "{} combo {i}", test.name);
             }
             if test.name == "TWO-SKELETONS" {
-                let rejected = pairs.iter().filter(|(pre, _)| !pre).count();
+                let rejected = pairs.iter().filter(|&&(s, _)| s == 0).count();
                 assert_eq!((pairs.len(), rejected), (12, 2));
             }
+            if test.name == "WIDE-CO" {
+                // P3 reads 0 from init or 1 from any of three writers;
+                // either way times 3! coherence orders.
+                assert_eq!(pairs, [(6, 6), (18, 18)]);
+            }
+            if test.name == "OWN-WRITE" {
+                // r0 = 0 from init, r0 = 1 from either store; 2! orders.
+                assert_eq!(pairs, [(2, 2), (4, 4)]);
+            }
+        }
+    }
+
+    #[test]
+    fn over_budget_simulation_never_reaches_the_dfs() {
+        // The count pass decides the budget from the traces: an
+        // over-budget simulation opens no session, and its `steps` do not
+        // depend on the clock.
+        for src in [WIDE_CO, TWO_SKELETONS] {
+            let test = parse_c11(src).unwrap();
+            let full = simulate(&test, &AllowAll, &SimConfig::default()).unwrap();
+            let mut steps = BTreeSet::new();
+            for timeout in [None, SimConfig::fast().timeout] {
+                for _ in 0..3 {
+                    let cfg = SimConfig {
+                        max_candidates: full.candidates - 1,
+                        timeout,
+                        ..SimConfig::default()
+                    };
+                    let counting = CountSessions {
+                        inner: &SeqCstRef,
+                        opened: Default::default(),
+                    };
+                    match simulate(&test, &counting, &cfg) {
+                        Err(Error::Budget { steps: s }) => steps.insert(s),
+                        other => panic!("{}: expected a budget error, got {other:?}", test.name),
+                    };
+                    assert_eq!(counting.opened.into_inner(), 0, "{}: sessions", test.name);
+                }
+            }
+            // The last justified combo crosses the budget, so `steps`
+            // counts every candidate of the test.
+            assert_eq!(steps, BTreeSet::from([full.candidates]), "{}", test.name);
         }
     }
 

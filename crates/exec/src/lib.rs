@@ -51,7 +51,7 @@
 /// any simulation outcome, accounting field or error — candidate counting,
 /// outcome collection, model evaluation order — and leave it alone for
 /// pure-performance work that is pinned byte-identical.
-pub const ENGINE_REVISION: u64 = 2;
+pub const ENGINE_REVISION: u64 = 3;
 
 pub mod config;
 pub mod enumerate;

@@ -1,8 +1,9 @@
-//! Differential pin for the enumerator's read-justification pre-check: on
+//! Differential pin for the enumerator's candidate-space pre-check: on
 //! every trace combo of the diy `c11` suite and of compiled, extracted
-//! tests of the deep fuzz stream, deciding "some read has no candidate
-//! writer" from the chosen traces agrees with building the combo's graph
-//! and asking for its rf candidates.
+//! tests of the deep fuzz stream, the space counted from the chosen traces
+//! equals the one read off the combo's built graph — the product of its
+//! reads' rf candidates and of `m_l!` per location, 0 when some read has
+//! no candidate writer.
 
 use telechat_compiler::{Compiler, CompilerId, OptLevel, Target};
 use telechat_repro::common::Arch;
@@ -13,27 +14,31 @@ use telechat_repro::exec::SimConfig;
 use telechat_repro::fuzz::{FuzzConfig, FuzzSource, GenConfig, SampleConfig};
 use telechat_repro::litmus::LitmusTest;
 
-/// Checks every combo of `test`; returns (combos, rejected combos).
-fn agree(test: &LitmusTest, config: &SimConfig) -> (usize, usize) {
+/// Checks every combo of `test`; returns (combos, combos of space 0,
+/// combos of space above 1).
+fn agree(test: &LitmusTest, config: &SimConfig) -> (usize, usize, usize) {
     let pairs = precheck_agreement(test, config).expect("interpretation");
-    for (i, (pre, built)) in pairs.iter().enumerate() {
-        assert_eq!(pre, built, "{} combo {i}: pre-check vs rf candidates", test.name);
+    for (i, (counted, built)) in pairs.iter().enumerate() {
+        assert_eq!(counted, built, "{} combo {i}: counted vs built space", test.name);
     }
-    let rejected = pairs.iter().filter(|(pre, _)| !pre).count();
-    (pairs.len(), rejected)
+    let empty = pairs.iter().filter(|&&(s, _)| s == 0).count();
+    let wide = pairs.iter().filter(|&&(s, _)| s > 1).count();
+    (pairs.len(), empty, wide)
 }
 
 #[test]
 fn precheck_agrees_on_the_diy_c11_suite() {
     let config = SimConfig::fast();
-    let (mut combos, mut rejected) = (0, 0);
+    let (mut combos, mut empty, mut wide) = (0, 0, 0);
     for test in Config::c11().generate() {
-        let (c, r) = agree(&test, &config);
+        let (c, e, w) = agree(&test, &config);
         combos += c;
-        rejected += r;
+        empty += e;
+        wide += w;
     }
-    // Both verdicts occur, so the agreement is not vacuous.
-    assert!(rejected > 0 && rejected < combos, "{rejected} of {combos}");
+    // Unjustifiable combos and combos of several candidates both occur,
+    // so the agreement is not vacuous.
+    assert!(empty > 0 && wide > 0, "{empty} empty, {wide} wide of {combos}");
 }
 
 #[test]
@@ -56,19 +61,20 @@ fn precheck_agrees_on_compiled_deep_fuzz_tests() {
                 .map(|arch| Compiler::new(id, OptLevel::O2, Target::new(arch)))
         })
         .collect();
-    let (mut tests, mut combos, mut rejected) = (0, 0, 0);
+    let (mut tests, mut combos, mut empty, mut wide) = (0, 0, 0, 0);
     for test in stream {
         for compiler in &compilers {
             // Tests the compiler rejects have nothing to simulate.
             let Ok((.., extracted)) = pipeline.extract(&test, compiler) else {
                 continue;
             };
-            let (c, r) = agree(&extracted, &config);
+            let (c, e, w) = agree(&extracted, &config);
             tests += 1;
             combos += c;
-            rejected += r;
+            empty += e;
+            wide += w;
         }
     }
     assert!(tests > 100, "only {tests} compiled tests");
-    assert!(rejected > 0 && rejected < combos, "{rejected} of {combos}");
+    assert!(empty > 0 && wide > 0, "{empty} empty, {wide} wide of {combos}");
 }

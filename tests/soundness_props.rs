@@ -152,6 +152,36 @@ fn new_engine_matches_reference_on_generated_suite() {
     }
 }
 
+/// Exhaustion is decided alike: on every diy `c11` test and for budgets
+/// around the suite's candidate counts, the engine (which counts each
+/// combo's space before its DFS) runs out of candidates exactly when the
+/// reference enumerator, which counts one candidate at a time, does.
+#[test]
+fn engine_and_reference_agree_on_budget_exhaustion() {
+    let suite = Config::c11().generate();
+    let (mut exhausted, mut finished) = (0, 0);
+    for max_candidates in [8, 64, 512] {
+        let cfg = SimConfig {
+            max_candidates,
+            ..SimConfig::default()
+        };
+        for test in &suite {
+            let new = simulate(test, &SeqCstRef, &cfg).map(|r| r.candidates);
+            let old = simulate_reference(test, &SeqCstRef, &cfg).map(|r| r.candidates);
+            match (&new, &old) {
+                (Err(Error::Budget { .. }), Err(Error::Budget { .. })) => exhausted += 1,
+                (Ok(n), Ok(o)) if n == o => finished += 1,
+                _ => panic!(
+                    "{} at {max_candidates}: engine {new:?}, reference {old:?}",
+                    test.name
+                ),
+            }
+        }
+    }
+    // Both verdicts occur at these budgets.
+    assert!(exhausted > 0 && finished > 0, "{exhausted} exhausted, {finished} finished");
+}
+
 /// eq. 1: fixed compilers never add behaviours (modulo racy sources,
 /// which are undefined).
 ///
