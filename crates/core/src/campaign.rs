@@ -319,20 +319,22 @@ impl CampaignResult {
 
 impl fmt::Display for CampaignResult {
     /// Renders the Table IV layout: one row pair (+ve / -ve) per
-    /// architecture, `clang/gcc` columns per optimisation level.
+    /// architecture, `clang/gcc` columns per optimisation level. The
+    /// columns are the Table IV levels plus any other level the campaign
+    /// ran (`-O0`), in `OptLevel` order.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let opts = [
-            OptLevel::O1,
-            OptLevel::O2,
-            OptLevel::O3,
-            OptLevel::Ofast,
-            OptLevel::Og,
-        ];
-        writeln!(
-            f,
-            "{:22} {:>13} {:>13} {:>13} {:>13} {:>13}",
-            "", "-O1", "-O2", "-O3", "-Ofast", "-Og"
-        )?;
+        let mut opts = OptLevel::CAMPAIGN.to_vec();
+        for &(_, _, opt) in self.cells.keys() {
+            if !opts.contains(&opt) {
+                opts.push(opt);
+            }
+        }
+        opts.sort();
+        write!(f, "{:22}", "")?;
+        for opt in &opts {
+            write!(f, " {:>13}", opt.to_string())?;
+        }
+        writeln!(f)?;
         let archs: Vec<Arch> = {
             let mut seen = Vec::new();
             for (a, _, _) in self.cells.keys() {
@@ -346,7 +348,7 @@ impl fmt::Display for CampaignResult {
             writeln!(f, "{arch} clang/gcc")?;
             for (label, pick) in [("+ve", 0usize), ("-ve", 1usize)] {
                 write!(f, "  {label:20}")?;
-                for opt in opts {
+                for &opt in &opts {
                     let get = |fam| {
                         self.cell(arch, fam, opt).map(|c| {
                             if pick == 0 {
@@ -790,5 +792,59 @@ mod tests {
                 r.value
             );
         }
+    }
+
+    /// The `+ve` row's `clang/gcc` cells of a rendered table, summed.
+    fn rendered_positives(table: &str) -> usize {
+        table
+            .lines()
+            .filter(|l| l.trim_start().starts_with("+ve"))
+            .flat_map(|l| l.split_whitespace().skip(1))
+            .flat_map(|cell| cell.split('/'))
+            .filter_map(|n| n.parse::<usize>().ok())
+            .sum()
+    }
+
+    #[test]
+    fn table_shows_every_level_the_campaign_ran() {
+        let cell = |positive, negative| CampaignCell {
+            positive,
+            negative,
+            ..CampaignCell::default()
+        };
+        // A Table IV campaign keeps the five-column header byte for byte.
+        let mut table_iv = CampaignResult::default();
+        table_iv.cells.insert(
+            (Arch::AArch64, CompilerFamily::Llvm, OptLevel::O2),
+            cell(2, 1),
+        );
+        let text = table_iv.to_string();
+        let header = format!(
+            "{:22} {:>13} {:>13} {:>13} {:>13} {:>13}",
+            "", "-O1", "-O2", "-O3", "-Ofast", "-Og"
+        );
+        assert_eq!(text.lines().next(), Some(header.as_str()));
+        assert_eq!(rendered_positives(&text), table_iv.total_positive());
+
+        // An `-O0` campaign gets its own column, first, and its `+ve`
+        // cells sum to its totals.
+        let mut o0 = CampaignResult::default();
+        o0.cells.insert(
+            (Arch::AArch64, CompilerFamily::Llvm, OptLevel::O0),
+            cell(3, 0),
+        );
+        o0.cells.insert(
+            (Arch::AArch64, CompilerFamily::Gcc, OptLevel::O0),
+            cell(1, 2),
+        );
+        let text = o0.to_string();
+        let header = text.lines().next().unwrap();
+        assert_eq!(
+            header.split_whitespace().collect::<Vec<_>>(),
+            ["-O0", "-O1", "-O2", "-O3", "-Ofast", "-Og"]
+        );
+        assert!(text.contains("          3/1 "), "{text}");
+        assert_eq!(rendered_positives(&text), o0.total_positive());
+        assert_eq!(o0.total_positive(), 4);
     }
 }

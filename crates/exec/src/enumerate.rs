@@ -16,14 +16,15 @@
 //! generate-all-then-filter loop (retained in [`crate::reference`] as the
 //! differential-testing oracle):
 //!
-//! 1. **Combine** — [`build_combined`] assembles the combo's event graph
-//!    once: events, transitive `po` (built in one pass via
-//!    [`Relation::total_order`]), and the `rmw`/`addr`/`data`/`ctrl`
+//! 1. **Combine** — [`build_combined`] assembles the event graph once per
+//!    skeleton, not per combo: events, transitive `po` (built in one pass
+//!    via [`Relation::total_order`]), and the `rmw`/`addr`/`data`/`ctrl`
 //!    dependency relations. These are *fixed* for every candidate of the
 //!    combo and shared immutably; only `rf`, `co` and the outcome vary.
-//!    The model session that judges the combo's candidates comes from the
-//!    previous combo when the skeleton is the same (see *Session reuse*),
-//!    and is opened on the graph otherwise.
+//!    A combo whose skeleton is the previous combo's takes over that
+//!    combo's graph and model session and only re-values the graph (see
+//!    *Session reuse*); any other builds its graph and opens a session
+//!    on it.
 //! 2. **Assign rf** — reads are justified one at a time over their
 //!    statically-filtered candidate writes (same location, same value, not
 //!    po-later in the same thread). After each assignment the model's
@@ -85,11 +86,21 @@
 //! pairs. Combos whose per-thread ids agree have the same skeleton up to
 //! values, which is all a session may read
 //! ([`ConsistencyModel::combo_checker`]). The enumerator keeps its last
-//! session with the combo's shape-id vector; the next combo with the same
-//! vector reuses it, any other opens a new one. The DFS pops every push,
-//! so the session is back at its baseline when its combo ends. Sessions
-//! report their work as a running total, and each combo is charged the
-//! difference.
+//! session with the combo's shape-id vector and the skeleton's graph: the
+//! one [`Execution`] the DFS extends, plus everything of the combo that
+//! does not depend on values — its reads and their candidate writers per
+//! location, the coherence chains and write lists, the subtree sizes, the
+//! location index and whether it writes read-only memory. The next combo
+//! with the same vector reuses both: it overwrites the events' values from
+//! its traces (event ids are laid out thread by thread, identically for
+//! one shape), filters its rf candidates by those values and reads its
+//! register outcome from its traces. Any other vector builds a graph and
+//! opens a new session. The DFS pops every push and undoes every edge and
+//! coherence swap, so the session and the graph are back at their
+//! baseline when a combo ends; debug builds check every re-valued graph
+//! against a fresh build of its combo ([`revalue_agreement`] exposes the
+//! same check). Sessions report their work as a running total, and each
+//! combo is charged the difference.
 
 use crate::config::{PruneSites, SimConfig, SimResult};
 use crate::event::{Event, EventKind, Execution, INIT_THREAD};
@@ -151,12 +162,7 @@ pub fn simulate(
     let supply = RfSupply::new(test, &thread_traces);
 
     let observed = test.observed_keys();
-    let readonly: BTreeSet<Loc> = test
-        .locs
-        .iter()
-        .filter(|d| d.readonly)
-        .map(|d| d.loc.clone())
-        .collect();
+    let readonly = readonly_locs(test);
 
     let mut result = SimResult {
         outcomes: OutcomeSet::new(),
@@ -267,6 +273,61 @@ pub fn precheck_agreement(test: &LitmusTest, config: &SimConfig) -> Result<Vec<(
         .collect())
 }
 
+/// Every justified combo of `test`, in combo order, valued the way
+/// [`simulate`] values it: a combo whose per-thread shape ids match the
+/// previous justified combo's re-values that combo's graph, any other
+/// builds its own. Each entry says whether the combo re-valued a graph and
+/// names the first part of its graph that differs from a fresh build of
+/// the combo (`None` when all agree). This is the differential hook for
+/// graph reuse on tests built outside this crate.
+///
+/// # Errors
+///
+/// Interpretation failures, as in [`simulate`].
+pub fn revalue_agreement(
+    test: &LitmusTest,
+    config: &SimConfig,
+) -> Result<Vec<(bool, Option<&'static str>)>> {
+    let thread_traces = interpret_all_traces(test, config)?;
+    let shapes = shape_ids(&thread_traces);
+    let supply = RfSupply::new(test, &thread_traces);
+    let observed = test.observed_keys();
+    let readonly = readonly_locs(test);
+    let counts: Vec<u64> = thread_traces.iter().map(|t| t.len() as u64).collect();
+    let total = counts.iter().fold(1u64, |p, &c| p.saturating_mul(c));
+    let mut last: Option<(Vec<u32>, Skeleton)> = None;
+    let mut agreement = Vec::new();
+    for idx in 0..total {
+        let choice = decode_combo(&counts, idx);
+        if supply.space(&choice) == 0 {
+            continue;
+        }
+        let traces = chosen_traces(&thread_traces, &choice);
+        let shape = combo_shape(&shapes, &choice);
+        let (reused, skeleton) = match &mut last {
+            Some((s, skeleton)) if *s == shape => {
+                skeleton.revalue(test, &traces);
+                (true, skeleton)
+            }
+            _ => {
+                let skeleton = Skeleton::new(test, &readonly, &traces);
+                (false, &mut last.insert((shape, skeleton)).1)
+            }
+        };
+        agreement.push((reused, skeleton.difference(test, &traces, &observed)));
+    }
+    Ok(agreement)
+}
+
+/// The test's read-only (`const`) locations.
+fn readonly_locs(test: &LitmusTest) -> BTreeSet<Loc> {
+    test.locs
+        .iter()
+        .filter(|d| d.readonly)
+        .map(|d| d.loc.clone())
+        .collect()
+}
+
 /// Everything a combo's run needs from its simulation, by reference.
 struct SimCtx<'a> {
     test: &'a LitmusTest,
@@ -352,6 +413,16 @@ fn shape_ids(thread_traces: &[Vec<Trace>]) -> Vec<Vec<u32>> {
                 })
                 .collect()
         })
+        .collect()
+}
+
+/// The per-thread shape ids of the combo `choice`: combos with equal
+/// vectors have the same skeleton up to values.
+fn combo_shape(shapes: &[Vec<u32>], choice: &[usize]) -> Vec<u32> {
+    choice
+        .iter()
+        .enumerate()
+        .map(|(t, &i)| shapes[t][i])
         .collect()
 }
 
@@ -482,13 +553,206 @@ impl RfSupply {
     }
 }
 
-/// The open model session and the shape-id vector of the skeleton it was
-/// opened on. The DFS pops every push, so when a combo ends its session is
-/// back at its baseline and serves the next combo of the same skeleton
-/// (module docs, "Session reuse").
+/// The open model session, the shape-id vector of the skeleton it was
+/// opened on, and that skeleton's graph. The DFS pops every push and
+/// undoes every rf/co edge and coherence swap, so when a combo ends both
+/// the session and the graph are back at their baseline and serve the next
+/// combo of the same skeleton, which only re-values the graph (module
+/// docs, "Session reuse").
 struct Session<'a> {
     shape: Vec<u32>,
+    skeleton: Skeleton,
     checker: Box<dyn ComboChecker + 'a>,
+}
+
+/// One combo skeleton's graph and the per-combo data that does not depend
+/// on values, built by [`build_combined`] once per session. Only the
+/// events' values change from one combo of the skeleton to the next
+/// ([`Skeleton::revalue`]).
+struct Skeleton {
+    /// The candidate the DFS extends: the current combo's events and the
+    /// fixed relations; `rf` and `co` are empty at rest.
+    execution: Execution,
+    /// Non-init read event ids, in id order.
+    reads: Vec<EventId>,
+    /// Per read, its value-independent candidate writers: the writes of
+    /// its location (init write first, id order) that are not po-later in
+    /// its own thread. A combo's rf candidates are those of them carrying
+    /// the read's value.
+    writers: Vec<Vec<EventId>>,
+    /// Per location, the non-init writes; permuted in place (swap DFS).
+    co_writes: Vec<Vec<EventId>>,
+    /// Per location, the current coherence chain (init write first).
+    chains: Vec<Vec<EventId>>,
+    /// `co_tail[li]` = Π_{l ≥ li} m_l!  (`co_tail[len]` = 1): coherence
+    /// subtree sizes for pruned-candidate accounting.
+    co_tail: Vec<u64>,
+    /// Each written location's index into the per-location vectors.
+    loc_index: BTreeMap<Loc, usize>,
+    /// Whether an allowed execution writes read-only memory: a property of
+    /// the events' kinds and locations, not of values or rf/co.
+    writes_readonly: bool,
+}
+
+impl Skeleton {
+    /// Builds the graph of the combo `traces`.
+    fn new(test: &LitmusTest, readonly: &BTreeSet<Loc>, traces: &[&Trace]) -> Skeleton {
+        let Combined {
+            events,
+            po,
+            rmw,
+            addr,
+            data,
+            ctrl,
+            reads,
+            writes_by_loc,
+            init_of,
+            final_regs: _,
+        } = build_combined(test, traces);
+        let writers = reads
+            .iter()
+            .map(|&r| {
+                let re = &events[r.index()];
+                let loc = re.loc.as_ref().expect("reads have locations");
+                writes_by_loc.get(loc).map_or_else(Vec::new, |ws| {
+                    ws.iter()
+                        .copied()
+                        .filter(|&w| {
+                            // Exclude same-thread po-later-or-equal writes.
+                            let we = &events[w.index()];
+                            !(we.thread == re.thread && we.po_index >= re.po_index)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        let co_writes: Vec<Vec<EventId>> = writes_by_loc
+            .values()
+            .map(|w| w[1..].to_vec()) // element 0 is init
+            .collect();
+        let chains = writes_by_loc.keys().map(|l| vec![init_of[l]]).collect();
+        let mut co_tail = vec![1u64; co_writes.len() + 1];
+        for li in (0..co_writes.len()).rev() {
+            co_tail[li] = fact(co_writes[li].len() as u64).saturating_mul(co_tail[li + 1]);
+        }
+        let writes_readonly = !readonly.is_empty()
+            && events.iter().any(|e: &Event| {
+                e.kind == EventKind::Write
+                    && !e.is_init()
+                    && e.loc.as_ref().is_some_and(|l| readonly.contains(l))
+            });
+        Skeleton {
+            execution: Execution {
+                events,
+                po,
+                rf: Relation::new(),
+                co: Relation::new(),
+                rmw,
+                addr,
+                data,
+                ctrl,
+                outcome: Outcome::new(),
+            },
+            reads,
+            writers,
+            co_writes,
+            chains,
+            co_tail,
+            loc_index: writes_by_loc.into_keys().zip(0..).collect(),
+            writes_readonly,
+        }
+    }
+
+    /// Gives the events the values of the combo `traces`, which has this
+    /// skeleton: event ids are laid out thread by thread after the init
+    /// writes, identically for every combo of one shape.
+    fn revalue(&mut self, test: &LitmusTest, traces: &[&Trace]) {
+        let events = &mut self.execution.events[test.locs.len()..];
+        for (e, te) in events.iter_mut().zip(traces.iter().flat_map(|t| &t.events)) {
+            e.val.clone_from(&te.val);
+        }
+    }
+
+    /// The rf candidates per read under the current values: same
+    /// location, same value, not po-later in the same thread (reading from
+    /// one's own future violates coherence in every bundled model, so
+    /// filtering it statically is sound). A read of a justified combo has
+    /// at least one.
+    fn rf_candidates(&self) -> Vec<Vec<EventId>> {
+        let events = &self.execution.events;
+        self.reads
+            .iter()
+            .zip(&self.writers)
+            .map(|(&r, ws)| {
+                let val = &events[r.index()].val;
+                ws.iter()
+                    .copied()
+                    .filter(|w| events[w.index()].val == *val)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The first part of this graph, as valued for the combo `traces`, that
+    /// differs from a fresh [`build_combined`] of that combo — events with
+    /// values, `po`, dependencies, reads, per-location writes, rf
+    /// candidates or the register outcome — or `None` if they all agree.
+    /// Only a graph at rest (no rf/co edges, coherence swaps undone)
+    /// agrees.
+    fn difference(
+        &self,
+        test: &LitmusTest,
+        traces: &[&Trace],
+        observed: &BTreeSet<StateKey>,
+    ) -> Option<&'static str> {
+        let fresh = build_combined(test, traces);
+        let x = &self.execution;
+        let writes = self
+            .chains
+            .iter()
+            .zip(&self.co_writes)
+            .map(|(chain, co)| chain.iter().chain(co).copied().collect::<Vec<_>>());
+        let mut fresh_regs = Outcome::new();
+        for key in observed {
+            if let StateKey::Reg(t, r) = key {
+                let v = fresh.final_regs.get(&(*t, r.clone()));
+                fresh_regs.set(key.clone(), v.cloned().unwrap_or(Val::Int(0)));
+            }
+        }
+        [
+            ("rf/co at rest", x.rf.is_empty() && x.co.is_empty()),
+            ("events", x.events == fresh.events),
+            ("po", x.po == fresh.po),
+            ("rmw", x.rmw == fresh.rmw),
+            ("addr", x.addr == fresh.addr),
+            ("data", x.data == fresh.data),
+            ("ctrl", x.ctrl == fresh.ctrl),
+            ("reads", self.reads == fresh.reads),
+            ("locations", self.loc_index.keys().eq(fresh.writes_by_loc.keys())),
+            ("writes", writes.eq(fresh.writes_by_loc.values().cloned())),
+            ("rf candidates", Some(self.rf_candidates()) == fresh.rf_candidates()),
+            ("register outcome", reg_outcome(observed, traces) == fresh_regs),
+        ]
+        .into_iter()
+        .find_map(|(part, same)| (!same).then_some(part))
+    }
+}
+
+/// The register part of a combo's outcome: each observed register's final
+/// value in its thread's chosen trace (0 when the trace never sets it).
+fn reg_outcome(observed: &BTreeSet<StateKey>, traces: &[&Trace]) -> Outcome {
+    let mut out = Outcome::new();
+    for key in observed {
+        if let StateKey::Reg(t, r) = key {
+            let v = traces
+                .get(t.index())
+                .and_then(|tr| tr.final_regs.get(r))
+                .cloned()
+                .unwrap_or(Val::Int(0));
+            out.set(key.clone(), v);
+        }
+    }
+    out
 }
 
 /// Saturating factorial (subtree sizes; saturation only ever *over*-counts,
@@ -506,9 +770,9 @@ const PRUNE_THRESHOLD: u64 = 8;
 /// Runs the DFS of one justified combo, whose candidate space the count
 /// pass found to be `space`, folding its tallies into `result`.
 ///
-/// `session` is the previous combo's session: reused when its shape
-/// matches this combo's, replaced otherwise. A combo that finishes leaves
-/// its session there for the next one.
+/// `session` is the previous combo's session: reused with its graph,
+/// re-valued, when its shape matches this combo's, replaced otherwise. A
+/// combo that finishes leaves its session there for the next one.
 fn run_combo<'a>(
     ctx: &SimCtx<'a>,
     choice: &[usize],
@@ -516,102 +780,55 @@ fn run_combo<'a>(
     session: &mut Option<Session<'a>>,
     result: &mut SimResult,
 ) -> Result<()> {
-    let combined = build_combined(ctx.test, &chosen_traces(ctx.thread_traces, choice));
-    let rf_choices = combined
-        .rf_candidates()
-        .expect("the pre-check found a writer for every read");
-
-    let locs: Vec<Loc> = combined.writes_by_loc.keys().cloned().collect();
-    let co_writes: Vec<Vec<EventId>> = locs
-        .iter()
-        .map(|l| combined.writes_by_loc[l][1..].to_vec()) // element 0 is init
-        .collect();
-    let chains: Vec<Vec<EventId>> = locs.iter().map(|l| vec![combined.init_of[l]]).collect();
-
-    // Subtree sizes for pruned-candidate accounting.
-    // co_tail[li] = Π_{l ≥ li} m_l!  (co_tail[len] = 1)
-    let mut co_tail = vec![1u64; locs.len() + 1];
-    for li in (0..locs.len()).rev() {
-        co_tail[li] = fact(co_writes[li].len() as u64).saturating_mul(co_tail[li + 1]);
-    }
-    // rf_tail[i] = Π_{j ≥ i} |rf_choices[j]| × Π_l m_l!  (rf_tail[len] = co_tail[0])
-    let mut rf_tail = vec![co_tail[0]; rf_choices.len() + 1];
-    for i in (0..rf_choices.len()).rev() {
-        rf_tail[i] = (rf_choices[i].len() as u64).saturating_mul(rf_tail[i + 1]);
-    }
-
-    // The skeleton is built once per combo; rf/co mutate in place along the
-    // DFS, the fixed relations are shared by every candidate.
-    let execution = Execution {
-        events: combined.events.clone(),
-        po: combined.po.clone(),
-        rf: Relation::new(),
-        co: Relation::new(),
-        rmw: combined.rmw.clone(),
-        addr: combined.addr.clone(),
-        data: combined.data.clone(),
-        ctrl: combined.ctrl.clone(),
-        outcome: Outcome::new(),
-    };
-
-    // Register part of the outcome: fixed per combo.
-    let mut reg_outcome = Outcome::new();
-    for key in ctx.observed {
-        if let StateKey::Reg(t, r) = key {
-            let v = combined
-                .final_regs
-                .get(&(*t, r.clone()))
-                .cloned()
-                .unwrap_or(Val::Int(0));
-            reg_outcome.set(key.clone(), v);
-        }
-    }
-
-    // Whether an allowed execution of this combo writes read-only memory:
-    // a property of the combo's events, not of rf/co.
-    let writes_readonly = !ctx.readonly.is_empty()
-        && combined.events.iter().any(|e: &Event| {
-            e.kind == EventKind::Write
-                && !e.is_init()
-                && e.loc.as_ref().is_some_and(|l| ctx.readonly.contains(l))
-        });
-
-    let loc_index: BTreeMap<&Loc, usize> =
-        locs.iter().enumerate().map(|(i, l)| (l, i)).collect();
-
+    let traces = chosen_traces(ctx.thread_traces, choice);
+    let shape = combo_shape(ctx.shapes, choice);
     // The model's combo session on the skeleton: combo-constant derived
     // relations (loc/ext/int, annotation sets, …) are computed when it
     // opens and shared by every candidate below. Incremental sessions
     // additionally receive every DFS edge push/pop (see `ComboChecker`).
     // A session left at its baseline by a combo of the same value-erased
-    // skeleton is reused instead of opened again.
-    let shape: Vec<u32> = choice
-        .iter()
-        .enumerate()
-        .map(|(t, &i)| ctx.shapes[t][i])
-        .collect();
-    let checker = match session.take() {
-        Some(s) if s.shape == shape => s.checker,
-        _ => ctx.model.combo_checker(&execution),
+    // skeleton is reused with its graph, which only takes this combo's
+    // values; any other skeleton builds its graph and opens a session.
+    let session = match session {
+        Some(s) if s.shape == shape => {
+            s.skeleton.revalue(ctx.test, &traces);
+            s
+        }
+        _ => {
+            *session = None; // one graph at a time
+            let skeleton = Skeleton::new(ctx.test, ctx.readonly, &traces);
+            let checker = ctx.model.combo_checker(&skeleton.execution);
+            session.insert(Session {
+                shape,
+                skeleton,
+                checker,
+            })
+        }
     };
-    let incremental = checker.incremental();
-    let evals_before = checker.frontier_evals();
+    debug_assert_eq!(
+        session.skeleton.difference(ctx.test, &traces, ctx.observed),
+        None,
+        "the re-valued skeleton equals a fresh build of the combo"
+    );
+    let rf_choices = session.skeleton.rf_candidates();
+    // rf_tail[i] = Π_{j ≥ i} |rf_choices[j]| × Π_l m_l!  (rf_tail[len] = co_tail[0])
+    let mut rf_tail = vec![session.skeleton.co_tail[0]; rf_choices.len() + 1];
+    for i in (0..rf_choices.len()).rev() {
+        rf_tail[i] = (rf_choices[i].len() as u64).saturating_mul(rf_tail[i + 1]);
+    }
+
+    let incremental = session.checker.incremental();
+    let evals_before = session.checker.frontier_evals();
     let candidates_before = result.candidates;
 
     let mut run = ComboRun {
         ctx,
-        checker,
+        checker: &mut *session.checker,
         incremental,
-        reads: &combined.reads,
+        skel: &mut session.skeleton,
         rf_choices,
         rf_tail,
-        co_writes,
-        chains,
-        co_tail,
-        loc_index,
-        execution,
-        reg_outcome,
-        writes_readonly,
+        reg_outcome: reg_outcome(ctx.observed, &traces),
         out: result,
         visits: 0,
     };
@@ -621,32 +838,20 @@ fn run_combo<'a>(
     run.out.frontier_evals += run.checker.frontier_evals() - evals_before;
     // One DFS-size sample per combo.
     run.out.combo_candidates.record(charged);
-    *session = Some(Session {
-        shape,
-        checker: run.checker,
-    });
     Ok(())
 }
 
-/// The per-combo DFS state: one mutable skeleton, extended and undone as
-/// the builder walks rf choices and coherence prefixes.
+/// The per-combo DFS state: the session's one mutable skeleton, extended
+/// and undone as the builder walks rf choices and coherence prefixes.
 struct ComboRun<'a, 'c> {
     ctx: &'c SimCtx<'a>,
-    checker: Box<dyn ComboChecker + 'a>,
+    checker: &'c mut (dyn ComboChecker + 'a),
     /// Whether `checker` opted into the per-edge incremental protocol.
     incremental: bool,
-    reads: &'c [EventId],
+    skel: &'c mut Skeleton,
     rf_choices: Vec<Vec<EventId>>,
     rf_tail: Vec<u64>,
-    /// Per location, the non-init writes; permuted in place (swap DFS).
-    co_writes: Vec<Vec<EventId>>,
-    /// Per location, the current coherence chain (init write first).
-    chains: Vec<Vec<EventId>>,
-    co_tail: Vec<u64>,
-    loc_index: BTreeMap<&'c Loc, usize>,
-    execution: Execution,
     reg_outcome: Outcome,
-    writes_readonly: bool,
     /// The simulation's result, which this combo's tallies fold into.
     out: &'c mut SimResult,
     visits: u64,
@@ -710,19 +915,19 @@ impl ComboRun<'_, '_> {
     /// size; re-check sessions are only consulted when a subtree of at
     /// least [`PRUNE_THRESHOLD`] completions hangs off the node.
     fn assign_rf(&mut self, i: usize) -> Result<()> {
-        if i == self.reads.len() {
+        if i == self.skel.reads.len() {
             return self.assign_co(0, 0);
         }
-        let r = self.reads[i];
+        let r = self.skel.reads[i];
         let subtree = self.rf_tail[i + 1];
         for ci in 0..self.rf_choices[i].len() {
             let w = self.rf_choices[i][ci];
-            self.execution.rf.insert(w, r);
+            self.skel.execution.rf.insert(w, r);
             let verdict = if self.incremental {
                 self.out.pushes += 1;
-                self.checker.push_rf(&self.execution, w, r)
+                self.checker.push_rf(&self.skel.execution, w, r)
             } else if subtree >= PRUNE_THRESHOLD {
-                self.checker.check_partial(&self.execution)
+                self.checker.check_partial(&self.skel.execution)
             } else {
                 PartialVerdict::Undecided
             };
@@ -734,9 +939,9 @@ impl ComboRun<'_, '_> {
                 self.assign_rf(i + 1)
             };
             if self.incremental {
-                self.checker.pop_rf(&self.execution, w, r);
+                self.checker.pop_rf(&self.skel.execution, w, r);
             }
-            self.execution.rf.remove(w, r);
+            self.skel.execution.rf.remove(w, r);
             res?;
         }
         Ok(())
@@ -745,34 +950,34 @@ impl ComboRun<'_, '_> {
     /// Stage 3: extend location `li`'s coherence chain by one write
     /// (position `k`), lazily walking permutations with undo.
     fn assign_co(&mut self, li: usize, k: usize) -> Result<()> {
-        if li == self.chains.len() {
+        if li == self.skel.chains.len() {
             return self.leaf();
         }
-        let m = self.co_writes[li].len();
+        let m = self.skel.co_writes[li].len();
         if k == m {
             return self.assign_co(li + 1, 0);
         }
         for pick in k..m {
-            self.co_writes[li].swap(k, pick);
-            let w = self.co_writes[li][k];
+            self.skel.co_writes[li].swap(k, pick);
+            let w = self.skel.co_writes[li][k];
             // Extend co transitively: every chain element precedes `w`.
-            for idx in 0..self.chains[li].len() {
-                let p = self.chains[li][idx];
-                self.execution.co.insert(p, w);
+            for idx in 0..self.skel.chains[li].len() {
+                let p = self.skel.chains[li][idx];
+                self.skel.execution.co.insert(p, w);
             }
             let verdict = if self.incremental {
                 self.out.pushes += 1;
-                self.checker.push_co(&self.execution, &self.chains[li], w)
+                self.checker.push_co(&self.skel.execution, &self.skel.chains[li], w)
             } else {
                 PartialVerdict::Undecided
             };
-            self.chains[li].push(w);
-            let subtree = fact((m - k - 1) as u64).saturating_mul(self.co_tail[li + 1]);
+            self.skel.chains[li].push(w);
+            let subtree = fact((m - k - 1) as u64).saturating_mul(self.skel.co_tail[li + 1]);
             let pruned = if self.incremental {
                 verdict == PartialVerdict::Forbidden
             } else {
                 subtree >= PRUNE_THRESHOLD
-                    && self.checker.check_partial(&self.execution) == PartialVerdict::Forbidden
+                    && self.checker.check_partial(&self.skel.execution) == PartialVerdict::Forbidden
             };
             let res = if pruned {
                 self.attribute_prune(subtree, false);
@@ -781,15 +986,15 @@ impl ComboRun<'_, '_> {
             } else {
                 self.assign_co(li, k + 1)
             };
-            self.chains[li].pop();
+            self.skel.chains[li].pop();
             if self.incremental {
-                self.checker.pop_co(&self.execution, &self.chains[li], w);
+                self.checker.pop_co(&self.skel.execution, &self.skel.chains[li], w);
             }
-            for idx in 0..self.chains[li].len() {
-                let p = self.chains[li][idx];
-                self.execution.co.remove(p, w);
+            for idx in 0..self.skel.chains[li].len() {
+                let p = self.skel.chains[li][idx];
+                self.skel.execution.co.remove(p, w);
             }
-            self.co_writes[li].swap(k, pick);
+            self.skel.co_writes[li].swap(k, pick);
             res?;
         }
         Ok(())
@@ -804,10 +1009,10 @@ impl ComboRun<'_, '_> {
         let mut outcome = self.reg_outcome.clone();
         for key in self.ctx.observed {
             if let StateKey::Loc(l) = key {
-                let v = match self.loc_index.get(l) {
+                let v = match self.skel.loc_index.get(l) {
                     Some(&li) => {
-                        let w = *self.chains[li].last().expect("init present");
-                        self.execution.events[w.index()]
+                        let w = *self.skel.chains[li].last().expect("init present");
+                        self.skel.execution.events[w.index()]
                             .val
                             .clone()
                             .expect("writes have values")
@@ -817,20 +1022,20 @@ impl ComboRun<'_, '_> {
                 outcome.set(key.clone(), v);
             }
         }
-        self.execution.outcome = outcome;
+        self.skel.execution.outcome = outcome;
 
-        match self.checker.check(&self.execution) {
+        match self.checker.check(&self.skel.execution) {
             Verdict::Allowed { flags } => {
                 self.out.allowed += 1;
                 self.out.flags.extend(flags);
-                if self.writes_readonly {
+                if self.skel.writes_readonly {
                     self.out.crashed = true;
                 }
-                self.out.outcomes.insert(self.execution.outcome.clone());
+                self.out.outcomes.insert(self.skel.execution.outcome.clone());
                 if self.ctx.config.keep_executions
                     && self.out.executions.len() < self.ctx.config.max_kept
                 {
-                    self.out.executions.push(self.execution.clone());
+                    self.out.executions.push(self.skel.execution.clone());
                 }
             }
             Verdict::Forbidden { rule } => {
@@ -845,8 +1050,10 @@ impl ComboRun<'_, '_> {
 
 /// Combined event graph for one trace combination (rf/co not yet chosen).
 ///
-/// Built **once** per combo by [`build_combined`]; the dependency
-/// relations are shared (immutably) by every rf/co candidate of the combo.
+/// [`simulate`] builds one per skeleton and re-values it for the other
+/// combos of the skeleton ([`Skeleton`]); the reference engine and
+/// [`precheck_agreement`] build one per combo. The dependency relations
+/// are shared (immutably) by every rf/co candidate of the combo.
 pub(crate) struct Combined {
     pub(crate) events: Vec<Event>,
     /// Program order: transitive, intra-thread, init writes excluded —
@@ -1093,11 +1300,9 @@ exists (P1:r0=1 /\ P1:r1=0)
         assert!(test.condition.holds(&r.outcomes));
     }
 
-    #[test]
-    fn rmw_atomicity_enforced() {
-        // Two parallel fetch_adds must not both read 0 (one must see the
-        // other) — the classic increment-atomicity test.
-        let src = r#"
+    /// Two parallel fetch_adds: every combo has one skeleton, and the
+    /// values the fetch_adds write differ between combos.
+    const TWO_FA: &str = r#"
 C11 "2+FA"
 { x = 0; }
 P0 (atomic_int* x) {
@@ -1108,7 +1313,12 @@ P1 (atomic_int* x) {
 }
 exists (P0:r0=0 /\ P1:r0=0)
 "#;
-        let test = parse_c11(src).unwrap();
+
+    #[test]
+    fn rmw_atomicity_enforced() {
+        // Two parallel fetch_adds must not both read 0 (one must see the
+        // other) — the classic increment-atomicity test.
+        let test = parse_c11(TWO_FA).unwrap();
         let r = simulate(&test, &CoherenceOnly, &SimConfig::default()).unwrap();
         assert!(
             !test.condition.holds(&r.outcomes),
@@ -1441,6 +1651,71 @@ exists (P0:r0=0)
                 assert_eq!(base.flags, old.flags, "{tag}");
                 assert_eq!(base.crashed, old.crashed, "{tag}");
             }
+        }
+    }
+
+    #[test]
+    fn revalued_skeleton_equals_a_fresh_build() {
+        // A combo that reuses the previous combo's graph, re-valued, sees
+        // exactly the graph, rf candidates and register outcome a fresh
+        // build of the combo gives.
+        for src in [WIDE_CO, TWO_SKELETONS, TWO_FA] {
+            let test = parse_c11(src).unwrap();
+            let agreement = revalue_agreement(&test, &SimConfig::default()).unwrap();
+            for (i, (_, difference)) in agreement.iter().enumerate() {
+                assert_eq!(*difference, None, "{} justified combo {i}", test.name);
+            }
+            let revalued = agreement.iter().filter(|&&(r, _)| r).count();
+            let (_, skeletons) = justifiable_skeletons(&test);
+            assert_eq!(revalued, agreement.len() - skeletons, "{}", test.name);
+            assert!(revalued > 0, "{}", test.name);
+        }
+    }
+
+    /// A kept execution's events, rf and co edges and outcome, independent
+    /// of the relations' storage.
+    fn canonical(x: &Execution) -> String {
+        let rf: Vec<_> = x.rf.iter().collect();
+        let co: Vec<_> = x.co.iter().collect();
+        format!("{:?}", (&x.events, rf, co, &x.outcome))
+    }
+
+    #[test]
+    fn kept_executions_carry_their_own_combos_values() {
+        // 2+FA's combos share one skeleton and the fetch_adds write
+        // different values in each, so a kept execution that took another
+        // combo's values would read a value its rf writer does not write.
+        let test = parse_c11(TWO_FA).unwrap();
+        assert_eq!(justifiable_skeletons(&test).1, 1);
+        let cfg = SimConfig::default().keeping_executions();
+        for model in [&AllowAll as &dyn ConsistencyModel, &CoherenceOnly] {
+            let r = simulate(&test, model, &cfg).unwrap();
+            assert!(r.allowed > 1 && r.allowed <= cfg.max_kept as u64, "{}", model.name());
+            assert_eq!(r.executions.len() as u64, r.allowed, "{}", model.name());
+            for x in &r.executions {
+                for e in x.events.iter().filter(|e| e.kind == EventKind::Read) {
+                    let writers: Vec<EventId> = x
+                        .rf
+                        .iter()
+                        .filter(|&(_, r)| r == e.id)
+                        .map(|(w, _)| w)
+                        .collect();
+                    assert_eq!(writers.len(), 1, "{}: {e:?}", model.name());
+                    assert_eq!(x.events[writers[0].index()].val, e.val, "{}", model.name());
+                }
+            }
+            let values: BTreeSet<String> = r
+                .executions
+                .iter()
+                .map(|x| format!("{:?}", x.events))
+                .collect();
+            assert!(values.len() > 1, "{}: kept executions of one combo", model.name());
+            let mut kept: Vec<String> = r.executions.iter().map(canonical).collect();
+            let reference = simulate_reference(&test, model, &cfg).unwrap();
+            let mut expected: Vec<String> = reference.executions.iter().map(canonical).collect();
+            kept.sort();
+            expected.sort();
+            assert_eq!(kept, expected, "{}", model.name());
         }
     }
 

@@ -110,7 +110,10 @@ pub trait ConsistencyModel: Send + Sync {
     /// ids, threads, program-order positions, kinds, locations and
     /// annotations, and the fixed relations — never an event's value.
     /// The enumerator relies on this to reuse one session for every combo
-    /// of the same value-erased skeleton (see [`ComboChecker`]).
+    /// of the same value-erased skeleton (see [`ComboChecker`]), and it
+    /// keeps one `Execution` for all of them: the one a session sees has
+    /// that skeleton throughout, and only its events' values change
+    /// between combos.
     ///
     /// [`check`]: ConsistencyModel::check
     /// [`check_partial`]: ConsistencyModel::check_partial
@@ -131,9 +134,12 @@ pub trait ConsistencyModel: Send + Sync {
 /// A session may be reused across combos: the engine keeps its last
 /// session and hands it the next combo whose value-erased skeleton is the
 /// same (combos that differ only in the values their reads and writes
-/// carry). The DFS pops every push it makes, strictly LIFO, so a session
-/// must be back at its baseline — the state it was opened in — after the
-/// pops, with nothing of the finished combo left behind. A combo that
+/// carry). The engine keeps the skeleton's `Execution` with the session
+/// and re-values its events for each combo, so every call of a session
+/// sees the same events, `po` and dependency relations, with the current
+/// combo's values. The DFS pops every push it makes, strictly LIFO, so a
+/// session must be back at its baseline — the state it was opened in —
+/// after the pops, with nothing of the finished combo left behind. A combo that
 /// stops early on a budget or timeout ends the simulation, so its session
 /// is never reused.
 ///
