@@ -25,7 +25,14 @@
 //!    *frontier* (the dynamic bindings the staged constraints read) and
 //!    the constraints compile into one DAG of operator nodes, and every
 //!    node records its **read set**: whether it transitively reads `rf`,
-//!    and whether it reads `co`/`fr`.
+//!    and whether it reads `co`/`fr`. An `acyclic` constraint whose root
+//!    is a union tree compiles to the list of the tree's **operands**
+//!    (`internal`'s `po_loc | com` reads `rf`, `co`, `fr` and `po_loc`):
+//!    an order's verdict depends only on the set of edges it is fed, so
+//!    the unions that feed only that order leave the DAG. A union keeps
+//!    its node if another node reads it, it is another constraint's root,
+//!    or leaf evaluation or a `let rec` group looks its name up. A
+//!    non-union root is a one-operand list.
 //! 3. **Incremental execution** ([`StagedState`]): one state per combo
 //!    session, holding the current value of every node. A push changes
 //!    `rf` (an rf push) or `co` and the derived `fr` (a co push), and
@@ -38,14 +45,17 @@
 //!    reach-to-source × reach-from-target row update of
 //!    [`IncrementalOrder::add_edge`] — filtered against its own value, so
 //!    the delta is exact. Only recursive `let` groups keep full
-//!    evaluation plus diff. Every value change goes into the push's undo
-//!    frame, and a pop restores every node exactly. `acyclic`
-//!    constraints feed their root's delta into a per-constraint
+//!    evaluation plus diff. Every maintained node keeps its value: every
+//!    value change goes into the push's undo frame, and a pop restores
+//!    every node exactly. An `acyclic` constraint's
 //!    [`IncrementalOrder`] (journal + LIFO undo, zero full Kahn
-//!    traversals per simulation); `irreflexive` tracks the value's
-//!    diagonal; `empty` reads the value's size. The walk applies each
-//!    constraint as soon as it has passed the constraint's root and every
-//!    earlier constraint (source order) is applied, and **stops at the
+//!    traversals per simulation) is seeded with its operands' values
+//!    when the session opens and fed the touched operands' deltas on
+//!    each push; an edge it already implies costs one word test.
+//!    `irreflexive` tracks the value's diagonal; `empty` reads the
+//!    value's size. The walk applies each constraint as soon as it has
+//!    passed the constraint's last operand and every earlier constraint
+//!    (source order) is applied, and **stops at the
 //!    first violated one**: the push answers `Forbidden`, later nodes are
 //!    neither updated nor journaled, and later acyclicity orders open
 //!    only an empty frame. The engine asks a forbidden push only for its
@@ -110,8 +120,29 @@ struct Constraint {
     expr: CatExpr,
     /// Rule name (`as name`), reported on violation.
     name: String,
-    /// The node holding the expression's value.
-    root: usize,
+    /// The nodes whose values make up the expression's value, ascending.
+    /// `irreflexive` and `empty` read their root alone. `acyclic` reads
+    /// the operands of its root's union tree (the root alone when it is
+    /// no union, see [`Dag::flatten`]): their union is the value, whose
+    /// order the operands seed at session open and feed with their deltas
+    /// on each push.
+    operands: Vec<usize>,
+    /// `READS_RF | READS_CO` bits of the operands: which pushes can change
+    /// the value.
+    reads: u8,
+}
+
+impl Constraint {
+    /// The node holding an `irreflexive` or `empty` constraint's value.
+    fn root(&self) -> usize {
+        debug_assert_eq!(self.operands.len(), 1, "`{}` reads one node", self.name);
+        self.operands[0]
+    }
+
+    /// The last node the walk must pass before the constraint applies.
+    fn last(&self) -> usize {
+        *self.operands.last().expect("a constraint reads a node")
+    }
 }
 
 /// One compiled statement of the plan, in source order.
@@ -474,6 +505,111 @@ impl Dag {
             }
         }
     }
+
+    /// Compiles each `acyclic` constraint's root to the operands of its
+    /// union tree and removes the tree's union nodes from the DAG: an
+    /// order's verdict depends only on the set of edges it is fed, so the
+    /// operands feed it directly and the unions are never valued. A union
+    /// joins constraint `c`'s tree if it is `c`'s root or every node that
+    /// reads it is in the tree; it keeps its node if it is read by any
+    /// other node, is the root of another constraint (or of a
+    /// non-`acyclic` one), or binds a name in `named` (the names leaf
+    /// evaluation and `let rec` groups look up). Returns each constraint's
+    /// operands in the new numbering (ascending, the root alone when it
+    /// stays a node) and renumbers `rec_groups`' members.
+    fn flatten(
+        &mut self,
+        modes: &[Mode],
+        roots: &[usize],
+        named: &HashSet<u32>,
+        rec_groups: &mut [RecGroup],
+    ) -> Vec<Vec<usize>> {
+        let n = self.nodes.len();
+        let children = |op: NodeOp| match op {
+            NodeOp::Bin(_, a, b) => vec![a, b],
+            NodeOp::Un(_, a) => vec![a],
+            NodeOp::Base | NodeOp::Const(_) | NodeOp::Rec { .. } => vec![],
+        };
+        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (p, node) in self.nodes.iter().enumerate() {
+            for c in children(node.op) {
+                readers[c].push(p);
+            }
+        }
+        let mut kept = vec![false; n];
+        for (id, &node) in self.index.iter().enumerate() {
+            if node != DynSlots::NONE && named.contains(&(id as u32)) {
+                kept[node as usize] = true;
+            }
+        }
+        for (&mode, &root) in modes.iter().zip(roots) {
+            let shared = roots.iter().filter(|&&r| r == root).count() > 1;
+            kept[root] |= mode != Mode::Acyclic || shared || !readers[root].is_empty();
+        }
+        let is_union = |m: usize| matches!(self.nodes[m].op, NodeOp::Bin(BinOp::Union, ..));
+        let mut owner: Vec<Option<usize>> = vec![None; n];
+        for (c, &root) in roots.iter().enumerate() {
+            if !kept[root] && is_union(root) {
+                owner[root] = Some(c);
+            }
+        }
+        // Readers have larger ids: their owners are final when a node's
+        // turn comes.
+        for m in (0..n).rev() {
+            if owner[m].is_some() || kept[m] || !is_union(m) {
+                continue;
+            }
+            let mut tree = readers[m].iter().map(|&p| owner[p]);
+            if let Some(Some(c)) = tree.next() {
+                if tree.all(|o| o == Some(c)) {
+                    owner[m] = Some(c);
+                }
+            }
+        }
+        let mut operands: Vec<Vec<usize>> = vec![Vec::new(); roots.len()];
+        for (m, node) in self.nodes.iter().enumerate() {
+            if let Some(c) = owner[m] {
+                operands[c].extend(children(node.op).into_iter().filter(|&ch| owner[ch] != Some(c)));
+            }
+        }
+        // Renumber the remaining nodes, in order.
+        let mut new_id = vec![usize::MAX; n];
+        let mut nodes = Vec::with_capacity(n);
+        for (m, mut node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
+            if owner[m].is_some() {
+                continue;
+            }
+            node.op = match node.op {
+                NodeOp::Bin(op, a, b) => NodeOp::Bin(op, new_id[a], new_id[b]),
+                NodeOp::Un(op, a) => NodeOp::Un(op, new_id[a]),
+                op => op,
+            };
+            new_id[m] = nodes.len();
+            nodes.push(node);
+        }
+        self.nodes = nodes;
+        for slot in &mut self.index {
+            if *slot != DynSlots::NONE {
+                let m = new_id[*slot as usize];
+                *slot = if m == usize::MAX { DynSlots::NONE } else { m as u32 };
+            }
+        }
+        for group in rec_groups {
+            for member in &mut group.members {
+                *member = new_id[*member];
+            }
+        }
+        operands
+            .into_iter()
+            .zip(roots)
+            .map(|(ops, &root)| {
+                let mut ops: Vec<usize> = if ops.is_empty() { vec![root] } else { ops };
+                ops.sort_unstable();
+                ops.dedup();
+                ops.into_iter().map(|o| new_id[o]).collect()
+            })
+            .collect()
+    }
 }
 
 impl StagedPlan {
@@ -570,7 +706,8 @@ impl StagedPlan {
                             mode,
                             expr,
                             name: name.clone(),
-                            root: RF,
+                            operands: Vec::new(),
+                            reads: 0,
                         });
                     } else {
                         let expr = hoist(expr, &ctx, &HashSet::new(), &mut hoist_names, &mut steps);
@@ -640,11 +777,34 @@ impl StagedPlan {
                 _ => {}
             }
         }
+        // The names looked up among the maintained values rather than
+        // compiled into nodes: by the leaf walk (residual checks, dynamic
+        // flags, leaf-only bindings) and by frontier `let rec` groups.
+        let mut named: HashSet<u32> = HashSet::new();
+        for step in &steps {
+            match step {
+                Step::CheckResidual { expr, .. } | Step::Flag { cslot: None, expr, .. } => {
+                    collect_names(expr, &mut named);
+                }
+                Step::BindDyn {
+                    recursive,
+                    bindings,
+                    frontier,
+                    leaf,
+                } if (*leaf && !*frontier) || (*recursive && *frontier) => {
+                    for (_, e) in bindings {
+                        collect_names(e, &mut named);
+                    }
+                }
+                _ => {}
+            }
+        }
 
         // The frontier DAG, in program order, with the read sets and the
         // bindings each node holds.
         let mut dag = Dag::new();
         let mut rec_groups = Vec::new();
+        let mut roots = vec![RF; constraints.len()];
         for (si, step) in steps.iter().enumerate() {
             match step {
                 Step::BindDyn {
@@ -692,16 +852,22 @@ impl StagedPlan {
                     rec_groups.push(RecGroup { step: si, members });
                 }
                 Step::CheckStaged { idx } => {
-                    constraints[*idx].root = dag.expr(&constraints[*idx].expr);
+                    roots[*idx] = dag.expr(&constraints[*idx].expr);
                 }
                 _ => {}
             }
+        }
+        let modes: Vec<Mode> = constraints.iter().map(|c| c.mode).collect();
+        let operands = dag.flatten(&modes, &roots, &named, &mut rec_groups);
+        for (c, operands) in constraints.iter_mut().zip(operands) {
+            c.reads = operands.iter().fold(0, |acc, &o| acc | dag.nodes[o].reads);
+            c.operands = operands;
         }
         let irreflexive_roots = constraints
             .iter()
             .enumerate()
             .filter(|(_, c)| c.mode == Mode::Irreflexive)
-            .map(|(i, c)| (i, c.root))
+            .map(|(i, c)| (i, c.root()))
             .collect();
         StagedPlan {
             steps,
@@ -739,13 +905,13 @@ thread_local! {
     static ORDER_POOL: RefCell<Vec<IncrementalOrder>> = const { RefCell::new(Vec::new()) };
 }
 
-fn acquire_order(nodes: usize, seed: &Relation) -> IncrementalOrder {
+fn acquire_order(nodes: usize, seeds: &[&Relation]) -> IncrementalOrder {
     match ORDER_POOL.with(|p| p.borrow_mut().pop()) {
         Some(mut order) => {
-            order.reset(nodes, &[seed]);
+            order.reset(nodes, seeds);
             order
         }
-        None => IncrementalOrder::new(nodes, &[seed]),
+        None => IncrementalOrder::new(nodes, seeds),
     }
 }
 
@@ -947,22 +1113,29 @@ impl<'a> StagedState<'a> {
             state.vals.push(v);
         }
         for c in &plan.constraints {
-            let con = match (c.mode, &state.vals[c.root]) {
-                (Mode::Acyclic, CatValue::Rel(value)) => ConState::Acyclic {
-                    order: acquire_order(nodes, value),
-                },
-                (Mode::Irreflexive, CatValue::Rel(value)) => ConState::Irreflexive {
-                    selfloops: diagonal_len(value),
+            let not_a_relation = || Error::Model(format!("{}: expected a relation, found a set", c.name));
+            let con = match c.mode {
+                Mode::Acyclic => {
+                    let mut seeds = Vec::with_capacity(c.operands.len());
+                    for &o in &c.operands {
+                        match node_value(plan, &state.base, &state.vals, o) {
+                            CatValue::Rel(value) => seeds.push(value),
+                            CatValue::Set(_) => return Err(not_a_relation()),
+                        }
+                    }
+                    ConState::Acyclic {
+                        order: acquire_order(nodes, &seeds),
+                    }
+                }
+                Mode::Irreflexive => match &state.vals[c.root()] {
+                    CatValue::Rel(value) => ConState::Irreflexive {
+                        selfloops: diagonal_len(value),
+                    },
+                    CatValue::Set(_) => return Err(not_a_relation()),
                 },
                 // `empty` is meaningful for sets too (`check_holds` accepts
                 // both); cardinality stages just as well.
-                (Mode::Empty, _) => ConState::Empty,
-                (_, CatValue::Set(_)) => {
-                    return Err(Error::Model(format!(
-                        "{}: expected a relation, found a set",
-                        c.name
-                    )))
-                }
+                Mode::Empty => ConState::Empty,
             };
             state.cons.push(con);
         }
@@ -1129,7 +1302,7 @@ impl<'a> StagedState<'a> {
     /// Walks the frontier DAG in node order, propagating the push's base
     /// deltas through every node whose read set meets `touched`, and
     /// applies each staged constraint as soon as the walk has passed its
-    /// root and every earlier constraint is applied (source order). The
+    /// operands and every earlier constraint is applied (source order). The
     /// push stops at the first violated check: later nodes are neither
     /// updated nor journaled. The constraints before the stop were fully
     /// updated and hold, and constant checks do not change within a push,
@@ -1161,15 +1334,15 @@ impl<'a> StagedState<'a> {
                     }
                 }
             }
-            // Apply, in source order, every constraint whose root the walk
-            // has passed; stop at the first violated one, or at a violated
+            // Apply, in source order, every constraint whose operands the
+            // walk has passed; stop at the first violated one, or at a violated
             // constant check once the constraints before it are applied.
             loop {
                 if self.const_gate == Some(applied) {
                     return Ok(self.stop(applied));
                 }
                 match plan.constraints.get(applied) {
-                    Some(c) if c.root <= i => {
+                    Some(c) if c.last() <= i => {
                         applied += 1;
                         if self.apply(applied - 1, touched) {
                             return Ok(self.stop(applied));
@@ -1200,21 +1373,29 @@ impl<'a> StagedState<'a> {
         }));
     }
 
-    /// Feeds constraint `idx`'s root delta into its state; true if the
-    /// constraint is now violated.
+    /// Feeds constraint `idx`'s operand deltas into its state; true if
+    /// the constraint is now violated.
     fn apply(&mut self, idx: usize, touched: u8) -> bool {
-        let root = self.plan.constraints[idx].root;
-        self.frontier_evals += u64::from(self.plan.nodes[root].reads & touched != 0);
-        // An untouched root's delta was cleared by the walk.
-        let delta = &self.deltas[root].edges;
+        let plan = self.plan;
+        let c = &plan.constraints[idx];
+        self.frontier_evals += u64::from(c.reads & touched != 0);
         match &mut self.cons[idx] {
+            // Untouched operands (the constants among them) add nothing.
+            // An edge another operand or the seed already implies costs
+            // the order one word test.
             ConState::Acyclic { order } => {
                 order.begin();
-                for &(a, b) in delta {
-                    order.add_edge(a, b);
+                for &o in &c.operands {
+                    if plan.nodes[o].reads & touched != 0 {
+                        for &(a, b) in &self.deltas[o].edges {
+                            order.add_edge(a, b);
+                        }
+                    }
                 }
             }
+            // An untouched root's delta was cleared by the walk.
             ConState::Irreflexive { selfloops } => {
+                let delta = &self.deltas[c.root()].edges;
                 *selfloops += delta.iter().filter(|(a, b)| a == b).count() as u32;
             }
             ConState::Empty => {}
@@ -1234,7 +1415,7 @@ impl<'a> StagedState<'a> {
             match con {
                 ConState::Acyclic { order } => order.begin(),
                 ConState::Irreflexive { selfloops } => {
-                    let on_root = |ch: &&Change| ch.node as usize == c.root && ch.a == ch.b;
+                    let on_root = |ch: &&Change| ch.node as usize == c.root() && ch.a == ch.b;
                     for ch in changes.iter().filter(on_root) {
                         if ch.added {
                             *selfloops += 1;
@@ -1447,7 +1628,7 @@ impl<'a> StagedState<'a> {
         match &self.cons[idx] {
             ConState::Acyclic { order } => !order.is_acyclic(),
             ConState::Irreflexive { selfloops } => *selfloops > 0,
-            ConState::Empty => match &self.vals[self.plan.constraints[idx].root] {
+            ConState::Empty => match &self.vals[self.plan.constraints[idx].root()] {
                 CatValue::Rel(r) => !r.is_empty(),
                 CatValue::Set(s) => !s.is_empty(),
             },
@@ -1793,8 +1974,7 @@ exists (P0:r0=0 /\ P1:r0=0)
             plan.nodes[n as usize].reads
         }
         fn constraint_reads(plan: &StagedPlan, name: &str) -> u8 {
-            let c = plan.constraints.iter().find(|c| c.name == name).unwrap();
-            plan.nodes[c.root].reads
+            plan.constraints.iter().find(|c| c.name == name).unwrap().reads
         }
         let rc11 = CatModel::bundled("rc11").unwrap();
         for name in ["hb", "sw", "rs"] {
@@ -1806,10 +1986,12 @@ exists (P0:r0=0 /\ P1:r0=0)
         assert_eq!(constraint_reads(rc11.plan(), "atomicity"), READS_CO);
         assert_eq!(constraint_reads(rc11.plan(), "coherence"), READS_RF | READS_CO);
         let a64 = CatModel::bundled("aarch64").unwrap();
-        for name in ["rfe", "rfi", "dob"] {
+        for name in ["rfe", "rfi"] {
             assert_eq!(binding_reads(a64.plan(), name), READS_RF, "aarch64 {name}");
         }
         assert_eq!(binding_reads(a64.plan(), "coe"), READS_CO, "aarch64 coe");
+        // `dob` is flattened into `external`, which still reads both.
+        assert_eq!(constraint_reads(a64.plan(), "external"), READS_RF | READS_CO);
         // Per-push work: only what reads the pushed relation, even when
         // the push runs to the end of the walk.
         let plan = rc11.plan();
@@ -1823,9 +2005,147 @@ exists (P0:r0=0 /\ P1:r0=0)
             let reads = |n: usize| plan.nodes[n].reads & touched != 0;
             let nodes = 0..plan.nodes.len();
             let binds: u32 = nodes.filter(|&n| reads(n)).map(|n| plan.nodes[n].binds).sum();
-            binds as usize + plan.constraints.iter().filter(|c| reads(c.root)).count()
+            binds as usize + plan.constraints.iter().filter(|c| c.reads & touched != 0).count()
         };
         assert!(full_walk(READS_RF) < frontier && full_walk(READS_CO) < frontier);
+    }
+
+    /// Renders node `n` of `plan`: the name it binds, else a hoisted
+    /// constant's expression or the node's operator over its children;
+    /// constants are marked `const`.
+    fn render(plan: &StagedPlan, n: usize) -> String {
+        let bound = plan.steps.iter().find_map(|step| match step {
+            Step::BindDyn { bindings, .. } => {
+                bindings.iter().find(|(sym, _)| plan.index.get(sym.index()) == Some(&(n as u32)))
+            }
+            _ => None,
+        });
+        if let Some((sym, _)) = bound {
+            return sym.to_string();
+        }
+        match plan.nodes[n].op {
+            NodeOp::Base => ["rf", "co", "fr"][n].to_string(),
+            NodeOp::Const(sym) => {
+                let hoisted = plan.steps.iter().find_map(|step| match step {
+                    Step::BindConst { bindings, .. } => bindings.iter().find(|(s, _)| *s == sym),
+                    _ => None,
+                });
+                match hoisted {
+                    Some((_, e)) if sym.as_str().starts_with("__hoist_") => format!("const {e}"),
+                    _ => format!("const {sym}"),
+                }
+            }
+            NodeOp::Rec { .. } => unreachable!("`let rec` members bind their names"),
+            NodeOp::Bin(op, a, b) => format!("{op:?}({}, {})", render(plan, a), render(plan, b)),
+            NodeOp::Un(op, a) => format!("{op:?}({})", render(plan, a)),
+        }
+    }
+
+    /// Constraint `name`'s operands, rendered.
+    fn operands(plan: &StagedPlan, name: &str) -> Vec<String> {
+        let c = plan.constraints.iter().find(|c| c.name == name).unwrap();
+        c.operands.iter().map(|&o| render(plan, o)).collect()
+    }
+
+    /// Which `acyclic` constraints of the bundled models read the
+    /// operands of their root's union tree, and which operands: the
+    /// unions between root and operands are not nodes. rc11's `com` is
+    /// read by `eco` and `scb`, so it keeps its node and only
+    /// `no_thin_air` flattens.
+    #[test]
+    fn flattened_orders_of_bundled_plans() {
+        let flattened = |model: &str| -> Vec<String> {
+            let m = CatModel::bundled(model).unwrap();
+            let plan = m.plan();
+            for c in &plan.constraints {
+                assert!(c.mode == Mode::Acyclic || c.operands.len() == 1, "{model} `{}`", c.name);
+            }
+            let many = plan.constraints.iter().filter(|c| c.operands.len() > 1);
+            many.map(|c| c.name.clone()).collect()
+        };
+        let internal = ["rf", "co", "fr", "const po_loc"];
+        let ob = [
+            "rfe",
+            "coe",
+            "fre",
+            "const ((addr | data) | (ctrl ; [W]))",
+            "Seq(const (addr | data), rfi)",
+            "const aob",
+        ];
+        for (model, barriers) in [
+            ("aarch64", &["const bob"][..]),
+            ("armv7", &["const dmb"]),
+            ("armv7-buggy", &["const dmb"]),
+            ("ppc", &["const sync", "const lwsync", "const ctrl_isync"]),
+            (
+                "riscv",
+                &["const fences", "const acq_po", "const po_rel", "const rel_acq"],
+            ),
+        ] {
+            let plan = CatModel::bundled(model).unwrap().plan().clone();
+            assert_eq!(flattened(model), ["internal", "external"], "{model}");
+            assert_eq!(operands(&plan, "internal"), internal, "{model}");
+            let external: Vec<&str> = ob.iter().chain(barriers).copied().collect();
+            assert_eq!(operands(&plan, "external"), external, "{model}");
+            for name in ["com", "obs", "dob"] {
+                assert_eq!(plan.index[Sym::new(name).index()], DynSlots::NONE, "{model} `{name}`");
+            }
+        }
+        for (model, axiom, ppo) in [
+            ("x86tso", "tso", "const ((ppo | mfence) | implied)"),
+            ("mips", "mips", "const (ppo | sync)"),
+        ] {
+            let plan = CatModel::bundled(model).unwrap().plan().clone();
+            assert_eq!(flattened(model), ["internal", axiom], "{model}");
+            assert_eq!(operands(&plan, "internal"), internal, "{model}");
+            assert_eq!(operands(&plan, axiom), ["rfe", "coe", "fre", ppo], "{model}");
+        }
+        assert_eq!(flattened("rc11"), ["no_thin_air"]);
+        let rc11 = CatModel::bundled("rc11").unwrap();
+        assert_eq!(operands(rc11.plan(), "no_thin_air"), ["rf", "const po"]);
+        assert_eq!(render(rc11.plan(), rc11.plan().index[Sym::new("com").index()] as usize), "com");
+        assert_eq!(operands(rc11.plan(), "seq_cst").len(), 1);
+        assert!(flattened("rc11-lb").is_empty());
+        assert_eq!(flattened("sc"), ["sc"]);
+        assert_eq!(flattened("hw-inorder"), ["inorder"]);
+    }
+
+    /// A union that leaf evaluation or a `let rec` group looks up by name,
+    /// that another node reads, or that is another constraint's root keeps
+    /// its node and feeds the order as one operand; the same union under
+    /// `acyclic` alone is flattened. Each program decides SB and RMW3 as
+    /// the reference enumerator does.
+    #[test]
+    fn named_unions_are_not_flattened() {
+        use telechat_exec::simulate_reference;
+        let acyclic = "let u = rf | co\nacyclic u | po as a\n";
+        for (reader, kept) in [
+            ("", false),
+            ("~empty u as residual", true),
+            ("flag ~empty u as flagged", true),
+            ("let rec r = u | (r ; co)\nirreflexive r as rec_body", true),
+            ("empty (u ; u) & id as node", true),
+            ("irreflexive u as root", true),
+            ("acyclic u as same_root", true),
+        ] {
+            let src = format!("{acyclic}{reader}");
+            let program = crate::parse::parse_cat("t", &src, &|_| None).unwrap();
+            let model = CatModel::from_program(program);
+            let plan = model.plan();
+            let u = plan.index[Sym::new("u").index()];
+            assert_eq!(u != DynSlots::NONE, kept, "{src:?}: `u` keeps its node");
+            let expected: &[&str] = if kept { &["u", "const po"] } else { &["rf", "co", "const po"] };
+            assert_eq!(operands(plan, "a"), expected, "{src:?}");
+            for test in [SB, RMW3] {
+                let test = parse_c11(test).unwrap();
+                let cfg = SimConfig::default();
+                let new = simulate(&test, &model, &cfg).unwrap();
+                let old = simulate_reference(&test, &model, &cfg).unwrap();
+                assert_eq!(new.outcomes, old.outcomes, "{src:?} {}", test.name);
+                assert_eq!(new.candidates, old.candidates, "{src:?} {}", test.name);
+                assert_eq!(new.allowed, old.allowed, "{src:?} {}", test.name);
+            }
+        }
     }
 
     const RMW3: &str = r#"
@@ -1847,9 +2167,13 @@ exists (P1:r1=0)
 "#;
 
     /// Asserts that every maintained value of `state` — the rf/co/fr
-    /// mirrors, each frontier binding, each constraint root and the
-    /// constraint states — and the verdict equal a from-scratch
-    /// evaluation over the materialised partial candidate.
+    /// mirrors, each frontier binding that keeps its node, each
+    /// constraint's operands and the constraint states — and the verdict
+    /// equal a from-scratch evaluation over the materialised partial
+    /// candidate. A constraint's operands must make up its expression's
+    /// value (an `acyclic` one's by their union), and while an `acyclic`
+    /// value has no cycle its order must reach exactly the value's
+    /// transitive closure.
     fn assert_matches_scratch(model: &CatModel, state: &StagedState, partial: &Execution, at: &str) {
         let plan = model.plan();
         let name = model.model_name();
@@ -1865,9 +2189,13 @@ exists (P1:r1=0)
         for step in &plan.steps {
             if let Step::BindDyn { bindings, frontier: true, .. } = step {
                 for (sym, _) in bindings {
-                    let n = plan.index[sym.index()] as usize;
+                    // A binding flattened into an order has no node.
+                    let n = plan.index[sym.index()];
+                    if n == DynSlots::NONE {
+                        continue;
+                    }
                     assert_eq!(
-                        &state.vals[n],
+                        &state.vals[n as usize],
                         env.lookup_sym(*sym).unwrap(),
                         "{name} {at}: frontier binding `{sym}`"
                     );
@@ -1876,7 +2204,36 @@ exists (P1:r1=0)
         }
         for (i, c) in plan.constraints.iter().enumerate() {
             let scratch = eval_expr(&c.expr, &env).unwrap();
-            assert_eq!(state.vals[c.root], scratch, "{name} {at}: constraint `{}`", c.name);
+            let operand = |o: usize| node_value(plan, &state.base, &state.vals, o);
+            let value = match c.operands[..] {
+                [root] => operand(root).clone(),
+                _ => {
+                    let mut union = Relation::with_nodes(state.nodes);
+                    for &o in &c.operands {
+                        let CatValue::Rel(r) = operand(o) else {
+                            panic!("{name} {at}: `{}` has a set operand", c.name)
+                        };
+                        union.union_with(r);
+                    }
+                    CatValue::Rel(union)
+                }
+            };
+            assert_eq!(value, scratch, "{name} {at}: constraint `{}`", c.name);
+            if let (ConState::Acyclic { order }, CatValue::Rel(r)) = (&state.cons[i], &scratch) {
+                if r.is_acyclic() {
+                    let closure = r.transitive_closure();
+                    for a in (0..state.nodes as u32).map(EventId) {
+                        for b in (0..state.nodes as u32).map(EventId) {
+                            assert_eq!(
+                                order.reaches(a, b),
+                                closure.contains(a, b),
+                                "{name} {at}: `{}` order {a:?} -> {b:?}",
+                                c.name
+                            );
+                        }
+                    }
+                }
+            }
             let violated = match &scratch {
                 CatValue::Rel(r) => match c.mode {
                     Mode::Acyclic => !r.is_acyclic(),
@@ -2358,7 +2715,7 @@ exists (P1:r1=0)
         let model = CatModel::from_program(program);
         let plan = model.plan();
         assert_eq!(plan.constraints[1].mode, Mode::Irreflexive);
-        assert!(plan.constraints[1].root < plan.constraints[0].root);
+        assert!(plan.constraints[1].root() < plan.constraints[0].root());
         let skeleton = sb_skeleton();
         let mut state = StagedState::new(plan, &skeleton).unwrap();
         let mut script = Script::new(&model, std::slice::from_mut(&mut state), &skeleton, true);
@@ -2429,7 +2786,7 @@ let s = [d] ; (co | rf)* ; [R]
 let x = cross(domain(rf) & W, range(co) \\ IW) & loc
 let rec r = rf | (r ; co)
 acyclic s | po as star_seq
-empty x & id as cross_sets
+empty (x | b) & id as cross_sets
 irreflexive r ; fr as rec_group
 acyclic b | po as split_and
 empty (domain(co) & range(fr)) \\ IW as set_empty";
@@ -2437,6 +2794,10 @@ empty (domain(co) & range(fr)) \\ IW as set_empty";
         let model = CatModel::from_program(p);
         assert_eq!(model.plan().staged_constraints(), 5);
         assert_eq!(model.plan().rec_groups.len(), 1);
+        // `x | b` reads `b` outside `split_and`'s order, so both unions
+        // keep their nodes and the relation `Union` rule runs.
+        assert_eq!(operands(model.plan(), "split_and"), ["b", "const po"]);
+        assert_eq!(operands(model.plan(), "star_seq"), ["s", "const po"]);
         run_script_fresh(&model);
         use telechat_exec::simulate_reference;
         for src in [SB, RMW3] {

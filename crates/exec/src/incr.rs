@@ -135,9 +135,11 @@ impl IncrementalOrder {
     /// Records the edge `u → v` in the current frame.
     ///
     /// Returns `false` iff the edge closes a cycle (it is then counted but
-    /// its reachability update skipped — see the module docs). Cost is one
-    /// scan over the rows that can reach `u` plus one word-parallel OR per
-    /// such row.
+    /// its reachability update skipped — see the module docs). An edge
+    /// `u` already reaches is implied: it costs one word test and changes
+    /// nothing, so callers may feed the same edge, or an edge the seed
+    /// implies, from several sources. Otherwise the cost is one scan over
+    /// the rows that can reach `u` plus one word-parallel OR per such row.
     ///
     /// # Panics
     ///
@@ -151,6 +153,9 @@ impl IncrementalOrder {
             frame.cycles_added += 1;
             self.cycles += 1;
             return false;
+        }
+        if self.reach[ui * self.stride + vi / WORD] & (1u64 << (vi % WORD)) != 0 {
+            return true;
         }
         // targets = reach(v) ∪ {v}: everything newly reachable through u→v.
         let stride = self.stride;
@@ -232,6 +237,38 @@ mod tests {
         assert_eq!(ord.depth(), 0);
     }
 
+    /// An edge the order already implies (a seed path, or an edge pushed
+    /// before) is accepted without touching a row: nothing is journaled,
+    /// reachability is unchanged and its frame's undo restores nothing.
+    #[test]
+    fn implied_edge_is_a_no_op() {
+        let seed: Relation = [(e(0), e(1)), (e(1), e(2))].into_iter().collect();
+        let mut ord = IncrementalOrder::new(4, &[&seed]);
+        let before = ord.reach.clone();
+        ord.begin();
+        assert!(ord.add_edge(e(0), e(2)), "implied by the seed path");
+        assert!(ord.add_edge(e(0), e(1)), "a seed edge");
+        assert!(ord.journal_idx.is_empty() && ord.journal_rows.is_empty());
+        assert_eq!(ord.reach, before);
+        ord.undo();
+        assert_eq!(ord.reach, before);
+        ord.begin();
+        assert!(ord.add_edge(e(2), e(3)));
+        let (rows, reach) = (ord.journal_idx.len(), ord.reach.clone());
+        ord.begin();
+        assert!(ord.add_edge(e(2), e(3)), "the same edge again");
+        assert!(ord.add_edge(e(0), e(3)), "implied through the new edge");
+        assert_eq!(ord.journal_idx.len(), rows);
+        assert_eq!(ord.reach, reach);
+        ord.undo();
+        assert_eq!(ord.reach, reach);
+        assert!(!ord.add_edge(e(3), e(0)), "still closes a cycle");
+        assert!(!ord.is_acyclic());
+        ord.undo();
+        assert!(ord.is_acyclic());
+        assert_eq!(ord.reach, before);
+    }
+
     #[test]
     fn self_loop_is_a_cycle() {
         let mut ord = IncrementalOrder::new(2, &[]);
@@ -291,9 +328,11 @@ mod tests {
     }
 
     /// Differential check against the full-traversal oracle across random
-    /// push/undo schedules: after every operation the incremental verdict
-    /// must equal `Relation::is_acyclic` on seed ∪ pushed edges, and after
-    /// full unwind the reachability must equal the seed closure.
+    /// push/undo schedules that also repeat pushed edges and push edges
+    /// the order already implies: after every operation the incremental
+    /// verdict must equal `Relation::is_acyclic` on seed ∪ pushed edges
+    /// (and, while acyclic, the reachability its transitive closure), and
+    /// after full unwind the reachability must equal the seed closure.
     #[test]
     fn random_dfs_schedules_match_full_recompute() {
         let mut rng = Rng::seed_from_u64(42);
@@ -312,14 +351,22 @@ mod tests {
             for _ in 0..40 {
                 let push = stack.is_empty() || rng.below(3) > 0;
                 if push {
-                    let edges: Vec<(EventId, EventId)> = (0..1 + rng.below(3))
-                        .map(|_| {
-                            (
-                                e(rng.below(n as u64) as u32),
-                                e(rng.below(n as u64) as u32),
-                            )
-                        })
-                        .collect();
+                    let pushed: Vec<(EventId, EventId)> = stack.iter().flatten().copied().collect();
+                    let mut edges: Vec<(EventId, EventId)> = Vec::new();
+                    for _ in 0..1 + rng.below(3) {
+                        let (u, v) = (rng.below(n as u64) as u32, rng.below(n as u64) as u32);
+                        let edge = match rng.below(4) {
+                            // A repeat of an edge pushed before.
+                            0 if !pushed.is_empty() => pushed[rng.below(pushed.len() as u64) as usize],
+                            // An edge the order implies, if `u` reaches anything.
+                            1 => match (0..n as u32).find(|&w| ord.reaches(e(u), e(w))) {
+                                Some(w) => (e(u), e(w)),
+                                None => (e(u), e(v)),
+                            },
+                            _ => (e(u), e(v)),
+                        };
+                        edges.push(edge);
+                    }
                     ord.begin();
                     for &(u, v) in &edges {
                         ord.add_edge(u, v);
@@ -342,6 +389,19 @@ mod tests {
                     "case {case}, stack depth {}",
                     stack.len()
                 );
+                if ord.is_acyclic() {
+                    let closure = full.transitive_closure();
+                    for a in 0..n as u32 {
+                        for b in 0..n as u32 {
+                            assert_eq!(
+                                ord.reaches(e(a), e(b)),
+                                closure.contains(e(a), e(b)),
+                                "case {case}: {a}->{b} at depth {}",
+                                stack.len()
+                            );
+                        }
+                    }
+                }
             }
             while !stack.is_empty() {
                 ord.undo();
