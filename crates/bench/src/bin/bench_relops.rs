@@ -9,7 +9,15 @@
 //! `CatModel::without_staging`), and the retained naive reference
 //! enumerator — plus micro-benchmarks for the hot
 //! relation operations (closure, acyclicity, union, composition,
-//! incremental push/undo).
+//! incremental push/undo). Two more engine rows run the staged engine on
+//! a sampled 5-thread shape under aarch64 (`deep_sample`) and on the
+//! heaviest rc11 source leg of perfbench's `fuzz_deep` stream
+//! (`rc11_engine`).
+//!
+//! Each engine row also reports its heap allocations per simulation,
+//! counted by this binary's global allocator (a counter in front of the
+//! system allocator). They do not vary between runs, so CI pins them in
+//! `tests/golden/bench-allocs.txt`.
 //!
 //! Results are written to `BENCH_relops.json` in the working directory so
 //! the repo's perf trajectory is tracked across PRs (`--quick` shrinks the
@@ -18,16 +26,19 @@
 //!
 //! `--compare BASELINE.json [--tolerance PCT]` turns the run into a
 //! regression gate: after writing its own JSON it diffs the engine
-//! wall-clock rows (`engine.staged_ms` / `leaf_only_ms` / `reference_ms`
-//! and `deep_sample.staged_ms`) against the baseline file and exits
+//! wall-clock rows (`engine.staged_ms` / `leaf_only_ms` / `reference_ms`,
+//! `deep_sample.staged_ms` and `rc11_engine.staged_ms`) against the
+//! baseline file and exits
 //! nonzero if any row is slower by more than the tolerance (default
 //! 25%, sized for shared-box scheduler noise — the gate catches
 //! algorithmic regressions, not single-digit-percent drift).
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use telechat::persist::MemBackend;
-use telechat::{run_campaign, CampaignSpec, PersistStore, PipelineConfig, Telechat};
+use telechat::{prepare, run_campaign, CampaignSpec, PersistStore, PipelineConfig, Telechat};
 use telechat_bench::FIG7_LB_FENCES;
 use telechat_cat::CatModel;
 use telechat_common::{Arch, EventId, Result, ThreadId, XorShiftRng};
@@ -36,8 +47,73 @@ use telechat_exec::{
     interpret_thread, simulate, simulate_reference, value_pools, IncrementalOrder, InterpBudget,
     Relation, SimConfig,
 };
-use telechat_fuzz::{SampleConfig, Sampler};
+use telechat_fuzz::{FuzzConfig, FuzzSource, GenConfig, SampleConfig, Sampler};
 use telechat_litmus::{parse_c11, LitmusTest};
+
+/// Counts every heap allocation and reallocation of the process, in front
+/// of the system allocator, for the allocations-per-simulation rows.
+struct CountingAlloc;
+
+/// Heap allocations and reallocations so far: a statistic that publishes
+/// no other data, so its increments are `Relaxed`.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, so each keeps `System`'s guarantees; counting touches no
+// allocated memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The heap allocations of one call of `f`, measured on a second call: the
+/// first fills the thread's pools (recycled acyclicity orders), as every
+/// simulation but a thread's first finds them.
+fn allocations_per_call(mut f: impl FnMut()) -> u64 {
+    f();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// The rc11 engine row's test: the heaviest rc11 source leg of perfbench's
+/// `fuzz_deep` workload, test 51 (from 0) of its default stream (seed 7),
+/// prepared as a campaign prepares a source. 5 threads, 2,400 justified
+/// trace combos, 57,600 candidates and 76,202 pushes.
+const RC11_STREAM_SEED: u64 = 7;
+const RC11_STREAM_INDEX: usize = 51;
+
+fn rc11_source_leg() -> LitmusTest {
+    let cfg = FuzzConfig {
+        exhaustive: GenConfig::corpus(1),
+        sample: SampleConfig::default(),
+        seed: RC11_STREAM_SEED,
+        max_tests: 100,
+    };
+    let test = FuzzSource::new(&cfg)
+        .nth(RC11_STREAM_INDEX)
+        .expect("the fuzz_deep stream has 100 tests");
+    prepare(&test, true).test
+}
 
 /// The PR 1 (BTreeSet pair-set) engine's wall-clock on this benchmark's
 /// engine shape, measured on the dev container before the bitset rewrite.
@@ -127,11 +203,12 @@ fn deep_sample_test() -> Option<(LitmusTest, usize, u128)> {
 
 /// The wall-clock rows the `--compare` regression gate diffs, as
 /// (section, key) pairs into the JSON document this binary writes.
-const GATE_ROWS: [(&str, &str); 4] = [
+const GATE_ROWS: [(&str, &str); 5] = [
     ("engine", "staged_ms"),
     ("engine", "leaf_only_ms"),
     ("engine", "reference_ms"),
     ("deep_sample", "staged_ms"),
+    ("rc11_engine", "staged_ms"),
 ];
 
 /// Pulls `"key": <number>` out of the named top-level section of a bench
@@ -268,10 +345,11 @@ fn main() -> Result<()> {
         assert_eq!(r.outcomes, staged.outcomes, "engines disagree on the outcomes");
     };
     let staged_ms = time_engine(&|| whole_space(simulate(&target, &aarch64, &capped)));
+    let staged_allocs = allocations_per_call(|| whole_space(simulate(&target, &aarch64, &capped)));
     let leaf_only_ms = time_engine(&|| whole_space(simulate(&target, &leaf_only, &capped)));
     let reference_ms = time_engine(&|| whole_space(simulate_reference(&target, &aarch64, &capped)));
     println!(
-        "  staged cat engine:  {staged_ms:9.1} ms  ({} candidates, {} pushes)",
+        "  staged cat engine:  {staged_ms:9.1} ms  ({} candidates, {} pushes, {staged_allocs} allocations)",
         staged.candidates, staged.pushes
     );
     println!(
@@ -400,12 +478,55 @@ fn main() -> Result<()> {
             }
             best
         };
+        let deep_allocs = allocations_per_call(|| {
+            std::hint::black_box(simulate(&test, &aarch64, &deep_cfg).is_ok());
+        });
         println!(
-            "  deep sample ({events} events, {combos} combos): {deep_ms:7.2} ms  (PR 5: {PR5_DEEP_BASELINE_MS} ms, {:.2}x)",
+            "  deep sample ({events} events, {combos} combos): {deep_ms:7.2} ms  (PR 5: {PR5_DEEP_BASELINE_MS} ms, {:.2}x, {deep_allocs} allocations)",
             PR5_DEEP_BASELINE_MS / deep_ms
         );
-        (events, combos, deep_ms)
+        (events, combos, deep_ms, deep_allocs)
     });
+
+    // rc11 engine row: the staged source model on the heaviest source leg
+    // of the `fuzz_deep` stream, whose pushes the rc11 constraints
+    // (`coherence`'s pair count, `atomicity`'s triple count, `seq_cst`'s
+    // `[SC] ; scb`) dominate. No timeout, so the counts never depend on
+    // the box.
+    let rc11 = CatModel::bundled("rc11")?;
+    let rc11_test = rc11_source_leg();
+    let rc11_cfg = SimConfig {
+        timeout: None,
+        ..SimConfig::fast()
+    };
+    let rc11_run = simulate(&rc11_test, &rc11, &rc11_cfg)?;
+    let rc11_combos = rc11_run.combo_candidates.count();
+    assert_eq!(
+        (
+            rc11_test.threads.len(),
+            rc11_combos,
+            rc11_run.candidates,
+            rc11_run.pushes
+        ),
+        (5, 2_400, 57_600, 76_202),
+        "the rc11 row runs the heaviest fuzz_deep stream-7 source leg"
+    );
+    let rc11_ms = {
+        let mut best = f64::INFINITY;
+        for _ in 0..if quick { 3 } else { 12 } {
+            let t0 = Instant::now();
+            std::hint::black_box(simulate(&rc11_test, &rc11, &rc11_cfg).is_ok());
+            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        }
+        best
+    };
+    let rc11_allocs = allocations_per_call(|| {
+        std::hint::black_box(simulate(&rc11_test, &rc11, &rc11_cfg).is_ok());
+    });
+    println!(
+        "  rc11 source leg (5 threads, {rc11_combos} combos): {rc11_ms:7.2} ms  ({} candidates, {} pushes, {rc11_allocs} allocations)",
+        rc11_run.candidates, rc11_run.pushes
+    );
 
     // Cycle-space generation throughput: exhaustive enumeration +
     // canonical dedup + synthesis of the fuzz corpus (the telechat-fuzz
@@ -616,6 +737,7 @@ fn main() -> Result<()> {
     let _ = writeln!(json, "    \"staged_ms\": {staged_ms:.2},");
     let _ = writeln!(json, "    \"leaf_only_ms\": {leaf_only_ms:.2},");
     let _ = writeln!(json, "    \"reference_ms\": {reference_ms:.2},");
+    let _ = writeln!(json, "    \"allocs_per_sim\": {staged_allocs},");
     let _ = writeln!(
         json,
         "    \"speedup_vs_leaf_only\": {:.2},",
@@ -717,10 +839,11 @@ fn main() -> Result<()> {
         json,
         "    \"shape\": \"sampler seed 0xDDDD (5 threads, 50-edge/24-loc/9-po-run config), staged aarch64, budget 2000, threads 1\","
     );
-    if let Some((events, combos, deep_ms)) = deep_row {
+    if let Some((events, combos, deep_ms, deep_allocs)) = deep_row {
         let _ = writeln!(json, "    \"events\": {events},");
         let _ = writeln!(json, "    \"combos\": {combos},");
         let _ = writeln!(json, "    \"staged_ms\": {deep_ms:.2},");
+        let _ = writeln!(json, "    \"allocs_per_sim\": {deep_allocs},");
         let _ = writeln!(
             json,
             "    \"speedup_vs_pr5\": {:.2},",
@@ -730,6 +853,7 @@ fn main() -> Result<()> {
         let _ = writeln!(json, "    \"events\": 0,");
         let _ = writeln!(json, "    \"combos\": 0,");
         let _ = writeln!(json, "    \"staged_ms\": null,");
+        let _ = writeln!(json, "    \"allocs_per_sim\": null,");
         let _ = writeln!(json, "    \"speedup_vs_pr5\": null,");
     }
     let _ = writeln!(json, "    \"pr5_baseline_ms\": {PR5_DEEP_BASELINE_MS},");
@@ -737,6 +861,18 @@ fn main() -> Result<()> {
         json,
         "    \"baseline_note\": \"PR 5 engine, identical test/budget, measured interleaved on the dev container in the same session as this run; box clock drifts ~10% between sessions, so cross-session/cross-machine comparisons are indicative only\""
     );
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "  \"rc11_engine\": {{");
+    let _ = writeln!(
+        json,
+        "    \"shape\": \"heaviest rc11 source leg of perfbench fuzz_deep (stream seed {RC11_STREAM_SEED}, test {RC11_STREAM_INDEX}), staged rc11, SimConfig::fast without timeout\","
+    );
+    let _ = writeln!(json, "    \"threads\": {},", rc11_test.threads.len());
+    let _ = writeln!(json, "    \"combos\": {rc11_combos},");
+    let _ = writeln!(json, "    \"candidates\": {},", rc11_run.candidates);
+    let _ = writeln!(json, "    \"pushes\": {},", rc11_run.pushes);
+    let _ = writeln!(json, "    \"staged_ms\": {rc11_ms:.2},");
+    let _ = writeln!(json, "    \"allocs_per_sim\": {rc11_allocs}");
     let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     // Quick (CI smoke) runs write to a side path so they never clobber the

@@ -32,7 +32,13 @@
 //!    the unions that feed only that order leave the DAG. A union keeps
 //!    its node if another node reads it, it is another constraint's root,
 //!    or leaf evaluation or a `let rec` group looks its name up. A
-//!    non-union root is a one-operand list.
+//!    non-union root is a one-operand list. A sequence that only a check
+//!    reads is **counted, not built**: `irreflexive a ; b` and
+//!    `irreflexive a ; b?` (rc11's `coherence`) compile to a count of the
+//!    pairs `a(x, y) ∧ b(y, x)`, and `empty c & (a ; b)` with a constant
+//!    `c` (every bundled `atomicity`) to a count of the triples
+//!    `c(x, z) ∧ a(x, y) ∧ b(y, z)`; the sequence node (and the `b?` or the
+//!    meet) leave the DAG unless a name binds them.
 //! 3. **Incremental execution** ([`StagedState`]): one state per combo
 //!    session, holding the current value of every node. A push changes
 //!    `rf` (an rf push) or `co` and the derived `fr` (a co push), and
@@ -44,18 +50,23 @@
 //!    `domain`/`range`, `cross`, and `A+`/`A*` through the
 //!    reach-to-source × reach-from-target row update of
 //!    [`IncrementalOrder::add_edge`] — filtered against its own value, so
-//!    the delta is exact. Only recursive `let` groups keep full
+//!    the delta is exact. A constant left operand of `;` is read by row
+//!    of its transpose, built once per session, rather than by a column
+//!    scan per `ΔB` edge. Only recursive `let` groups keep full
 //!    evaluation plus diff. Every maintained node keeps its value: every
 //!    value change goes into the push's undo frame, and a pop restores
 //!    every node exactly. An `acyclic` constraint's
 //!    [`IncrementalOrder`] (journal + LIFO undo, zero full Kahn
 //!    traversals per simulation) is seeded with its operands' values
 //!    when the session opens and fed the touched operands' deltas on
-//!    each push; an edge it already implies costs one word test.
-//!    `irreflexive` tracks the value's diagonal; `empty` reads the
-//!    value's size. The walk applies each constraint as soon as it has
-//!    passed the constraint's last operand and every earlier constraint
-//!    (source order) is applied, and **stops at the
+//!    each push; an edge it already implies costs one word test (a co
+//!    push lists its covering edge first, so the rest of its edges are
+//!    implied). `irreflexive` tracks the value's diagonal; `empty` reads
+//!    the value's size; a count adds the pairs or triples its operands'
+//!    deltas make and saves its value per push frame. The walk applies
+//!    each constraint as soon as it has passed the constraint's last
+//!    operand (for a count, the place its sequence held) and every
+//!    earlier constraint (source order) is applied, and **stops at the
 //!    first violated one**: the push answers `Forbidden`, later nodes are
 //!    neither updated nor journaled, and later acyclicity orders open
 //!    only an empty frame. The engine asks a forbidden push only for its
@@ -97,6 +108,14 @@ enum Mode {
     Irreflexive,
     /// `empty e`: the value's edge (or element) count.
     Empty,
+    /// `irreflexive a ; b` (`reflexive`: `irreflexive a ; b?`), operands
+    /// `[a, b]`: the number of pairs `a(x, y) ∧ b(y, x)` (or `y = x`),
+    /// counted from the operands' deltas. The sequence is never built.
+    Pairs { reflexive: bool },
+    /// `empty c & (a ; b)` with a constant `c`, operands `[c, a, b]`: the
+    /// number of triples `c(x, z) ∧ a(x, y) ∧ b(y, z)`, counted from the
+    /// deltas of `a` and `b`. Neither the sequence nor the meet is built.
+    Triples,
 }
 
 /// Read-set bit: the value depends on `rf`.
@@ -120,13 +139,19 @@ struct Constraint {
     expr: CatExpr,
     /// Rule name (`as name`), reported on violation.
     name: String,
-    /// The nodes whose values make up the expression's value, ascending.
+    /// The nodes whose values make up the expression's value.
     /// `irreflexive` and `empty` read their root alone. `acyclic` reads
-    /// the operands of its root's union tree (the root alone when it is
-    /// no union, see [`Dag::flatten`]): their union is the value, whose
-    /// order the operands seed at session open and feed with their deltas
-    /// on each push.
+    /// the operands of its root's union tree, ascending (the root alone
+    /// when it is no union, see [`Dag::flatten`]): their union is the
+    /// value, whose order the operands seed at session open and feed with
+    /// their deltas on each push. A count reads the operands its
+    /// [`Mode`] lists, in that order.
     operands: Vec<usize>,
+    /// The last node the walk must pass before the constraint applies:
+    /// the last operand, or for a count the last node before the place
+    /// its sequence node held, so a push visits the same nodes before
+    /// the count as before the sequence's check.
+    last: usize,
     /// `READS_RF | READS_CO` bits of the operands: which pushes can change
     /// the value.
     reads: u8,
@@ -137,11 +162,6 @@ impl Constraint {
     fn root(&self) -> usize {
         debug_assert_eq!(self.operands.len(), 1, "`{}` reads one node", self.name);
         self.operands[0]
-    }
-
-    /// The last node the walk must pass before the constraint applies.
-    fn last(&self) -> usize {
-        *self.operands.last().expect("a constraint reads a node")
     }
 }
 
@@ -248,6 +268,12 @@ pub struct StagedPlan {
     /// `(constraint, root)` of every `irreflexive` constraint: undoing a
     /// diagonal edge of that root lowers the constraint's self-loop count.
     irreflexive_roots: Vec<(usize, usize)>,
+    /// Per node: a constant a session keeps the transpose of, because a
+    /// sequence reads it on the left or a triple count reads it as `c`
+    /// (both look up its predecessors of a column).
+    transposed: Vec<bool>,
+    /// True if some constraint is a pair or triple count.
+    counts: bool,
     /// Number of per-combo constant check/flag result slots.
     const_slots: usize,
     /// True if any `CheckConst` exists (a violated one forbids the whole
@@ -506,24 +532,36 @@ impl Dag {
         }
     }
 
-    /// Compiles each `acyclic` constraint's root to the operands of its
-    /// union tree and removes the tree's union nodes from the DAG: an
-    /// order's verdict depends only on the set of edges it is fed, so the
-    /// operands feed it directly and the unions are never valued. A union
-    /// joins constraint `c`'s tree if it is `c`'s root or every node that
-    /// reads it is in the tree; it keeps its node if it is read by any
-    /// other node, is the root of another constraint (or of a
-    /// non-`acyclic` one), or binds a name in `named` (the names leaf
-    /// evaluation and `let rec` groups look up). Returns each constraint's
-    /// operands in the new numbering (ascending, the root alone when it
-    /// stays a node) and renumbers `rec_groups`' members.
+    /// Compiles each constraint's root to the nodes it reads, and removes
+    /// the nodes that then feed nothing from the DAG (they are never
+    /// valued, journaled or undone):
+    ///
+    /// - An `acyclic` root's union tree becomes the list of the tree's
+    ///   operands: an order's verdict depends only on the set of edges it
+    ///   is fed, so the operands feed it directly. A union joins
+    ///   constraint `c`'s tree if it is `c`'s root or every node that
+    ///   reads it is in the tree.
+    /// - An `irreflexive a ; b` or `irreflexive a ; b?` root becomes a
+    ///   count of pairs over `[a, b]`, and an `empty c & (a ; b)` root with
+    ///   a constant `c` a count of triples over `[c, a, b]` (see [`Mode`]):
+    ///   the sequence (and the `b?` or the meet) leave the DAG.
+    ///
+    /// A node stays if it is read by a node outside its tree, is the root
+    /// of another constraint (or of an `irreflexive` or `empty` one that
+    /// is no count), or binds a name in `named` (the names leaf evaluation
+    /// and `let rec` groups look up). A sequence, its `b?` and its meet
+    /// also stay if they bind any name, so the bindings each push is
+    /// charged for do not change. Rewrites `modes` of the counts and returns each
+    /// constraint's operands and last node in the new numbering (an
+    /// `acyclic` list ascending, the root alone when it stays a node), and
+    /// renumbers `rec_groups`' members.
     fn flatten(
         &mut self,
-        modes: &[Mode],
+        modes: &mut [Mode],
         roots: &[usize],
         named: &HashSet<u32>,
         rec_groups: &mut [RecGroup],
-    ) -> Vec<Vec<usize>> {
+    ) -> Vec<(Vec<usize>, usize)> {
         let n = self.nodes.len();
         let children = |op: NodeOp| match op {
             NodeOp::Bin(_, a, b) => vec![a, b],
@@ -542,9 +580,54 @@ impl Dag {
                 kept[node as usize] = true;
             }
         }
+        let root_of = |m: usize| roots.iter().filter(|&&r| r == m).count();
+        // True if no name binds `m` and only node `reader` reads it, or,
+        // with `reader: None`, nothing but the one constraint it is the
+        // root of.
+        let private = |m: usize, reader: Option<usize>| {
+            !kept[m]
+                && self.nodes[m].binds == 0
+                && match reader {
+                    None => readers[m].is_empty() && root_of(m) == 1,
+                    Some(p) => readers[m] == [p] && root_of(m) == 0,
+                }
+        };
+        let is_const = |m: usize| matches!(self.nodes[m].op, NodeOp::Const(_));
+        let mut dropped = vec![false; n];
+        let mut counted: Vec<Option<Vec<usize>>> = vec![None; roots.len()];
+        for (c, &root) in roots.iter().enumerate() {
+            if !private(root, None) {
+                continue;
+            }
+            match (modes[c], self.nodes[root].op) {
+                (Mode::Irreflexive, NodeOp::Bin(BinOp::Seq, a, b)) => {
+                    let (b, reflexive) = match self.nodes[b].op {
+                        NodeOp::Un(UnOp::Opt, inner) if a != b && private(b, Some(root)) => {
+                            dropped[b] = true;
+                            (inner, true)
+                        }
+                        _ => (b, false),
+                    };
+                    modes[c] = Mode::Pairs { reflexive };
+                    counted[c] = Some(vec![a, b]);
+                    dropped[root] = true;
+                }
+                (Mode::Empty, NodeOp::Bin(BinOp::Inter, x, y)) => {
+                    let (k, seq) = if is_const(x) { (x, y) } else { (y, x) };
+                    if let NodeOp::Bin(BinOp::Seq, a, b) = self.nodes[seq].op {
+                        if is_const(k) && private(seq, Some(root)) {
+                            modes[c] = Mode::Triples;
+                            counted[c] = Some(vec![k, a, b]);
+                            dropped[root] = true;
+                            dropped[seq] = true;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
         for (&mode, &root) in modes.iter().zip(roots) {
-            let shared = roots.iter().filter(|&&r| r == root).count() > 1;
-            kept[root] |= mode != Mode::Acyclic || shared || !readers[root].is_empty();
+            kept[root] |= mode != Mode::Acyclic || root_of(root) > 1 || !readers[root].is_empty();
         }
         let is_union = |m: usize| matches!(self.nodes[m].op, NodeOp::Bin(BinOp::Union, ..));
         let mut owner: Vec<Option<usize>> = vec![None; n];
@@ -569,14 +652,18 @@ impl Dag {
         let mut operands: Vec<Vec<usize>> = vec![Vec::new(); roots.len()];
         for (m, node) in self.nodes.iter().enumerate() {
             if let Some(c) = owner[m] {
+                dropped[m] = true;
                 operands[c].extend(children(node.op).into_iter().filter(|&ch| owner[ch] != Some(c)));
             }
         }
-        // Renumber the remaining nodes, in order.
+        // Renumber the remaining nodes, in order; `before[m]` is the last
+        // remaining node with an id below `m`.
         let mut new_id = vec![usize::MAX; n];
+        let mut before = vec![0; n];
         let mut nodes = Vec::with_capacity(n);
         for (m, mut node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
-            if owner[m].is_some() {
+            before[m] = nodes.len().saturating_sub(1);
+            if dropped[m] {
                 continue;
             }
             node.op = match node.op {
@@ -601,12 +688,18 @@ impl Dag {
         }
         operands
             .into_iter()
+            .zip(counted)
             .zip(roots)
-            .map(|(ops, &root)| {
+            .map(|((ops, counted), &root)| {
+                if let Some(ops) = counted {
+                    return (ops.into_iter().map(|o| new_id[o]).collect(), before[root]);
+                }
                 let mut ops: Vec<usize> = if ops.is_empty() { vec![root] } else { ops };
                 ops.sort_unstable();
                 ops.dedup();
-                ops.into_iter().map(|o| new_id[o]).collect()
+                let ops: Vec<usize> = ops.into_iter().map(|o| new_id[o]).collect();
+                let last = *ops.last().expect("a constraint reads a node");
+                (ops, last)
             })
             .collect()
     }
@@ -707,6 +800,7 @@ impl StagedPlan {
                             expr,
                             name: name.clone(),
                             operands: Vec::new(),
+                            last: RF,
                             reads: 0,
                         });
                     } else {
@@ -857,12 +951,30 @@ impl StagedPlan {
                 _ => {}
             }
         }
-        let modes: Vec<Mode> = constraints.iter().map(|c| c.mode).collect();
-        let operands = dag.flatten(&modes, &roots, &named, &mut rec_groups);
-        for (c, operands) in constraints.iter_mut().zip(operands) {
+        let mut modes: Vec<Mode> = constraints.iter().map(|c| c.mode).collect();
+        let operands = dag.flatten(&mut modes, &roots, &named, &mut rec_groups);
+        for ((c, (operands, last)), mode) in constraints.iter_mut().zip(operands).zip(modes) {
+            c.mode = mode;
             c.reads = operands.iter().fold(0, |acc, &o| acc | dag.nodes[o].reads);
             c.operands = operands;
+            c.last = last;
         }
+        // The constants read through their transpose: a sequence's left
+        // operand and a triple count's `c`.
+        let mut transposed = vec![false; dag.nodes.len()];
+        for node in &dag.nodes {
+            if let NodeOp::Bin(BinOp::Seq, a, _) = node.op {
+                transposed[a] |= matches!(dag.nodes[a].op, NodeOp::Const(_));
+            }
+        }
+        for c in &constraints {
+            if c.mode == Mode::Triples {
+                transposed[c.operands[0]] = true;
+            }
+        }
+        let counts = constraints
+            .iter()
+            .any(|c| matches!(c.mode, Mode::Pairs { .. } | Mode::Triples));
         let irreflexive_roots = constraints
             .iter()
             .enumerate()
@@ -876,6 +988,8 @@ impl StagedPlan {
             index: dag.index,
             rec_groups,
             irreflexive_roots,
+            transposed,
+            counts,
             const_slots,
             has_const_checks,
             stageable,
@@ -919,15 +1033,20 @@ fn release_order(order: IncrementalOrder) {
     ORDER_POOL.with(|p| p.borrow_mut().push(order));
 }
 
-/// Per-constraint runtime state (the value itself is the root node's).
+/// Per-constraint runtime state (the value itself is the root node's, or
+/// for an order and a count, made up of its operands' values).
 #[derive(Debug)]
 enum ConState {
-    /// The order tracks the acyclicity of the root's value.
+    /// The order tracks the acyclicity of the operands' union.
     Acyclic { order: IncrementalOrder },
     /// Diagonal edges in the root's value.
     Irreflexive { selfloops: u32 },
     /// Reads the root's size.
     Empty,
+    /// The pairs or triples a [`Mode::Pairs`] or [`Mode::Triples`]
+    /// constraint counts, and the count at the start of each open push
+    /// (one entry per frame, like an order's `begin`).
+    Count { count: u64, saved: Vec<u64> },
 }
 
 /// What the current push added to one node: edges for relation-valued
@@ -967,6 +1086,14 @@ fn node_value<'v>(plan: &StagedPlan, base: &'v EnvBase, vals: &'v [CatValue], n:
     }
 }
 
+/// The relation a count's operand holds (checked when the session opens).
+fn rel_value(v: &CatValue) -> &Relation {
+    match v {
+        CatValue::Rel(r) => r,
+        CatValue::Set(_) => unreachable!("count operands are relations"),
+    }
+}
+
 /// The per-combo staged checking state (one per
 /// [`crate::CatModel::combo_checker`] session when the plan
 /// [`StagedPlan::prunes`]).
@@ -1002,6 +1129,13 @@ pub struct StagedState<'a> {
     stopped: bool,
     /// Reusable `fr` edge-delta buffer for [`StagedState::push_co`].
     fr_scratch: Vec<(EventId, EventId)>,
+    /// Per node, the transpose of a constant the plan reads by column
+    /// ([`StagedPlan::transposed`]); empty for every other node.
+    transposes: Vec<Relation>,
+    /// Scratch edge set of a count: one operand's delta, marked while the
+    /// other operand's delta is counted against its old value. Empty
+    /// between counts.
+    mark: Relation,
     /// Frontier bindings plus staged constraints updated by pushes so far.
     frontier_evals: u64,
     nodes: usize,
@@ -1025,6 +1159,12 @@ impl<'a> StagedState<'a> {
             frames: Vec::new(),
             stopped: false,
             fr_scratch: Vec::new(),
+            transposes: Vec::new(),
+            mark: if plan.counts {
+                Relation::with_nodes(nodes)
+            } else {
+                Relation::new()
+            },
             frontier_evals: 0,
             nodes,
         };
@@ -1112,6 +1252,12 @@ impl<'a> StagedState<'a> {
             debug_assert_eq!(state.vals.len(), i);
             state.vals.push(v);
         }
+        state.transposes = (0..plan.nodes.len())
+            .map(|n| match node_value(plan, &state.base, &state.vals, n) {
+                CatValue::Rel(r) if plan.transposed[n] => r.inverse(),
+                _ => Relation::new(),
+            })
+            .collect();
         for c in &plan.constraints {
             let not_a_relation = || Error::Model(format!("{}: expected a relation, found a set", c.name));
             let con = match c.mode {
@@ -1136,6 +1282,35 @@ impl<'a> StagedState<'a> {
                 // `empty` is meaningful for sets too (`check_holds` accepts
                 // both); cardinality stages just as well.
                 Mode::Empty => ConState::Empty,
+                Mode::Pairs { reflexive } => {
+                    let (a, b) = (c.operands[0], c.operands[1]);
+                    let va = node_value(plan, &state.base, &state.vals, a).as_rel(";")?;
+                    let vb = node_value(plan, &state.base, &state.vals, b)
+                        .as_rel(if reflexive { "?" } else { ";" })?;
+                    let pairs = va
+                        .iter()
+                        .filter(|&(x, y)| (reflexive && x == y) || vb.contains(y, x));
+                    ConState::Count {
+                        count: pairs.count() as u64,
+                        saved: Vec::new(),
+                    }
+                }
+                Mode::Triples => {
+                    let value =
+                        |o: usize| node_value(plan, &state.base, &state.vals, c.operands[o]);
+                    let (vc, va, vb) = (
+                        value(0).as_rel("&")?,
+                        value(1).as_rel(";")?,
+                        value(2).as_rel(";")?,
+                    );
+                    let triples = va
+                        .iter()
+                        .map(|(x, y)| vc.common_successors(x, vb, y) as u64);
+                    ConState::Count {
+                        count: triples.sum(),
+                        saved: Vec::new(),
+                    }
+                }
             };
             state.cons.push(con);
         }
@@ -1247,13 +1422,14 @@ impl<'a> StagedState<'a> {
     /// The `fr` delta a coherence-chain extension induces: `fr(r, w)` for
     /// exactly the reads `r` justified by some predecessor (minus the
     /// identity-guard of [`Execution::fr`], which cannot trigger here as
-    /// reads and writes are distinct events). Filled into `out` (cleared
-    /// first) — the buffer is the session's `fr_scratch`, so the steady-
-    /// state DFS pushes no allocations here.
+    /// reads and writes are distinct events), the latest predecessor's
+    /// reads first. Filled into `out` (cleared first) — the buffer is the
+    /// session's `fr_scratch`, so the steady-state DFS pushes no
+    /// allocations here.
     fn fill_fr_delta(&self, preds: &[EventId], w: EventId, out: &mut Vec<(EventId, EventId)>) {
         out.clear();
         let rf = self.rel(RF);
-        for &p in preds {
+        for &p in preds.iter().rev() {
             for r in rf.successors(p) {
                 if r != w {
                     out.push((r, w));
@@ -1277,12 +1453,16 @@ impl<'a> StagedState<'a> {
     }
 
     /// The engine extended a coherence chain (`co(p, w)` for `p ∈ preds`).
+    /// The co and fr deltas list the covering edge `co(last, w)` (and the
+    /// reads of `last`) first: every later edge `co(p, w)` is then already
+    /// implied through `co(p, last)` in the orders and closures it feeds,
+    /// which skip it at the cost of one word test.
     pub fn push_co(&mut self, preds: &[EventId], w: EventId) -> Result<PartialVerdict> {
         debug_assert!(!self.stopped, "push_co on a stopped push: pop it first");
         self.frames.push(self.journal.len());
         let mut scratch = std::mem::take(&mut self.fr_scratch);
         scratch.clear();
-        scratch.extend(preds.iter().map(|&p| (p, w)));
+        scratch.extend(preds.iter().rev().map(|&p| (p, w)));
         self.push_base(CO, &scratch);
         self.fill_fr_delta(preds, w, &mut scratch);
         self.push_base(FR, &scratch);
@@ -1342,7 +1522,7 @@ impl<'a> StagedState<'a> {
                     return Ok(self.stop(applied));
                 }
                 match plan.constraints.get(applied) {
-                    Some(c) if c.last() <= i => {
+                    Some(c) if c.last <= i => {
                         applied += 1;
                         if self.apply(applied - 1, touched) {
                             return Ok(self.stop(applied));
@@ -1379,6 +1559,11 @@ impl<'a> StagedState<'a> {
         let plan = self.plan;
         let c = &plan.constraints[idx];
         self.frontier_evals += u64::from(c.reads & touched != 0);
+        let added = match c.mode {
+            Mode::Pairs { reflexive } => self.pairs_added(c, reflexive),
+            Mode::Triples => self.triples_added(c),
+            Mode::Acyclic | Mode::Irreflexive | Mode::Empty => 0,
+        };
         match &mut self.cons[idx] {
             // Untouched operands (the constants among them) add nothing.
             // An edge another operand or the seed already implies costs
@@ -1399,13 +1584,86 @@ impl<'a> StagedState<'a> {
                 *selfloops += delta.iter().filter(|(a, b)| a == b).count() as u32;
             }
             ConState::Empty => {}
+            ConState::Count { count, saved } => {
+                saved.push(*count);
+                *count += added;
+            }
         }
         self.violated(idx)
     }
 
+    /// The pairs `a(x, y) ∧ b(y, x)` (or `y = x` when `reflexive`) this
+    /// push added, from the operands' deltas (an untouched operand's
+    /// delta was cleared by the walk): each new `a` edge against the new
+    /// `b`, then each new `b` edge against the old `a` — the new one
+    /// without the marked new edges — so no pair counts twice. A `b`
+    /// self-loop adds nothing to `a ; b?`: its pair already counts through
+    /// the identity.
+    fn pairs_added(&mut self, c: &Constraint, reflexive: bool) -> u64 {
+        let plan = self.plan;
+        let (a, b) = (c.operands[0], c.operands[1]);
+        let (da, db) = (&self.deltas[a].edges, &self.deltas[b].edges);
+        let va = rel_value(node_value(plan, &self.base, &self.vals, a));
+        let vb = rel_value(node_value(plan, &self.base, &self.vals, b));
+        let mut added = da
+            .iter()
+            .filter(|&&(x, y)| (reflexive && x == y) || vb.contains(y, x))
+            .count();
+        if !db.is_empty() {
+            for &(x, y) in da {
+                self.mark.insert(x, y);
+            }
+            added += db
+                .iter()
+                .filter(|&&(y, x)| {
+                    !(reflexive && x == y) && va.contains(x, y) && !self.mark.contains(x, y)
+                })
+                .count();
+            for &(x, y) in da {
+                self.mark.remove(x, y);
+            }
+        }
+        added as u64
+    }
+
+    /// The triples `c(x, z) ∧ a(x, y) ∧ b(y, z)` this push added (`c` is
+    /// constant), counted as [`StagedState::pairs_added`] counts pairs:
+    /// a new `a` edge meets `c`'s row `x` with the new `b`'s row `y`, one
+    /// word-parallel AND; a new `b` edge `(y, z)` tries the sources of
+    /// `c`'s column `z`, read as a row of its transpose, against the old
+    /// `a`.
+    fn triples_added(&mut self, c: &Constraint) -> u64 {
+        let plan = self.plan;
+        let (k, a, b) = (c.operands[0], c.operands[1], c.operands[2]);
+        let (da, db) = (&self.deltas[a].edges, &self.deltas[b].edges);
+        let value = |n: usize| rel_value(node_value(plan, &self.base, &self.vals, n));
+        let (vk, va, vb) = (value(k), value(a), value(b));
+        let mut added: usize = da
+            .iter()
+            .map(|&(x, y)| vk.common_successors(x, vb, y))
+            .sum();
+        if !db.is_empty() {
+            for &(x, y) in da {
+                self.mark.insert(x, y);
+            }
+            let sources = &self.transposes[k];
+            for &(y, z) in db {
+                added += sources
+                    .successors(z)
+                    .filter(|&x| va.contains(x, y) && !self.mark.contains(x, y))
+                    .count();
+            }
+            for &(x, y) in da {
+                self.mark.remove(x, y);
+            }
+        }
+        added as u64
+    }
+
     /// Ends a push that answered `Forbidden` after applying its first
     /// `applied` constraints. Every later acyclicity order opens an empty
-    /// frame, so the pop still undoes exactly one frame per order; a later
+    /// frame and every later count saves its count, so the pop still
+    /// undoes exactly one frame per order and count; a later
     /// `irreflexive` constraint counts the diagonal edges this push
     /// journaled on its root, which the pop un-counts.
     fn stop(&mut self, applied: usize) -> PartialVerdict {
@@ -1425,6 +1683,7 @@ impl<'a> StagedState<'a> {
                     }
                 }
                 ConState::Empty => {}
+                ConState::Count { count, saved } => saved.push(*count),
             }
         }
         self.stopped = true;
@@ -1493,15 +1752,23 @@ impl<'a> StagedState<'a> {
                     }
                 }
             }
+            // A constant left operand adds nothing itself and is read by
+            // row of its transpose, not by column scan.
             (BinOp::Seq, CatValue::Rel(r), CatValue::Rel(ra), CatValue::Rel(rb)) => {
                 for &(x, y) in &da.edges {
                     r.union_row_from(x, rb, y, &mut out.edges);
                 }
+                let transpose = &self.transposes[a];
                 for &(y, z) in &db.edges {
-                    for x in ra.predecessors(y) {
+                    let mut add = |x: EventId| {
                         if r.insert(x, z) {
                             out.edges.push((x, z));
                         }
+                    };
+                    if plan.transposed[a] {
+                        transpose.successors(y).for_each(&mut add);
+                    } else {
+                        ra.predecessors(y).for_each(&mut add);
                     }
                 }
             }
@@ -1579,14 +1846,18 @@ impl<'a> StagedState<'a> {
         }
     }
 
-    /// Restores every value, order and self-loop count to just before the
-    /// most recent push.
+    /// Restores every value, order, self-loop count and count to just
+    /// before the most recent push.
     fn undo_frame(&mut self) {
         let mark = self.frames.pop().expect("pop without matching push");
         self.stopped = false;
         for con in &mut self.cons {
-            if let ConState::Acyclic { order } = con {
-                order.undo();
+            match con {
+                ConState::Acyclic { order } => order.undo(),
+                ConState::Count { count, saved } => {
+                    *count = saved.pop().expect("a count frame per push");
+                }
+                ConState::Irreflexive { .. } | ConState::Empty => {}
             }
         }
         while self.journal.len() > mark {
@@ -1628,6 +1899,7 @@ impl<'a> StagedState<'a> {
         match &self.cons[idx] {
             ConState::Acyclic { order } => !order.is_acyclic(),
             ConState::Irreflexive { selfloops } => *selfloops > 0,
+            ConState::Count { count, .. } => *count > 0,
             ConState::Empty => match &self.vals[self.plan.constraints[idx].root()] {
                 CatValue::Rel(r) => !r.is_empty(),
                 CatValue::Set(s) => !s.is_empty(),
@@ -2057,10 +2329,19 @@ exists (P0:r0=0 /\ P1:r0=0)
         let flattened = |model: &str| -> Vec<String> {
             let m = CatModel::bundled(model).unwrap();
             let plan = m.plan();
+            let counts = |c: &Constraint| matches!(c.mode, Mode::Pairs { .. } | Mode::Triples);
             for c in &plan.constraints {
-                assert!(c.mode == Mode::Acyclic || c.operands.len() == 1, "{model} `{}`", c.name);
+                let one = c.operands.len() == 1;
+                assert!(
+                    c.mode == Mode::Acyclic || counts(c) || one,
+                    "{model} `{}`",
+                    c.name
+                );
             }
-            let many = plan.constraints.iter().filter(|c| c.operands.len() > 1);
+            let many = plan
+                .constraints
+                .iter()
+                .filter(|c| c.mode == Mode::Acyclic && c.operands.len() > 1);
             many.map(|c| c.name.clone()).collect()
         };
         let internal = ["rf", "co", "fr", "const po_loc"];
@@ -2108,6 +2389,144 @@ exists (P0:r0=0 /\ P1:r0=0)
         assert!(flattened("rc11-lb").is_empty());
         assert_eq!(flattened("sc"), ["sc"]);
         assert_eq!(flattened("hw-inorder"), ["inorder"]);
+    }
+
+    /// Which checks of the bundled models are counted rather than built:
+    /// rc11's `coherence` (`irreflexive hb ; eco?`) counts pairs over `hb`
+    /// and `eco`, dropping the sequence and `eco?`; every `atomicity`
+    /// (`empty rmw & (fre ; coe)`) counts triples over `rmw`, `fre` and
+    /// `coe`, dropping the sequence and the meet. The node counts before
+    /// the counts (the plans of the union flattening alone) lose exactly
+    /// those nodes: rc11 38 → 34.
+    #[test]
+    fn check_only_sequences_of_bundled_plans() {
+        let atomicity = ("atomicity", Mode::Triples, &["const rmw", "fre", "coe"][..]);
+        let coherence = (
+            "coherence",
+            Mode::Pairs { reflexive: true },
+            &["hb", "eco"][..],
+        );
+        for (model, before, after, counted) in [
+            ("rc11", 38, 34, &[coherence, atomicity][..]),
+            ("rc11-lb", 38, 34, &[coherence, atomicity]),
+            ("sc", 10, 8, &[atomicity]),
+            ("aarch64", 18, 16, &[atomicity]),
+            ("armv7", 18, 16, &[atomicity]),
+            ("armv7-buggy", 18, 16, &[atomicity]),
+            ("x86tso", 12, 10, &[atomicity]),
+            ("riscv", 21, 19, &[atomicity]),
+            ("ppc", 20, 18, &[atomicity]),
+            ("mips", 12, 10, &[atomicity]),
+            ("hw-inorder", 8, 8, &[]),
+        ] {
+            let m = CatModel::bundled(model).unwrap();
+            let plan = m.plan();
+            let got: Vec<(&str, Mode, Vec<String>)> = plan
+                .constraints
+                .iter()
+                .filter(|c| matches!(c.mode, Mode::Pairs { .. } | Mode::Triples))
+                .map(|c| (c.name.as_str(), c.mode, operands(plan, &c.name)))
+                .collect();
+            let expected: Vec<(&str, Mode, Vec<String>)> = counted
+                .iter()
+                .map(|&(name, mode, ops)| (name, mode, ops.iter().map(|o| o.to_string()).collect()))
+                .collect();
+            assert_eq!(got, expected, "{model}");
+            // `a ; b?` drops the sequence and the `?`, `c & (a ; b)` the
+            // sequence and the meet.
+            assert_eq!(before - 2 * counted.len(), after, "{model}");
+            assert_eq!(plan.nodes.len(), after, "{model}");
+        }
+    }
+
+    /// A sequence that is named, read by another node or looked up at the
+    /// leaves stays a node and its check reads it whole; an unnamed one
+    /// under `irreflexive` or `empty c & _` is counted. Each program's
+    /// sessions match from-scratch evaluation on a scripted DFS (where no
+    /// residual check makes the first violation differ from the blame),
+    /// and each program decides SB and RMW3 as the reference enumerator
+    /// does.
+    #[test]
+    fn named_sequences_are_not_counted() {
+        use telechat_exec::simulate_reference;
+        let pairs = Mode::Pairs { reflexive: false };
+        let reflexive = Mode::Pairs { reflexive: true };
+        for (src, mode, expected) in [
+            (
+                "irreflexive (rf | co) ; fr? as p",
+                reflexive,
+                &["Union(rf, co)", "fr"][..],
+            ),
+            ("irreflexive rf ; fr as p", pairs, &["rf", "fr"]),
+            ("irreflexive co ; co as p", pairs, &["co", "co"]),
+            // Both operands grow on the same push, so each new pair is
+            // found through both deltas and must count once.
+            ("irreflexive rf ; rf^-1 as p", pairs, &["rf", "Inverse(rf)"]),
+            (
+                "empty id & (rf ; rf^-1) as p",
+                Mode::Triples,
+                &["const id", "rf", "Inverse(rf)"],
+            ),
+            ("let o = fr?\nirreflexive rf ; o as p", pairs, &["rf", "o"]),
+            (
+                "let s = rf ; fr?\nirreflexive s as p",
+                Mode::Irreflexive,
+                &["s"],
+            ),
+            (
+                "let s = rf ; fr\nirreflexive s as p\nacyclic (s | po) as q",
+                Mode::Irreflexive,
+                &["s"],
+            ),
+            (
+                "let s = co ; fr?\nirreflexive s as p\n~empty s as leaf",
+                Mode::Irreflexive,
+                &["s"],
+            ),
+            (
+                "empty po & (rf ; fr) as p",
+                Mode::Triples,
+                &["const po", "rf", "fr"],
+            ),
+            (
+                "empty (co ; rf) & (po ; po) as p",
+                Mode::Triples,
+                &["const (po ; po)", "co", "rf"],
+            ),
+            (
+                "let q = rf ; fr\nempty po & q as p",
+                Mode::Empty,
+                &["Inter(const po, q)"],
+            ),
+            (
+                "empty co & (co ; co) as p",
+                Mode::Empty,
+                &["Inter(co, Seq(co, co))"],
+            ),
+        ] {
+            let program = crate::parse::parse_cat("t", src, &|_| None).unwrap();
+            let model = CatModel::from_program(program);
+            let plan = model.plan();
+            let c = plan.constraints.iter().find(|c| c.name == "p").unwrap();
+            assert_eq!(c.mode, mode, "{src:?}");
+            assert_eq!(operands(plan, "p"), expected, "{src:?}");
+            if !plan
+                .steps
+                .iter()
+                .any(|s| matches!(s, Step::CheckResidual { .. }))
+            {
+                run_script_fresh(&model);
+            }
+            for test in [SB, RMW3] {
+                let test = parse_c11(test).unwrap();
+                let cfg = SimConfig::default();
+                let new = simulate(&test, &model, &cfg).unwrap();
+                let old = simulate_reference(&test, &model, &cfg).unwrap();
+                assert_eq!(new.outcomes, old.outcomes, "{src:?} {}", test.name);
+                assert_eq!(new.candidates, old.candidates, "{src:?} {}", test.name);
+                assert_eq!(new.allowed, old.allowed, "{src:?} {}", test.name);
+            }
+        }
     }
 
     /// A union that leaf evaluation or a `let rec` group looks up by name,
@@ -2177,12 +2596,7 @@ exists (P1:r1=0)
     fn assert_matches_scratch(model: &CatModel, state: &StagedState, partial: &Execution, at: &str) {
         let plan = model.plan();
         let name = model.model_name();
-        let mut env = Env::from_execution(partial);
-        for step in &plan.steps {
-            if let Step::BindConst { recursive, bindings } | Step::BindDyn { recursive, bindings, .. } = step {
-                eval_let_group(&mut env, *recursive, bindings).unwrap();
-            }
-        }
+        let env = scratch_env(plan, partial);
         assert_eq!(state.vals[RF], CatValue::Rel(partial.rf.clone()), "{name} {at}: rf");
         assert_eq!(state.vals[CO], CatValue::Rel(partial.co.clone()), "{name} {at}: co");
         assert_eq!(state.vals[FR], CatValue::Rel(partial.fr()), "{name} {at}: fr");
@@ -2206,6 +2620,16 @@ exists (P1:r1=0)
             let scratch = eval_expr(&c.expr, &env).unwrap();
             let operand = |o: usize| node_value(plan, &state.base, &state.vals, o);
             let value = match c.operands[..] {
+                _ if matches!(c.mode, Mode::Pairs { .. } | Mode::Triples) => {
+                    assert_count_matches_scratch(
+                        c,
+                        &state.cons[i],
+                        &operand,
+                        &env,
+                        &format!("{name} {at}"),
+                    );
+                    scratch.clone()
+                }
                 [root] => operand(root).clone(),
                 _ => {
                     let mut union = Relation::with_nodes(state.nodes);
@@ -2237,8 +2661,8 @@ exists (P1:r1=0)
             let violated = match &scratch {
                 CatValue::Rel(r) => match c.mode {
                     Mode::Acyclic => !r.is_acyclic(),
-                    Mode::Irreflexive => !r.is_irreflexive(),
-                    Mode::Empty => !r.is_empty(),
+                    Mode::Irreflexive | Mode::Pairs { .. } => !r.is_irreflexive(),
+                    Mode::Empty | Mode::Triples => !r.is_empty(),
                 },
                 CatValue::Set(s) => !s.is_empty(),
             };
@@ -2250,6 +2674,76 @@ exists (P1:r1=0)
             !scratch.is_allowed(),
             "{name} {at}: verdict"
         );
+    }
+
+    /// Every binding of `plan` evaluated from scratch over `partial`.
+    fn scratch_env<'p>(plan: &StagedPlan, partial: &'p Execution) -> Env<'p> {
+        let mut env = Env::from_execution(partial);
+        for step in &plan.steps {
+            if let Step::BindConst {
+                recursive,
+                bindings,
+            }
+            | Step::BindDyn {
+                recursive,
+                bindings,
+                ..
+            } = step
+            {
+                eval_let_group(&mut env, *recursive, bindings).unwrap();
+            }
+        }
+        env
+    }
+
+    /// Asserts that a count constraint's operands hold the from-scratch
+    /// values of the subexpressions they stand for (`a ; b?` reads `a` and
+    /// `b`, `c & (a ; b)` reads `c`, `a` and `b`), and that its count equals
+    /// the pairs or triples counted from scratch over those values.
+    fn assert_count_matches_scratch<'v>(
+        c: &Constraint,
+        state: &ConState,
+        operand: &dyn Fn(usize) -> &'v CatValue,
+        env: &Env,
+        at: &str,
+    ) {
+        let ConState::Count { count, .. } = state else {
+            panic!("{at}: `{}` counts, but its state is {state:?}", c.name)
+        };
+        let exprs: Vec<&CatExpr> = match (c.mode, &c.expr) {
+            (Mode::Pairs { reflexive }, CatExpr::Seq(a, b)) => match (reflexive, &**b) {
+                (true, CatExpr::Opt(b)) => vec![a, b],
+                (false, _) => vec![a, b],
+                _ => panic!("{at}: `{}` is no `a ; b?`", c.name),
+            },
+            (Mode::Triples, CatExpr::Inter(x, y)) => match (&**x, &**y) {
+                (CatExpr::Seq(a, b), k) | (k, CatExpr::Seq(a, b)) => vec![k, a, b],
+                _ => panic!("{at}: `{}` is no `c & (a ; b)`", c.name),
+            },
+            _ => panic!("{at}: `{}` has no count shape", c.name),
+        };
+        let values: Vec<Relation> = exprs
+            .iter()
+            .zip(&c.operands)
+            .map(|(e, &o)| {
+                let scratch = eval_expr(e, env).unwrap();
+                assert_eq!(operand(o), &scratch, "{at}: `{}` operand `{e}`", c.name);
+                scratch.as_rel("count").unwrap().clone()
+            })
+            .collect();
+        let scratch_count = match (c.mode, &values[..]) {
+            (Mode::Pairs { reflexive }, [a, b]) => a
+                .iter()
+                .filter(|&(x, y)| (reflexive && x == y) || b.contains(y, x))
+                .count(),
+            (Mode::Triples, [k, a, b]) => a
+                .iter()
+                .flat_map(|(x, y)| b.successors(y).map(move |z| (x, z)))
+                .filter(|&(x, z)| k.contains(x, z))
+                .count(),
+            _ => unreachable!("operand counts match the mode"),
+        };
+        assert_eq!(*count, scratch_count as u64, "{at}: `{}` count", c.name);
     }
 
     /// Asserts that two sessions opened on the same plan and skeleton are
@@ -2289,6 +2783,16 @@ exists (P1:r1=0)
                     ConState::Irreflexive { selfloops: sb },
                 ) => assert_eq!(sa, sb, "{at}: constraint {i} self-loops"),
                 (ConState::Empty, ConState::Empty) => {}
+                (
+                    ConState::Count {
+                        count: na,
+                        saved: sa,
+                    },
+                    ConState::Count {
+                        count: nb,
+                        saved: sb,
+                    },
+                ) => assert_eq!((na, sa.len()), (nb, sb.len()), "{at}: constraint {i} count"),
                 _ => panic!("{at}: constraint {i} changed mode"),
             }
         }
@@ -2455,6 +2959,33 @@ exists (P1:r1=0)
                 );
                 if *verdict == PartialVerdict::Forbidden {
                     assert_eq!(state.blame(), scratch.as_deref(), "{name} {at}: blame");
+                    // The walk stopped at its first violated constraint (or
+                    // at a violated constant check): it and every earlier
+                    // one were applied in full, so their counts are exact.
+                    let plan = self.model.plan();
+                    let applied = state.const_gate.unwrap_or(plan.constraints.len());
+                    let cons = plan
+                        .constraints
+                        .iter()
+                        .zip(&state.cons)
+                        .enumerate()
+                        .take(applied);
+                    let env = scratch_env(plan, &self.partial);
+                    let operand = |o: usize| node_value(plan, &state.base, &state.vals, o);
+                    for (i, (c, con)) in cons {
+                        if matches!(c.mode, Mode::Pairs { .. } | Mode::Triples) {
+                            assert_count_matches_scratch(
+                                c,
+                                con,
+                                &operand,
+                                &env,
+                                &format!("{name} {at}"),
+                            );
+                        }
+                        if state.violated(i) {
+                            break;
+                        }
+                    }
                 }
             }
             if scratch.is_some() {

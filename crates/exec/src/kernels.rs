@@ -56,6 +56,15 @@ pub fn count_ones(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
+/// Population count of `a & b` (zero-extended).
+#[inline]
+pub fn count_and(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum()
+}
+
 /// True if every word is zero.
 #[inline]
 pub fn is_zero(words: &[u64]) -> bool {
@@ -98,5 +107,8 @@ mod tests {
         // Empty slices.
         assert!(is_zero(&[]));
         assert_eq!(count_ones(&[]), 0);
+        // A meet reads the shorter operand's words only.
+        assert_eq!(count_and(&[0b1011, u64::MAX], &[0b0110]), 1);
+        assert_eq!(count_and(&[], &[1]), 0);
     }
 }

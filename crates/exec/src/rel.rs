@@ -743,6 +743,12 @@ impl Relation {
         }
     }
 
+    /// The number of common successors of `a` in `self` and `b` in
+    /// `other`: `|row(a) ∩ other.row(b)|`, one word-parallel AND per word.
+    pub fn common_successors(&self, a: EventId, other: &Relation, b: EventId) -> usize {
+        kernels::count_and(self.row(a.index()), other.row(b.index()))
+    }
+
     /// Iterates the predecessors of `to` in id order (a column scan).
     pub fn predecessors(&self, to: EventId) -> impl Iterator<Item = EventId> + '_ {
         (0..self.nodes)
@@ -788,7 +794,13 @@ impl Relation {
     /// applied to the closure itself. Cyclic closures are fine: a source
     /// row is tested before it is written, and the only change `row(v)`
     /// can receive is the bit `v`, which the target set already holds.
+    /// An edge the closure already holds is implied (every source reaching
+    /// `u` already reaches `v` and `succ(v)`): it costs one word test and
+    /// changes nothing, as in `add_edge`.
     pub fn close_over_edge(&mut self, u: EventId, v: EventId, out: &mut Vec<(EventId, EventId)>) {
+        if self.contains(u, v) {
+            return;
+        }
         let (ui, vi) = (u.index(), v.index());
         self.ensure_node(ui.max(vi));
         self.nodes = self.nodes.max(ui.max(vi) + 1);
@@ -1506,6 +1518,20 @@ mod bitset_oracle {
             let grown: BTreeSet<(u32, u32)> = added.iter().map(|&(a, b)| (a.0, b.0)).collect();
             assert_eq!(grown.len(), added.len(), "each new edge reported once");
             assert_eq!(grown, expect.diff(&r.transitive_closure()).0);
+            // Every edge of a closed relation is implied: closing over it
+            // again leaves the bits, the edge count and `out` unchanged.
+            let before = closed.clone();
+            let mut none = Vec::new();
+            for (u, v) in before.iter() {
+                closed.close_over_edge(u, v, &mut none);
+            }
+            assert_eq!(closed.bits, before.bits, "implied edges keep the bits");
+            assert_eq!(
+                closed.len(),
+                before.len(),
+                "implied edges keep the edge count"
+            );
+            assert!(none.is_empty(), "implied edges report nothing: {none:?}");
 
             let mut acc = br.clone();
             let mut added = Vec::new();
@@ -1523,6 +1549,18 @@ mod bitset_oracle {
                 let preds: Vec<EventId> = br.predecessors(EventId(b)).collect();
                 let expect: Vec<EventId> = inv.successors(EventId(b)).collect();
                 assert_eq!(preds, expect);
+            }
+            let row = |p: &PairRel, a: u32| -> BTreeSet<u32> {
+                p.0.range((a, 0)..=(a, u32::MAX)).map(|&(_, y)| y).collect()
+            };
+            for a in r.domain() {
+                for b in s.domain() {
+                    assert_eq!(
+                        br.common_successors(EventId(a), &bs, EventId(b)),
+                        row(&r, a).intersection(&row(&s, b)).count(),
+                        "common successors of e{a} and e{b}"
+                    );
+                }
             }
         });
     }
