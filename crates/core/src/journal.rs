@@ -1109,6 +1109,37 @@ mod tests {
         }
     }
 
+    /// The on-disk image of a shard journal, pinned byte for byte: one
+    /// item per outcome, then the seal.
+    #[test]
+    fn journal_image_matches_the_golden() {
+        let mem = MemBackend::new();
+        let shard = ShardSpec { index: 1, count: 4 };
+        let j = CampaignJournal::open_backend(Box::new(mem.clone()), 42, shard).unwrap();
+        let positive = ItemOutcome::Positive {
+            test: "lb-1".into(),
+            profile: "clang-11-O2-AArch64".into(),
+        };
+        let outcomes = [
+            ItemOutcome::Pass,
+            ItemOutcome::Negative,
+            positive,
+            ItemOutcome::Crashed,
+            ItemOutcome::Racy,
+            ItemOutcome::Error,
+        ];
+        for (t, outcome) in outcomes.into_iter().enumerate() {
+            j.record(&item(t as u128, 10 * t as u64, outcome));
+        }
+        j.seal(6, 6);
+        drop(j);
+        let image = mem.bytes().lock().unwrap().clone();
+        assert_eq!(
+            crate::persist::hex_lines(&image),
+            include_str!("../../../tests/golden/journal-image.hex")
+        );
+    }
+
     #[test]
     fn open_refuses_a_shard_spec_that_names_no_shard() {
         for bad in [

@@ -1080,6 +1080,16 @@ impl PersistStore {
     }
 }
 
+/// Renders a log image as hex, 32 bytes a line: the form of the image
+/// goldens under `tests/golden/`.
+#[cfg(test)]
+pub(crate) fn hex_lines(image: &[u8]) -> String {
+    image
+        .chunks(32)
+        .map(|row| row.iter().map(|b| format!("{b:02x}")).collect::<String>() + "\n")
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1355,6 +1365,42 @@ mod tests {
         assert_eq!(a.fail_append, b.fail_append);
         assert_eq!(a.torn_bytes, b.torn_bytes);
         assert!(a.fail_append.unwrap() < 16);
+        // Both streams, pinned: a change to either moves a golden line.
+        let plans: String = (0..16)
+            .map(|s| {
+                let (plan, chaos) = (FaultPlan::seeded(s), FaultPlan::seeded_chaos(s));
+                format!("{s} seeded {plan:?}\n{s} chaos {chaos:?}\n")
+            })
+            .collect();
+        assert_eq!(plans, include_str!("../../../tests/golden/fault-plans.txt"));
+    }
+
+    /// The on-disk image of a store, pinned byte for byte: an `Ok` source
+    /// leg, then `Budget` and `Timeout` target legs, written after a reopen
+    /// reset a foreign header. Fixed stamps keep engine and model bumps
+    /// from churning the golden.
+    #[test]
+    fn store_image_matches_the_golden() {
+        let mem = MemBackend::new();
+        let foreign = PersistStore::open_versioned(Box::new(mem.clone()), 2, 99).unwrap();
+        foreign.put(k(9), &Ok(sample_sim()));
+        drop(foreign);
+
+        let store = PersistStore::open_versioned(Box::new(mem.clone()), 1, 99).unwrap();
+        assert!(store.stats().reset);
+        let target = |test| PersistKey {
+            kind: LegKind::Target,
+            ..k(test)
+        };
+        store.put(k(1), &Ok(sample_sim()));
+        store.put(target(2), &Err(Error::Budget { steps: 20_000 }));
+        store.put(target(3), &Err(Error::Timeout { limit_ms: 5000 }));
+        drop(store);
+        let image = mem.bytes().lock().unwrap().clone();
+        assert_eq!(
+            hex_lines(&image),
+            include_str!("../../../tests/golden/store-image.hex")
+        );
     }
 
     #[test]
