@@ -18,11 +18,11 @@
 //! summary  := source_tests(u64) compiled_tests(u64)       // appended on completion
 //! ```
 //!
-//! The framing, longest-valid-prefix recovery and degrade-don't-fail
-//! write path are shared with the leg store (`persist::frame_record`,
-//! `persist::scan_records`), so a torn append or bit-flipped tail costs
-//! exactly the damaged records and a corrupt journal can degrade to a
-//! recompute, never to wrong cells.
+//! The journal and the leg store are one `RecordLog` (`persist.rs`) each,
+//! which implements the framing, longest-valid-prefix recovery, torn-write
+//! rollback and degrade-don't-fail write path for both logs, so a torn
+//! append or bit-flipped tail costs exactly the damaged records and a
+//! corrupt journal can degrade to a recompute, never to wrong cells.
 //!
 //! # Identity
 //!
@@ -51,23 +51,24 @@
 //! Fault-class item failures ([`Error::is_fault`]: panics, missed
 //! deadlines) are *never* journaled — like the leg store, a resumed
 //! campaign recomputes them from scratch, so a transient infrastructure
-//! fault heals on resume instead of being replayed forever. Journal write failures degrade to a read-only session
-//! (counted in [`JournalStats`], surfaced once on stderr); the campaign
-//! itself never fails because its journal could not be written.
+//! fault heals on resume instead of being replayed forever. Journal write
+//! failures degrade to a read-only session (counted in [`JournalStats`],
+//! surfaced once on stderr); the campaign itself never fails because its
+//! journal could not be written.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use telechat_common::{fnv1a64, Arch, Error, Result};
 use telechat_compiler::{CompilerFamily, OptLevel};
 
+use crate::cache::{lock_unpoisoned, sim_config_fingerprint};
 use crate::campaign::{CampaignResult, CampaignSpec};
-use crate::cache::sim_config_fingerprint;
 use crate::persist::{
-    frame_record, put_str, put_u32, put_u64, scan_records, warn_degraded, Dec, FileBackend,
-    StoreBackend,
+    put_str, put_u32, put_u64, Dec, FileBackend, Header, RecordLog, StoreBackend,
 };
 use crate::pipeline::PipelineConfig;
 
@@ -432,64 +433,23 @@ pub struct JournalStats {
     pub read_only: bool,
 }
 
-impl fmt::Display for JournalStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "journal: {} recovered, {} replayed, {} appended, {} write errors",
-            self.recovered, self.replayed, self.appends, self.write_errors
-        )?;
-        if self.dropped_bytes > 0 {
-            write!(f, ", {} damaged bytes dropped", self.dropped_bytes)?;
-        }
-        if self.reset {
-            write!(f, ", log reset (campaign mismatch)")?;
-        }
-        if self.read_only {
-            write!(f, ", read-only")?;
-        }
-        Ok(())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The journal.
 // ---------------------------------------------------------------------------
 
-struct JournalState {
-    index: HashMap<ItemKey, ItemRecord>,
-    summary: Option<(u64, u64)>,
-    /// Length of the valid log prefix.
-    len: u64,
-    /// Cleared when the backing file can no longer be kept consistent;
-    /// completions then stay memory-only for this session.
-    writable: bool,
-    /// One-time degradation notice already emitted.
-    warned: bool,
-    stats: JournalStats,
-}
-
-/// The campaign work-item completion journal. One instance per campaign
-/// (and per shard), shared across workers behind an `Arc`; see the module
-/// docs for format, identity and failure semantics.
+/// The campaign work-item completion journal: an index of completed items
+/// and the seal, over a `RecordLog`. One instance per campaign (and per
+/// shard), shared across workers behind an `Arc`; see the module docs for
+/// format, identity and failure semantics.
+#[derive(Debug)]
 pub struct CampaignJournal {
-    backend: Box<dyn StoreBackend>,
     fingerprint: u64,
     shard: ShardSpec,
-    state: Mutex<JournalState>,
-}
-
-impl fmt::Debug for CampaignJournal {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        f.debug_struct("CampaignJournal")
-            .field("fingerprint", &self.fingerprint)
-            .field("shard", &self.shard)
-            .field("items", &st.index.len())
-            .field("sealed", &st.summary.is_some())
-            .field("writable", &st.writable)
-            .finish()
-    }
+    index: Mutex<HashMap<ItemKey, ItemRecord>>,
+    /// The sealed totals; held across a seal's append.
+    summary: Mutex<Option<(u64, u64)>>,
+    replayed: AtomicU64,
+    log: Mutex<RecordLog>,
 }
 
 impl CampaignJournal {
@@ -543,100 +503,46 @@ impl CampaignJournal {
         })
     }
 
+    /// Opens expecting the header of `expect`, or adopting the header found
+    /// when `expect` is `None`.
     fn open_inner(
         backend: Box<dyn StoreBackend>,
         expect: Option<(u64, ShardSpec)>,
     ) -> Result<CampaignJournal> {
-        if let Some((_, shard)) = expect {
-            shard.checked()?;
-        }
-        let image = backend
-            .load()
-            .map_err(|e| Error::Io(format!("journal load: {e}")))?;
-
-        let decoded = decode_header(&image);
-        let (fingerprint, shard, header_ok) = match expect {
-            Some((fp, shard)) => (fp, shard, decoded == Some((fp, shard))),
-            None => match decoded {
-                // Adoption with no header to adopt: report via `reset`
-                // (open_existing turns it into a typed error).
-                None => (0, ShardSpec::whole(), false),
-                Some((fp, shard)) => (fp, shard, true),
-            },
+        let mut adopted = None;
+        let mut adopt = |header: &[u8]| {
+            adopted = decode_header(header);
+            adopted.is_some()
         };
-
-        let mut state = JournalState {
-            index: HashMap::new(),
-            summary: None,
-            len: 0,
-            writable: true,
-            warned: false,
-            stats: JournalStats::default(),
+        let expected;
+        let header = match expect {
+            Some((fingerprint, shard)) => {
+                expected = encode_header(fingerprint, shard.checked()?);
+                Header::Expect(&expected)
+            }
+            None => Header::Adopt(HEADER_LEN, &mut adopt),
         };
-
-        if header_ok {
-            let pos = scan_records(&image, HEADER_LEN, &mut |payload| {
-                match decode_payload(payload) {
-                    Some(Record::Item(rec)) => {
-                        state.index.insert(rec.key, rec);
-                    }
-                    Some(Record::Summary { source, compiled }) => {
-                        state.summary = Some((source, compiled));
-                    }
-                    None => return false,
+        let (mut index, mut summary) = (HashMap::new(), None);
+        let log = RecordLog::open(backend, "journal", header, &mut |payload| {
+            match decode_payload(payload) {
+                Some(Record::Item(rec)) => {
+                    index.insert(rec.key, rec);
                 }
-                state.stats.recovered += 1;
-                true
-            });
-            state.len = pos as u64;
-            let dropped = image.len() - pos;
-            if dropped > 0 {
-                state.stats.dropped_bytes = dropped as u64;
-                if backend.truncate(pos as u64).is_err() {
-                    state.writable = false;
-                    warn_degraded(
-                        &mut state.warned,
-                        "journal",
-                        "recovery could not truncate the damaged tail",
-                    );
-                }
+                Some(Record::Summary { source, compiled }) => summary = Some((source, compiled)),
+                None => return false,
             }
-        } else if expect.is_none() {
-            // Adoption with nothing to adopt: report via `reset` —
-            // `open_existing` turns it into a typed error — and leave the
-            // backing file untouched rather than stamping a made-up header
-            // over a file that was merely named by mistake.
-            state.stats.reset = true;
-            state.writable = false;
-        } else {
-            // Missing, damaged or foreign header: reset wholesale — a
-            // journal must never replay cells into a different campaign.
-            if !image.is_empty() {
-                state.stats.reset = true;
-                state.stats.dropped_bytes = image.len() as u64;
-            }
-            let header = encode_header(fingerprint, shard);
-            let fresh = if image.is_empty() {
-                Ok(())
-            } else {
-                backend.truncate(0)
-            }
-            .and_then(|()| backend.append(&header));
-            match fresh {
-                Ok(()) => state.len = HEADER_LEN as u64,
-                Err(_) => {
-                    state.writable = false;
-                    state.stats.write_errors += 1;
-                    warn_degraded(&mut state.warned, "journal", "header write failed");
-                }
-            }
-        }
-
+            true
+        })?;
+        // Adoption with no header to adopt opens reset, which
+        // `open_existing` turns into a typed error.
+        let (fingerprint, shard) = expect.or(adopted).unwrap_or((0, ShardSpec::whole()));
         Ok(CampaignJournal {
-            backend,
             fingerprint,
             shard,
-            state: Mutex::new(state),
+            index: Mutex::new(index),
+            summary: Mutex::new(summary),
+            replayed: AtomicU64::new(0),
+            log: Mutex::new(log),
         })
     }
 
@@ -652,10 +558,9 @@ impl CampaignJournal {
 
     /// Looks up a completed work item; a hit counts as a replay.
     pub fn replay(&self, key: &ItemKey) -> Option<ItemRecord> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let rec = st.index.get(key).cloned();
+        let rec = lock_unpoisoned(&self.index).get(key).cloned();
         if rec.is_some() {
-            st.stats.replayed += 1;
+            self.replayed.fetch_add(1, Ordering::Relaxed);
         }
         rec
     }
@@ -663,24 +568,8 @@ impl CampaignJournal {
     /// Journals a completed work item. I/O failures degrade (rolled back
     /// and counted, never surfaced) exactly like the leg store's writes.
     pub fn record(&self, rec: &ItemRecord) {
-        let framed = frame_record(&encode_item(rec));
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if !st.writable {
-            return;
-        }
-        match self.backend.append(&framed) {
-            Ok(()) => {
-                st.len += framed.len() as u64;
-                st.stats.appends += 1;
-                st.index.insert(rec.key, rec.clone());
-            }
-            Err(_) => {
-                st.stats.write_errors += 1;
-                if self.backend.truncate(st.len).is_err() {
-                    st.writable = false;
-                    warn_degraded(&mut st.warned, "journal", "torn-write rollback failed");
-                }
-            }
+        if lock_unpoisoned(&self.log).append(&encode_item(rec)) {
+            lock_unpoisoned(&self.index).insert(rec.key, rec.clone());
         }
     }
 
@@ -688,43 +577,24 @@ impl CampaignJournal {
     /// the full-stream accounting totals. Idempotent: resuming an
     /// already-complete campaign re-seals without growing the log.
     pub fn seal(&self, source_tests: u64, compiled_tests: u64) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.summary == Some((source_tests, compiled_tests)) || !st.writable {
-            return;
-        }
-        let framed = frame_record(&encode_summary(source_tests, compiled_tests));
-        match self.backend.append(&framed) {
-            Ok(()) => {
-                st.len += framed.len() as u64;
-                st.stats.appends += 1;
-                st.summary = Some((source_tests, compiled_tests));
-            }
-            Err(_) => {
-                st.stats.write_errors += 1;
-                if self.backend.truncate(st.len).is_err() {
-                    st.writable = false;
-                    warn_degraded(&mut st.warned, "journal", "torn-write rollback failed");
-                }
-            }
+        let totals = Some((source_tests, compiled_tests));
+        let mut summary = lock_unpoisoned(&self.summary);
+        if *summary != totals
+            && lock_unpoisoned(&self.log).append(&encode_summary(source_tests, compiled_tests))
+        {
+            *summary = totals;
         }
     }
 
     /// The completion summary `(source_tests, compiled_tests)`, when the
     /// campaign sealed.
     pub fn summary(&self) -> Option<(u64, u64)> {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .summary
+        *lock_unpoisoned(&self.summary)
     }
 
     /// Number of completed items currently indexed.
     pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .index
-            .len()
+        lock_unpoisoned(&self.index).len()
     }
 
     /// True if no items are indexed.
@@ -735,18 +605,23 @@ impl CampaignJournal {
     /// Every indexed item record, sorted by key — a deterministic view
     /// whatever order workers appended in.
     pub fn records(&self) -> Vec<ItemRecord> {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut recs: Vec<ItemRecord> = st.index.values().cloned().collect();
+        let mut recs: Vec<ItemRecord> = lock_unpoisoned(&self.index).values().cloned().collect();
         recs.sort_by_key(|r| r.key);
         recs
     }
 
     /// A snapshot of the journal's counters.
     pub fn stats(&self) -> JournalStats {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut stats = st.stats.clone();
-        stats.read_only = !st.writable;
-        stats
+        let log = lock_unpoisoned(&self.log).stats();
+        JournalStats {
+            recovered: log.recovered,
+            dropped_bytes: log.dropped_bytes,
+            reset: log.reset,
+            replayed: self.replayed.load(Ordering::Relaxed),
+            appends: log.appends,
+            write_errors: log.write_errors,
+            read_only: log.read_only,
+        }
     }
 
     /// The byte offsets at which a journal image can be cleanly cut: after
@@ -754,20 +629,7 @@ impl CampaignJournal {
     /// (`tests/campaign_resume.rs`, `bench_relops`) truncates an image at
     /// every boundary to simulate a `kill -9` between appends.
     pub fn record_boundaries(image: &[u8]) -> Vec<usize> {
-        if image.len() < HEADER_LEN {
-            return Vec::new();
-        }
-        let mut bounds = vec![HEADER_LEN];
-        let mut pos = HEADER_LEN;
-        scan_records(image, HEADER_LEN, &mut |payload| {
-            if decode_payload(payload).is_none() {
-                return false;
-            }
-            pos += 12 + payload.len();
-            bounds.push(pos);
-            true
-        });
-        bounds
+        RecordLog::boundaries(image, HEADER_LEN, &|p| decode_payload(p).is_some())
     }
 }
 

@@ -18,6 +18,11 @@
 //! never rewritten in place, so any prefix of the file that passes
 //! validation is a faithful prefix of some past store state.
 //!
+//! One private `RecordLog` implements the framing, recovery, torn-write
+//! rollback and read-only degradation below for both durable logs: this
+//! store and the campaign journal ([`crate::journal`]). Each keeps only its
+//! header, its payload codec and its index.
+//!
 //! # Crash safety
 //!
 //! Recovery on open scans the log front to back and keeps the longest
@@ -60,6 +65,8 @@ use telechat_common::{
     fnv1a64, Error, Loc, Outcome, OutcomeSet, Reg, Result, StateKey, ThreadId, Val,
 };
 use telechat_exec::SimResult;
+
+use crate::cache::lock_unpoisoned;
 
 /// Magic bytes identifying a Téléchat store log.
 const MAGIC: &[u8; 8] = b"TCHSTORE";
@@ -203,16 +210,9 @@ impl FaultPlan {
     /// A deterministic plan derived from `seed` (splitmix64): fails one of
     /// the first 16 appends, torn half the time.
     pub fn seeded(seed: u64) -> FaultPlan {
-        let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut next = move || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = splitmix64(seed);
         let fail_at = (next() % 16) as u32;
-        let torn = if next() % 2 == 0 {
+        let torn = if next().is_multiple_of(2) {
             Some((next() % 24) as usize)
         } else {
             None
@@ -230,21 +230,26 @@ impl FaultPlan {
     /// cross-product of fault sites — including the resume-read and
     /// merge-read paths [`FaultPlan::seeded`] never touches.
     pub fn seeded_chaos(seed: u64) -> FaultPlan {
-        let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut next = move || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = splitmix64(seed);
         FaultPlan {
-            fail_append: (next() % 2 == 0).then(|| (next() % 32) as u32),
-            torn_bytes: (next() % 2 == 0).then(|| (next() % 24) as usize),
-            flip_read_at: (next() % 4 == 0).then(|| next() % 4096),
-            fail_truncate: next() % 4 == 0,
-            fail_load: next() % 8 == 0,
+            fail_append: next().is_multiple_of(2).then(|| (next() % 32) as u32),
+            torn_bytes: next().is_multiple_of(2).then(|| (next() % 24) as usize),
+            flip_read_at: next().is_multiple_of(4).then(|| next() % 4096),
+            fail_truncate: next().is_multiple_of(4),
+            fail_load: next().is_multiple_of(8),
         }
+    }
+}
+
+/// The SplitMix64 stream the seeded fault plans draw from.
+fn splitmix64(seed: u64) -> impl FnMut() -> u64 {
+    let mut x = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    move || {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 }
 
@@ -580,6 +585,7 @@ fn encode_value(buf: &mut Vec<u8>, v: &StoredValue) -> bool {
     }
 }
 
+/// A record's payload; `None` when the value is unpersistable (a fault).
 fn encode_record(key: &PersistKey, value: &StoredValue) -> Option<Vec<u8>> {
     let mut payload = Vec::with_capacity(128);
     payload.push(match key.kind {
@@ -589,31 +595,14 @@ fn encode_record(key: &PersistKey, value: &StoredValue) -> Option<Vec<u8>> {
     payload.extend_from_slice(&key.test.to_le_bytes());
     put_u64(&mut payload, key.model);
     put_u64(&mut payload, key.config);
-    if !encode_value(&mut payload, value) {
-        return None;
-    }
-    Some(frame_record(&payload))
-}
-
-/// Frames a payload as an on-disk record — `len(u32) payload cksum(u64)`,
-/// `cksum = fnv1a64(payload)`. Shared by the leg store and the campaign
-/// journal ([`crate::journal`]), so both logs carry the same crash-safety
-/// envelope.
-pub(crate) fn frame_record(payload: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(payload.len() + 12);
-    put_u32(&mut rec, payload.len() as u32);
-    let cksum = fnv1a64(0, payload);
-    rec.extend_from_slice(payload);
-    put_u64(&mut rec, cksum);
-    rec
+    encode_value(&mut payload, value).then_some(payload)
 }
 
 /// Scans framed records from `start`, feeding each checksum-valid payload
 /// to `keep`; the first record whose length overruns the image, whose
 /// checksum mismatches, or that `keep` rejects (a decode failure) marks
-/// the damaged suffix. Returns the length of the valid prefix — the
-/// recovery truncation point shared by store and journal.
-pub(crate) fn scan_records(
+/// the damaged suffix. Returns the length of the valid prefix.
+fn scan_records(
     image: &[u8],
     start: usize,
     keep: &mut dyn FnMut(&[u8]) -> bool,
@@ -833,11 +822,13 @@ fn decode_record(payload: &[u8]) -> Option<(PersistKey, StoredValue)> {
 }
 
 // ---------------------------------------------------------------------------
-// The store.
+// The record log: framing, recovery, rollback and degradation, for the
+// leg store and the campaign journal alike.
 // ---------------------------------------------------------------------------
 
 /// Counters describing one store's life: what recovery found and what has
-/// happened since.
+/// happened since. A journal's log keeps the same counters
+/// ([`crate::JournalStats`] adds its replays).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Valid records recovered on open.
@@ -856,68 +847,204 @@ pub struct StoreStats {
     pub read_only: bool,
 }
 
-impl fmt::Display for StoreStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "store: {} recovered, {} appended, {} write errors",
-            self.recovered, self.appends, self.write_errors
-        )?;
-        if self.dropped_bytes > 0 {
-            write!(f, ", {} damaged bytes dropped", self.dropped_bytes)?;
-        }
-        if self.reset {
-            write!(f, ", log reset (version mismatch)")?;
-        }
-        if self.read_only {
-            write!(f, ", read-only")?;
-        }
-        Ok(())
-    }
+/// How [`RecordLog::open`] checks the header of a log.
+pub(crate) enum Header<'a> {
+    /// The log must start with exactly these bytes. Any other log is reset
+    /// to them: truncated to nothing and stamped afresh.
+    Expect(&'a [u8]),
+    /// Adopt a header of this many bytes if the check accepts it, writing
+    /// nothing. A log without one opens empty, reset and read-only.
+    Adopt(usize, &'a mut dyn FnMut(&[u8]) -> bool),
 }
 
-/// One-time stderr notice for a degraded log session. Degradation is by
-/// design invisible to the campaign result (entries recompute, results
-/// stay byte-identical), which historically made it invisible full stop —
-/// an operator whose disk died mid-campaign deserves one line saying the
-/// log went read-only, plus the `store.*`/`journal.*` metric rows.
-pub(crate) fn warn_degraded(warned: &mut bool, what: &str, why: &str) {
-    if !*warned {
-        *warned = true;
-        eprintln!("telechat: {what} degraded to read-only ({why}); results are unaffected, entries will recompute on the next run");
-    }
-}
-
-struct StoreState {
-    index: HashMap<PersistKey, StoredValue>,
-    /// Length of the valid log prefix (header + all indexed records).
+/// An append-only log of checksummed records after a header: the one
+/// implementation of framing, recovery, torn-write rollback and read-only
+/// degradation under both the leg store and the campaign journal
+/// ([`crate::journal`]). Each owner keeps its own index and codec; the log
+/// sees payloads as bytes.
+#[derive(Debug)]
+pub(crate) struct RecordLog {
+    backend: Box<dyn StoreBackend>,
+    /// `store` or `journal`: labels load errors and the degradation notice.
+    what: &'static str,
+    /// Length of the valid log prefix (header + every kept record).
     len: u64,
-    /// Cleared when the backing file can no longer be kept consistent
-    /// (truncate after a torn write failed); the store then serves what it
-    /// recovered but accepts no further appends.
+    /// Cleared when the backing file can no longer be kept consistent (a
+    /// recovery truncation, header write or torn-write rollback failed);
+    /// the owner then serves what it has but appends nothing.
     writable: bool,
     /// One-time degradation notice already emitted.
     warned: bool,
+    /// The counters; [`RecordLog::stats`] fills in `read_only`.
     stats: StoreStats,
 }
 
-/// The persistent content-addressed store. One instance per log file,
-/// shared across campaign workers behind an `Arc`; see the module docs
-/// for format, crash-safety and versioning.
-pub struct PersistStore {
-    backend: Box<dyn StoreBackend>,
-    state: Mutex<StoreState>,
+impl fmt::Debug for dyn StoreBackend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("StoreBackend")
+    }
 }
 
-impl fmt::Debug for PersistStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        f.debug_struct("PersistStore")
-            .field("entries", &st.index.len())
-            .field("len", &st.len)
-            .field("writable", &st.writable)
-            .finish()
+impl RecordLog {
+    /// Loads the log and checks its header. Under a good header it feeds
+    /// each checksum-valid payload to `decode` up to the first one that
+    /// fails to decode, and truncates the damaged tail after it; under any
+    /// other header it resets or refuses, as `header` says.
+    pub(crate) fn open(
+        backend: Box<dyn StoreBackend>,
+        what: &'static str,
+        mut header: Header<'_>,
+        decode: &mut dyn FnMut(&[u8]) -> bool,
+    ) -> Result<RecordLog> {
+        let image = backend
+            .load()
+            .map_err(|e| Error::Io(format!("{what} load: {e}")))?;
+        let mut log = RecordLog {
+            backend,
+            what,
+            len: 0,
+            writable: true,
+            warned: false,
+            stats: StoreStats::default(),
+        };
+        let (header_len, accepted) = match &mut header {
+            Header::Expect(bytes) => (bytes.len(), image.starts_with(bytes)),
+            Header::Adopt(len, check) => (*len, image.get(..*len).is_some_and(check)),
+        };
+
+        if accepted {
+            // Keep the longest valid prefix.
+            let recovered = &mut log.stats.recovered;
+            let pos = scan_records(&image, header_len, &mut |payload| {
+                let kept = decode(payload);
+                *recovered += u64::from(kept);
+                kept
+            });
+            log.len = pos as u64;
+            let dropped = image.len() - pos;
+            if dropped > 0 {
+                log.stats.dropped_bytes = dropped as u64;
+                if log.backend.truncate(log.len).is_err() {
+                    // The damaged tail is stuck on disk; serving the
+                    // recovered prefix is still sound, but appending after
+                    // it would interleave with garbage.
+                    log.degrade("recovery could not truncate the damaged tail");
+                }
+            }
+        } else if let Header::Expect(fresh) = header {
+            // Missing, truncated or foreign header: reset wholesale, so a
+            // stale log never serves its records to the wrong reader.
+            if !image.is_empty() {
+                log.stats.reset = true;
+                log.stats.dropped_bytes = image.len() as u64;
+            }
+            let written = if image.is_empty() {
+                Ok(())
+            } else {
+                log.backend.truncate(0)
+            }
+            .and_then(|()| log.backend.append(fresh));
+            match written {
+                Ok(()) => log.len = fresh.len() as u64,
+                Err(_) => {
+                    // Cannot even lay down a header: degrade to a
+                    // memory-only session rather than failing the caller.
+                    log.stats.write_errors += 1;
+                    log.degrade("header write failed");
+                }
+            }
+        } else {
+            // Adoption with nothing to adopt: report a reset and leave the
+            // backing file untouched rather than stamping a made-up header
+            // over a file that was merely named by mistake.
+            log.stats.reset = true;
+            log.writable = false;
+        }
+        Ok(log)
     }
+
+    /// Appends `payload` framed as a record: `len(u32) payload cksum(u64)`,
+    /// `cksum = fnv1a64(payload)`. False when it did not land: the log is
+    /// read-only, or the append failed and was rolled back. A failed
+    /// rollback makes the log read-only; recovery on the next open drops
+    /// the damage.
+    pub(crate) fn append(&mut self, payload: &[u8]) -> bool {
+        if !self.writable {
+            return false;
+        }
+        let mut record = Vec::with_capacity(payload.len() + 12);
+        put_u32(&mut record, payload.len() as u32);
+        record.extend_from_slice(payload);
+        put_u64(&mut record, fnv1a64(0, payload));
+        if self.backend.append(&record).is_ok() {
+            self.len += record.len() as u64;
+            self.stats.appends += 1;
+            return true;
+        }
+        self.stats.write_errors += 1;
+        if self.backend.truncate(self.len).is_err() {
+            self.degrade("torn-write rollback failed");
+        }
+        false
+    }
+
+    /// Stops appending, with a one-time stderr notice. Degradation is by
+    /// design invisible to the campaign result (entries recompute, results
+    /// stay byte-identical), which historically made it invisible full
+    /// stop — an operator whose disk died mid-campaign deserves one line
+    /// saying the log went read-only, plus the `store.*`/`journal.*` rows.
+    fn degrade(&mut self, why: &str) {
+        self.writable = false;
+        if !self.warned {
+            self.warned = true;
+            let what = self.what;
+            eprintln!("telechat: {what} degraded to read-only ({why}); results are unaffected, entries will recompute on the next run");
+        }
+    }
+
+    /// A snapshot of the counters.
+    pub(crate) fn stats(&self) -> StoreStats {
+        StoreStats {
+            read_only: !self.writable,
+            ..self.stats.clone()
+        }
+    }
+
+    /// The byte offsets at which an image can be cleanly cut: after the
+    /// `header_len`-byte header and after each record up to the first that
+    /// `decode` rejects. Empty when the image is shorter than a header.
+    pub(crate) fn boundaries(
+        image: &[u8],
+        header_len: usize,
+        decode: &dyn Fn(&[u8]) -> bool,
+    ) -> Vec<usize> {
+        if image.len() < header_len {
+            return Vec::new();
+        }
+        let mut bounds = vec![header_len];
+        scan_records(image, header_len, &mut |payload| {
+            let kept = decode(payload);
+            if kept {
+                bounds.push(bounds[bounds.len() - 1] + 12 + payload.len());
+            }
+            kept
+        });
+        bounds
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The store.
+// ---------------------------------------------------------------------------
+
+/// The persistent content-addressed store: an index over a `RecordLog`
+/// of legs. One instance per log file, shared across campaign workers
+/// behind an `Arc`; see the module docs for format, crash-safety and
+/// versioning.
+#[derive(Debug)]
+pub struct PersistStore {
+    index: Mutex<HashMap<PersistKey, StoredValue>>,
+    log: Mutex<RecordLog>,
 }
 
 impl PersistStore {
@@ -944,18 +1071,6 @@ impl PersistStore {
         engine_revision: u64,
         models_fp: u64,
     ) -> Result<PersistStore> {
-        let image = backend
-            .load()
-            .map_err(|e| Error::Io(format!("store load: {e}")))?;
-
-        let mut state = StoreState {
-            index: HashMap::new(),
-            len: 0,
-            writable: true,
-            warned: false,
-            stats: StoreStats::default(),
-        };
-
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(MAGIC);
         put_u32(&mut header, FORMAT_VERSION);
@@ -964,106 +1079,37 @@ impl PersistStore {
         let hck = fnv1a64(0, &header);
         put_u64(&mut header, hck);
 
-        let header_ok = image.len() >= HEADER_LEN && image[..HEADER_LEN] == header[..];
-
-        if header_ok {
-            // Scan records, keeping the longest valid prefix.
-            let pos = scan_records(&image, HEADER_LEN, &mut |payload| {
-                let Some((key, value)) = decode_record(payload) else {
-                    return false;
-                };
-                state.index.insert(key, value);
-                state.stats.recovered += 1;
-                true
-            });
-            state.len = pos as u64;
-            let dropped = image.len() - pos;
-            if dropped > 0 {
-                state.stats.dropped_bytes = dropped as u64;
-                if backend.truncate(pos as u64).is_err() {
-                    // The damaged tail is stuck on disk; serving the
-                    // recovered prefix is still sound, but appending after
-                    // it would interleave with garbage.
-                    state.writable = false;
-                    warn_degraded(
-                        &mut state.warned,
-                        "store",
-                        "recovery could not truncate the damaged tail",
-                    );
-                }
-            }
-        } else {
-            // Missing, truncated or mismatched header: reset wholesale.
-            if !image.is_empty() {
-                state.stats.reset = true;
-                state.stats.dropped_bytes = image.len() as u64;
-            }
-            let fresh = if image.is_empty() {
-                Ok(())
-            } else {
-                backend.truncate(0)
-            }
-            .and_then(|()| backend.append(&header));
-            match fresh {
-                Ok(()) => state.len = HEADER_LEN as u64,
-                Err(_) => {
-                    // Cannot even lay down a header: degrade to a
-                    // memory-only session rather than failing the caller.
-                    state.writable = false;
-                    state.stats.write_errors += 1;
-                    warn_degraded(&mut state.warned, "store", "header write failed");
-                }
-            }
-        }
-
+        let mut index = HashMap::new();
+        let log = RecordLog::open(backend, "store", Header::Expect(&header), &mut |payload| {
+            decode_record(payload)
+                .map(|(key, value)| index.insert(key, value))
+                .is_some()
+        })?;
         Ok(PersistStore {
-            backend,
-            state: Mutex::new(state),
+            index: Mutex::new(index),
+            log: Mutex::new(log),
         })
     }
 
     /// Looks up a persisted leg.
     pub fn get(&self, key: &PersistKey) -> Option<StoredValue> {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.index.get(key).cloned()
+        lock_unpoisoned(&self.index).get(key).cloned()
     }
 
     /// Persists a leg. Fault values and unpersistable results are skipped;
     /// I/O failures degrade (rolled back and counted, never surfaced).
     pub fn put(&self, key: PersistKey, value: &StoredValue) {
-        let Some(rec) = encode_record(&key, value) else {
+        let Some(payload) = encode_record(&key, value) else {
             return;
         };
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if !st.writable {
-            return;
-        }
-        match self.backend.append(&rec) {
-            Ok(()) => {
-                st.len += rec.len() as u64;
-                st.stats.appends += 1;
-                st.index.insert(key, value.clone());
-            }
-            Err(_) => {
-                st.stats.write_errors += 1;
-                // Roll back a possible torn tail so the log stays a valid
-                // prefix; if even that fails, stop writing — recovery on
-                // the next open will drop the damage.
-                if self.backend.truncate(st.len).is_err() {
-                    st.writable = false;
-                    warn_degraded(&mut st.warned, "store", "torn-write rollback failed");
-                }
-            }
+        if lock_unpoisoned(&self.log).append(&payload) {
+            lock_unpoisoned(&self.index).insert(key, value.clone());
         }
     }
 
     /// Number of entries currently indexed.
     pub fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .index
-            .len()
+        lock_unpoisoned(&self.index).len()
     }
 
     /// True if no entries are indexed.
@@ -1073,10 +1119,7 @@ impl PersistStore {
 
     /// A snapshot of the store's counters.
     pub fn stats(&self) -> StoreStats {
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let mut stats = st.stats.clone();
-        stats.read_only = !st.writable;
-        stats
+        lock_unpoisoned(&self.log).stats()
     }
 }
 
@@ -1150,9 +1193,8 @@ mod tests {
             Err(Error::parse_at("bad token", 3)),
             Err(Error::Timeout { limit_ms: 5000 }),
         ] {
-            let rec = encode_record(&k(1), &value).unwrap();
-            let len = u32::from_le_bytes(rec[..4].try_into().unwrap()) as usize;
-            let (key, decoded) = decode_record(&rec[4..4 + len]).unwrap();
+            let payload = encode_record(&k(1), &value).unwrap();
+            let (key, decoded) = decode_record(&payload).unwrap();
             assert_eq!(key, k(1));
             assert_eq!(decoded, value);
         }
@@ -1219,20 +1261,24 @@ mod tests {
         store.put(k(2), &Ok(sample_sim()));
         drop(store);
 
-        let len = mem.bytes().lock().unwrap().len();
-        for off in HEADER_LEN..len {
-            let mem2 = MemBackend::new();
-            {
-                let src = mem.bytes();
-                let src = src.lock().unwrap();
-                mem2.bytes().lock().unwrap().extend_from_slice(&src);
-                mem2.bytes().lock().unwrap()[off] ^= 0x01;
-            }
-            let store = PersistStore::open_backend(Box::new(mem2)).unwrap();
-            // Never serve damaged data: any surviving entry decodes to
+        let image = mem.bytes().lock().unwrap().clone();
+        let bounds = RecordLog::boundaries(&image, HEADER_LEN, &|p| decode_record(p).is_some());
+        assert_eq!(bounds.len(), 3, "header + 2 records");
+        for off in HEADER_LEN..image.len() {
+            // The flip lands in record `i`, which starts at `bounds[i]`:
+            // exactly the records before it survive.
+            let i = bounds.iter().rposition(|&b| b <= off).unwrap();
+            let flipped = MemBackend::new();
+            *flipped.bytes().lock().unwrap() = image.clone();
+            flipped.bytes().lock().unwrap()[off] ^= 0x01;
+            let store = PersistStore::open_backend(Box::new(flipped)).unwrap();
+            let stats = store.stats();
+            assert_eq!(stats.recovered, i as u64, "flip at {off}");
+            let dropped = (image.len() - bounds[i]) as u64;
+            assert_eq!(stats.dropped_bytes, dropped, "flip at {off}");
+            // Never serve damaged data: a surviving entry decodes to
             // exactly what was written.
-            assert!(store.len() < 2 || store.stats().dropped_bytes == 0 || store.len() == 2);
-            if let Some(v) = store.get(&k(2)) {
+            if let Some(v) = store.get(&k(1)) {
                 assert_eq!(v, Ok(sample_sim()), "flip at {off}");
             }
         }
@@ -1400,30 +1446,6 @@ mod tests {
         assert_eq!(
             hex_lines(&image),
             include_str!("../../../tests/golden/store-image.hex")
-        );
-    }
-
-    #[test]
-    fn stats_display_is_compact() {
-        let s = StoreStats {
-            recovered: 3,
-            appends: 2,
-            write_errors: 1,
-            dropped_bytes: 17,
-            reset: false,
-            read_only: false,
-        };
-        assert_eq!(
-            s.to_string(),
-            "store: 3 recovered, 2 appended, 1 write errors, 17 damaged bytes dropped"
-        );
-        let s = StoreStats {
-            read_only: true,
-            ..StoreStats::default()
-        };
-        assert_eq!(
-            s.to_string(),
-            "store: 0 recovered, 0 appended, 0 write errors, read-only"
         );
     }
 }
