@@ -29,7 +29,7 @@
 //! The header binds the journal to one campaign: the **campaign
 //! fingerprint** ([`campaign_fingerprint`]) hashes the corpus stream
 //! hash, the profile matrix, the source/target models and the semantic
-//! simulation knobs ([`crate::sim_config_fingerprint`]). Reopening a
+//! simulation knobs ([`crate::cache::sim_config_fingerprint`]). Reopening a
 //! journal under a different fingerprint resets it wholesale — stale
 //! cells can never replay into the wrong campaign. Work items are keyed
 //! by [`ItemKey`]: the canonical test fingerprint × the profile-name
