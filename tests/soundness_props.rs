@@ -14,9 +14,12 @@
 //! `candidates`, `allowed` and `flags` — byte-identical results.
 
 use telechat_repro::diy::{AccessKind, Config, Edge, Family};
+use telechat_repro::cat::ModelIntersection;
 use telechat_repro::exec::{
-    simulate, simulate_reference, CoherenceOnly, ConsistencyModel, SeqCstRef, SimConfig,
+    simulate, simulate_reference, AllowAll, CoherenceOnly, ConsistencyModel, SeqCstRef, SimConfig,
 };
+use telechat_repro::fuzz::{FuzzConfig, FuzzSource, GenConfig, SampleConfig};
+use telechat_repro::litmus::LitmusTest;
 use telechat_repro::prelude::*;
 
 /// The classic litmus corpus the differential property runs over:
@@ -95,6 +98,105 @@ exists (P2:r0=1 /\ P2:r1=0 /\ P3:r0=1 /\ P3:r1=0)
     ),
 ];
 
+/// Same-location shapes: each one puts a pair of accesses to one location
+/// in program order, so SC per location (`acyclic po-loc | com`) rules
+/// out coherence orders of its candidates. One shape per pattern —
+/// write-write, read-write, write-read, read-read — and a two-location mix
+/// whose RMWs make every access pattern meet at once.
+const SC_PER_LOCATION_CORPUS: &[(&str, &str)] = &[
+    (
+        "CoWW",
+        r#"
+C11 "CoWW"
+{ x = 0; }
+P0 (atomic_int* x) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+  atomic_store_explicit(x, 2, memory_order_relaxed);
+}
+P1 (atomic_int* x) {
+  atomic_store_explicit(x, 3, memory_order_relaxed);
+  atomic_store_explicit(x, 4, memory_order_relaxed);
+}
+exists ([x]=1)
+"#,
+    ),
+    (
+        "CoRW",
+        r#"
+C11 "CoRW"
+{ x = 0; }
+P0 (atomic_int* x) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+}
+P1 (atomic_int* x) {
+  atomic_store_explicit(x, 2, memory_order_relaxed);
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+}
+exists (P0:r0=2 /\ [x]=2)
+"#,
+    ),
+    (
+        "CoWR",
+        r#"
+C11 "CoWR"
+{ x = 0; }
+P0 (atomic_int* x) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+}
+P1 (atomic_int* x) {
+  atomic_store_explicit(x, 2, memory_order_relaxed);
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+}
+exists (P0:r0=2 /\ P1:r0=1)
+"#,
+    ),
+    (
+        "CoRR",
+        r#"
+C11 "CoRR"
+{ x = 0; }
+P0 (atomic_int* x) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+}
+P1 (atomic_int* x) {
+  atomic_store_explicit(x, 2, memory_order_relaxed);
+}
+P2 (atomic_int* x) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+  int r1 = atomic_load_explicit(x, memory_order_relaxed);
+}
+P3 (atomic_int* x) {
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+  int r1 = atomic_load_explicit(x, memory_order_relaxed);
+}
+exists (P2:r0=1 /\ P2:r1=2 /\ P3:r0=2 /\ P3:r1=1)
+"#,
+    ),
+    (
+        "RMW+2loc",
+        r#"
+C11 "RMW+2loc"
+{ x = 0; y = 0; }
+P0 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_fetch_add_explicit(x, 1, memory_order_relaxed);
+  atomic_store_explicit(y, 1, memory_order_release);
+  int r1 = atomic_load_explicit(x, memory_order_relaxed);
+}
+P1 (atomic_int* x, atomic_int* y) {
+  int r0 = atomic_exchange_explicit(y, 2, memory_order_acq_rel);
+  atomic_store_explicit(x, 3, memory_order_relaxed);
+  int r1 = atomic_load_explicit(y, memory_order_relaxed);
+}
+P2 (atomic_int* x) {
+  int r0 = atomic_fetch_add_explicit(x, 1, memory_order_relaxed);
+}
+exists (P0:r0=0 /\ P1:r0=1 /\ [x]=4)
+"#,
+    ),
+];
+
 /// Interpreted models of the differential matrix (SB/MP/LB/IRIW ×
 /// {rc11, aarch64, x86tso, sc}).
 const CORPUS_CAT_MODELS: &[&str] = &["rc11", "aarch64", "x86tso", "sc"];
@@ -134,6 +236,105 @@ fn new_engine_matches_reference_single_threaded() {
             assert_eq!(new.crashed, old.crashed, "{name}/{}", model.name());
         }
     }
+}
+
+/// Every model the same-location corpus runs under: the built-in models,
+/// every bundled model staged and leaf-only, the `hw-inorder` strength
+/// profile alone (which alone does not order same-location accesses) and
+/// intersected with `aarch64` in both orders.
+fn sc_per_location_models() -> Vec<Box<dyn ConsistencyModel>> {
+    let mut models: Vec<Box<dyn ConsistencyModel>> =
+        vec![Box::new(SeqCstRef), Box::new(CoherenceOnly), Box::new(AllowAll)];
+    for name in telechat_repro::cat::model_names() {
+        models.push(Box::new(CatModel::bundled(name).unwrap()));
+        models.push(Box::new(CatModel::bundled(name).unwrap().without_staging()));
+    }
+    for parts in [["hw-inorder", "aarch64"], ["aarch64", "hw-inorder"]] {
+        models.push(Box::new(ModelIntersection::new(
+            parts.map(|p| CatModel::bundled(p).unwrap()).to_vec(),
+        )));
+    }
+    models
+}
+
+/// Asserts that the engine and the reference enumerator give `test` the
+/// same result under `model` and `cfg`: both run out of candidates, or
+/// both finish with the same outcomes, candidate and allowed counts, flags
+/// and crash bit. Returns whether they finished.
+fn assert_engines_agree(test: &LitmusTest, model: &dyn ConsistencyModel, cfg: &SimConfig) -> bool {
+    let what = format!("{} under {}", test.name, model.name());
+    match (simulate(test, model, cfg), simulate_reference(test, model, cfg)) {
+        (Ok(new), Ok(old)) => {
+            assert_eq!(new.outcomes, old.outcomes, "{what}: outcome sets diverge");
+            assert_eq!(new.candidates, old.candidates, "{what}: candidates");
+            assert_eq!(new.allowed, old.allowed, "{what}: allowed");
+            assert_eq!(new.flags, old.flags, "{what}: flags");
+            assert_eq!(new.crashed, old.crashed, "{what}: crash bit");
+            true
+        }
+        (Err(Error::Budget { .. }), Err(Error::Budget { .. })) => false,
+        (new, old) => panic!(
+            "{what}: engine {:?}, reference {:?}",
+            new.map(|r| r.candidates),
+            old.map(|r| r.candidates)
+        ),
+    }
+}
+
+/// Engine equivalence on shapes where SC per location rules out
+/// coherence orders, under every model: the ones that forbid such
+/// candidates (every bundled source and architecture model, `SeqCstRef`,
+/// `CoherenceOnly`) and the ones that do not (`AllowAll`, `hw-inorder`).
+#[test]
+fn engine_matches_reference_on_same_location_shapes() {
+    let cfg = SimConfig::default();
+    for (_, src) in SC_PER_LOCATION_CORPUS {
+        let test = parse_c11(src).unwrap();
+        for model in sc_per_location_models() {
+            assert!(assert_engines_agree(&test, model.as_ref(), &cfg));
+        }
+    }
+}
+
+/// Engine equivalence on compiled, extracted tests of the deep fuzz
+/// stream (seed 7, as `fuzz_deep` runs it): the first 20 that compile,
+/// each at -O2 for one of the campaign's three targets in turn and
+/// simulated under that target's model. Compiled code puts many
+/// same-location accesses in program order. The candidate cap keeps the
+/// reference enumerator quick: all 20 finish under it (a test over it
+/// would have to exhaust in both engines).
+#[test]
+fn engine_matches_reference_on_compiled_deep_fuzz_tests() {
+    let stream = FuzzSource::new(&FuzzConfig {
+        exhaustive: GenConfig::corpus(1),
+        sample: SampleConfig::default(),
+        seed: 7,
+        max_tests: 100,
+    });
+    let pipeline = Telechat::new("rc11").unwrap();
+    let targets = [Arch::AArch64, Arch::Armv7, Arch::X86_64];
+    let cfg = SimConfig {
+        max_candidates: 3_000,
+        ..SimConfig::fast()
+    };
+    let (mut compiled, mut finished) = (0, 0);
+    for (i, test) in stream.enumerate() {
+        let arch = targets[i % targets.len()];
+        let compiler = Compiler::new(CompilerId::llvm(17), OptLevel::O2, Target::new(arch));
+        let Ok((.., extracted)) = pipeline.extract(&test, &compiler) else {
+            continue;
+        };
+        let model = CatModel::for_arch(arch).unwrap();
+        if assert_engines_agree(&extracted, &model, &cfg) {
+            finished += 1;
+        }
+        compiled += 1;
+        if compiled == 20 {
+            break;
+        }
+    }
+    assert_eq!(compiled, 20, "the stream has 20 compilable tests");
+    assert_eq!(finished, 20, "every test finishes under the cap");
 }
 
 /// Engine equivalence over the *generated* C11 suite as well — wider
@@ -385,7 +586,7 @@ fn randomized_monotone_programs_match_reference() {
         let program = rand_program(&mut rng, case);
         let model = CatModel::from_program(program);
         staged_constraints += model.plan().staged_constraints();
-        for (name, src) in &CORPUS[..3] {
+        for (name, src) in CORPUS[..3].iter().chain(SC_PER_LOCATION_CORPUS) {
             let test = parse_c11(src).unwrap();
             let cfg = SimConfig::default();
             let new = simulate(&test, &model, &cfg).unwrap();
