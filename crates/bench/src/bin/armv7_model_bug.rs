@@ -1,5 +1,5 @@
 //! E9 — Paper §IV-E: the unofficial Armv7 model bug, found with a
-//! store-buffering test and fixed upstream ([35], "Added dmb ish to arm
+//! store-buffering test and fixed upstream (\[35\], "Added dmb ish to arm
 //! model").
 
 use telechat::{PipelineConfig, Telechat, TestVerdict};

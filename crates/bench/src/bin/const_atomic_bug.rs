@@ -1,5 +1,5 @@
-//! E10 — Paper §IV-E bug [36]: 128-bit `const` atomic loads implemented
-//! with a store-back loop crash on read-only memory; the fix [56] applies
+//! E10 — Paper §IV-E bug \[36\]: 128-bit `const` atomic loads implemented
+//! with a store-back loop crash on read-only memory; the fix \[56\] applies
 //! only from Armv8.4 (LSE2) up.
 
 use telechat::{Telechat, TestVerdict};

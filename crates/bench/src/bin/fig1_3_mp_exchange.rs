@@ -1,4 +1,4 @@
-//! E1 — Paper Figs. 1–3: the MP+exchange bug [38], its executions and the
+//! E1 — Paper Figs. 1–3: the MP+exchange bug \[38\], its executions and the
 //! RC11 outcomes.
 
 use telechat::{Telechat, TestVerdict};

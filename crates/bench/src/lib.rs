@@ -9,7 +9,7 @@ use telechat_common::Arch;
 use telechat_compiler::{Compiler, CompilerId, OptLevel, Target};
 
 /// Paper Fig. 1: message passing with a discarded atomic exchange — the
-/// bug-[38] shape ("Atomic Exchange Allows Reordering past Acquire Fence").
+/// bug-\[38\] shape ("Atomic Exchange Allows Reordering past Acquire Fence").
 pub const FIG1_MP_EXCHANGE: &str = r#"
 C11 "MP+exchange"
 { x = 0; y = 0; }

@@ -1,4 +1,4 @@
-//! The C4 baseline (Windsor et al. [49], [76], [77]): hardware-backed
+//! The C4 baseline (Windsor et al. \[49\], \[76\], \[77\]): hardware-backed
 //! metamorphic compiler testing.
 //!
 //! C4's test relation (paper §II-C):

@@ -211,7 +211,7 @@ impl<'a> DynSlots<'a> {
 
 /// The evaluation environment: named sets/relations plus the event
 /// universe, optionally layered over a shared [`EnvBase`] and the staged
-/// engine's maintained values ([`DynSlots`]).
+/// engine's maintained values (`DynSlots`).
 ///
 /// Lookup order: own slots → maintained values → base.
 #[derive(Debug, Clone)]

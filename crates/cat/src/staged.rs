@@ -1095,7 +1095,7 @@ fn rel_value(v: &CatValue) -> &Relation {
 }
 
 /// The per-combo staged checking state (one per
-/// [`crate::CatModel::combo_checker`] session when the plan
+/// [`CatModel`](crate::CatModel) combo session when the plan
 /// [`StagedPlan::prunes`]).
 pub struct StagedState<'a> {
     plan: &'a StagedPlan,

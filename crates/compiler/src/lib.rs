@@ -7,13 +7,13 @@
 //! for concurrent C11 litmus tests — including the historical
 //! miscompilations the paper reports:
 //!
-//! * Fig. 10 / [54]: `STADD` selection and dead-register zeroing of LSE
+//! * Fig. 10 / \[54\]: `STADD` selection and dead-register zeroing of LSE
 //!   atomics;
-//! * Fig. 1 / [38]: `SWP`-destination zeroing (atomic exchange reordering
+//! * Fig. 1 / \[38\]: `SWP`-destination zeroing (atomic exchange reordering
 //!   past an acquire fence);
-//! * [37]: 128-bit seq-cst `LDP` without barriers;
-//! * [39]: wrong-endian 128-bit store pairs;
-//! * [36]: `const` atomic loads implemented with store-back loops.
+//! * \[37\]: 128-bit seq-cst `LDP` without barriers;
+//! * \[39\]: wrong-endian 128-bit store pairs;
+//! * \[36\]: `const` atomic loads implemented with store-back loops.
 //!
 //! # Example
 //!

@@ -23,7 +23,7 @@ pub fn used_regs(body: &[Instr]) -> BTreeSet<Reg> {
 }
 
 /// Removes computations whose results are never read: unused plain *and
-/// atomic* loads disappear entirely (a legal C11 transformation, [22]),
+/// atomic* loads disappear entirely (a legal C11 transformation, \[22\]),
 /// unused RMW destinations are dropped (the value is still atomically
 /// written), unused assigns vanish.
 ///

@@ -63,7 +63,7 @@ impl Target {
         }
     }
 
-    /// Armv8.4-a with LSE2 (the 128-bit atomics target, bugs [36]/[37]/[39]).
+    /// Armv8.4-a with LSE2 (the 128-bit atomics target, bugs \[36\]/\[37\]/\[39\]).
     pub fn armv84_lse2() -> Target {
         Target {
             arch: Arch::AArch64,

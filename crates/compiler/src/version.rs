@@ -6,7 +6,7 @@
 //! [`CompilerId`] `has_bug` query gates each buggy emission path. The
 //! version-to-bug mapping is schematic (releases compressed to major
 //! numbers) but order-faithful: every bug is present before its fix and
-//! absent after, matching the paper's reports [36]–[39] and [54].
+//! absent after, matching the paper's reports \[36\]–\[39\] and \[54\].
 
 use std::fmt;
 use std::str::FromStr;

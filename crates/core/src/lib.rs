@@ -19,7 +19,7 @@
 //! 4. [`s2l`] — symbolise the disassembly and apply the litmus
 //!    optimisation,
 //! 5. simulate both sides (`telechat-exec` + `telechat-cat`) and
-//!    [`mcompare`] the outcome sets modulo the state [`mapping`].
+//!    [`mcompare()`] the outcome sets modulo the state [`mapping`].
 //!
 //! The [`Telechat`] type packages the whole thing; [`campaign`] scales it
 //! to Table IV-style sweeps.

@@ -82,7 +82,7 @@ pub enum TestVerdict {
     /// Compiled outcomes ⊄ source outcomes — a candidate bug!
     PositiveDifference,
     /// An allowed execution of the compiled test writes to read-only
-    /// memory: run-time crash (paper bug [36]).
+    /// memory: run-time crash (paper bug \[36\]).
     RuntimeCrash,
     /// The source program has a data race — undefined behaviour, so any
     /// compiled behaviour is permitted and the test is discounted

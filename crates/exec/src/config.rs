@@ -106,7 +106,7 @@ pub struct SimResult {
     /// (e.g. `race`, `const-write`).
     pub flags: BTreeSet<String>,
     /// True if an allowed execution wrote to a `const` (read-only) location
-    /// — a runtime crash in the compiled program (paper bug [36]).
+    /// — a runtime crash in the compiled program (paper bug \[36\]).
     pub crashed: bool,
     /// Allowed executions, when [`SimConfig::keep_executions`] was set.
     pub executions: Vec<crate::event::Execution>,

@@ -16,7 +16,7 @@
 //! generate-all-then-filter loop (retained in [`crate::reference`] as the
 //! differential-testing oracle):
 //!
-//! 1. **Combine** — [`build_combined`] assembles the event graph once per
+//! 1. **Combine** — `build_combined` assembles the event graph once per
 //!    skeleton, not per combo: events, transitive `po` (built in one pass
 //!    via [`Relation::total_order`]), and the `rmw`/`addr`/`data`/`ctrl`
 //!    dependency relations. These are *fixed* for every candidate of the

@@ -15,7 +15,7 @@
 //! model's [`ConsistencyModel::check_partial`] fast-reject hook to prune
 //! entire subtrees before they are materialised. Trace combinations run
 //! one after another on the calling thread. The naive generate-then-filter
-//! enumerator is retained in [`reference`] as the differential-testing
+//! enumerator is retained in [`reference`](mod@reference) as the differential-testing
 //! oracle ([`simulate_reference`]).
 //!
 //! # Example

@@ -24,7 +24,7 @@
 //! * [`Sampler`] — byte-deterministic seeded sampling of deeper shapes.
 //! * [`FuzzSource`] — the two-phase stream, an `Iterator<Item =
 //!   LitmusTest>` and therefore a `telechat::TestSource`.
-//! * [`minimize`] — delta debugging over the drop/weaken/merge lattice
+//! * [`minimize()`] — delta debugging over the drop/weaken/merge lattice
 //!   (documented in `minimize`'s module docs) until 1-minimal.
 //!
 //! The `telechat-fuzz` binary exposes `generate`, `campaign` and

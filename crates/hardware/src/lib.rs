@@ -2,7 +2,7 @@
 //!
 //! The paper's central observation about hardware-backed testing (§II-A,
 //! §IV-A): *"silicon manufacturers may implement restricted variants of an
-//! architecture model, [so] hardware executions may omit behaviours
+//! architecture model, \[so\] hardware executions may omit behaviours
 //! allowed by the model"*, and weak outcomes appear only under stress —
 //! Windsor et al. missed the Fig. 7 load-buffering outcome on a Raspberry
 //! Pi that never exhibits it, while Sarkar et al. observed it on an Apple
@@ -48,7 +48,7 @@ pub const RASPBERRY_PI_4: Chip = Chip {
 };
 
 /// An Apple A9: aggressively out-of-order, exhibits load buffering
-/// (Sarkar et al. [70]).
+/// (Sarkar et al. \[70\]).
 pub const APPLE_A9: Chip = Chip {
     name: "Apple A9",
     arch: Arch::AArch64,
@@ -64,7 +64,7 @@ pub const THUNDER_X2: Chip = Chip {
     weak_bias: 0.1,
 };
 
-/// An Nvidia Tegra2 (Armv7; also exhibits LB per [70]).
+/// An Nvidia Tegra2 (Armv7; also exhibits LB per \[70\]).
 pub const TEGRA2: Chip = Chip {
     name: "Nvidia Tegra2",
     arch: Arch::Armv7,

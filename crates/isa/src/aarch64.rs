@@ -89,7 +89,7 @@ pub enum A64Instr {
     /// `stlxp w4, x0, x1, [x2]` — store-release-exclusive pair.
     Stlxp { status: R, src1: R, src2: R, base: R },
     /// `swp[a|l|al] w1, w0, [x2]` — atomic exchange (LSE). A zero-register
-    /// destination makes the read invisible to load barriers (bug [38]).
+    /// destination makes the read invisible to load barriers (bug \[38\]).
     Swp { ord: RmwOrd, src: R, dst: R, base: R },
     /// `ldadd[a|l|al] w1, w0, [x2]` — atomic fetch-add (LSE).
     Ldadd { ord: RmwOrd, src: R, dst: R, base: R },

@@ -52,7 +52,7 @@ pub struct LocDecl {
     /// Bit-width.
     pub width: Width,
     /// `const`-qualified: the location lives in read-only memory, and any
-    /// store to it is a runtime crash (paper bug [36]).
+    /// store to it is a runtime crash (paper bug \[36\]).
     pub readonly: bool,
     /// Declared `_Atomic` at the source level.
     pub atomic: bool,
