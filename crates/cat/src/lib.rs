@@ -67,6 +67,7 @@ pub mod eval;
 pub mod monotone;
 pub mod parse;
 pub mod registry;
+mod sc_per_location;
 pub mod staged;
 
 pub use ast::{CatExpr, CatProgram, CatStmt, CheckKind};

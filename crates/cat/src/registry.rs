@@ -84,6 +84,9 @@ pub struct CatModel {
     /// for models built from an in-memory [`CatProgram`], whose source
     /// text is unknown.
     content_fp: Option<u64>,
+    /// The check that forbids every candidate breaking SC per location,
+    /// if the program has one (see `sc_per_location`).
+    sc_rule: Option<String>,
 }
 
 impl CatModel {
@@ -122,11 +125,13 @@ impl CatModel {
     /// Wraps an already parsed program (compiling its staged plan).
     pub fn from_program(program: CatProgram) -> CatModel {
         let plan = StagedPlan::compile(&program);
+        let sc_rule = crate::sc_per_location::recognise(&program).map(str::to_string);
         CatModel {
             program,
             plan,
             staged: true,
             content_fp: None,
+            sc_rule,
         }
     }
 
@@ -229,6 +234,13 @@ impl ConsistencyModel for CatModel {
             name: self.model_name(),
             session,
         })
+    }
+
+    /// The first non-negated check of a form that forbids every candidate
+    /// breaking SC per location, read off the program (the
+    /// `sc_per_location` module docs list the forms).
+    fn sc_per_location(&self) -> Option<&str> {
+        self.sc_rule.as_deref()
     }
 }
 
@@ -453,6 +465,13 @@ impl ConsistencyModel for ModelIntersection {
             }
         }
         PartialVerdict::Undecided
+    }
+
+    /// The first part's answer: a rule of any part forbids the
+    /// intersection's candidates too, and the first part is the one
+    /// `check` consults first.
+    fn sc_per_location(&self) -> Option<&str> {
+        self.parts.first().and_then(|m| m.sc_per_location())
     }
 
     /// One combo session per part, so each part's combo-constant state is

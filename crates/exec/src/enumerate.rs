@@ -37,6 +37,47 @@
 //!    is kept transitively closed, so `check_partial` sees exactly the
 //!    prefix relations and can cut entire permutation subtrees.
 //!
+//! # The SC-per-location filter
+//!
+//! Most coherence orders of compiled tests break SC per location
+//! (`acyclic po-loc | rf | co | fr`), which every bundled source and
+//! architecture model forbids. For a model that names a check forbidding
+//! all of them ([`ConsistencyModel::sc_per_location`]), Stage 3 skips such
+//! orders before pushing them, as herd does. Once rf is complete, each
+//! write `w` of a location with two or more writes (its init write
+//! included) gets the set of coherence predecessors that SC per location
+//! forces on it:
+//!
+//! * **CoWW** — a write to its location po-before `w`;
+//! * **CoWR** — a write to its location po-before a read of `w`;
+//! * **CoRW** — the source of a read of its location po-before `w`;
+//! * **CoRR** — the source of a read of its location po-before a read of
+//!   `w`.
+//!
+//! A forced predecessor that is the init write is free; a write forced
+//! *before* the init write can never be placed. The DFS skips a pick
+//! whose forced predecessors are not all in the chain yet: they would all
+//! come after it. By the "Herding Cats" lemma (Alglave et al., TOPLAS
+//! 2014) SC per location fails exactly when one of coWW, coRW1, coRW2,
+//! coWR and coRR occurs; the rf candidates already exclude coRW1, and the
+//! four rules above are the other four, so the filter drops exactly the
+//! candidates that break SC per location and the outcomes do not change.
+//! The skeleton's same-location po pairs are collected once per session
+//! and the forced sets are derived once per complete rf assignment, as
+//! bit masks over the location's writes.
+//!
+//! A skipped pick is charged like a refused push: its subtree lands in the
+//! candidate and pruned tallies, at the co prune site of the session's
+//! kind, and on the model's named rule in the prune attribution. An
+//! incremental session refuses every such subtree anyway, only further
+//! down, so its candidate, allowed and pruned totals, prune-site totals,
+//! forbidden-leaf rules, outcomes, flags and crash bit are those of an
+//! unfiltered run; only `sim.pushes`, `cat.frontier_evals` and the
+//! per-rule prune attribution move. A re-check session (which consults the
+//! model only above `PRUNE_THRESHOLD` completions) also prunes, instead
+//! of judging, the small subtrees it would have enumerated to forbidden
+//! leaves.
+//!
 //! Pruned subtrees are still *accounted*: the engine adds the number of
 //! complete candidates a cut subtree contains to the candidate counter,
 //! so a combo's DFS charges its whole rf × co space and
@@ -197,6 +238,7 @@ pub fn simulate(
     let ctx = SimCtx {
         test,
         model,
+        sc_rule: model.sc_per_location(),
         config,
         observed: &observed,
         readonly: &readonly,
@@ -310,7 +352,7 @@ pub fn revalue_agreement(
                 (true, skeleton)
             }
             _ => {
-                let skeleton = Skeleton::new(test, &readonly, &traces);
+                let skeleton = Skeleton::new(test, &readonly, &traces, false);
                 (false, &mut last.insert((shape, skeleton)).1)
             }
         };
@@ -332,6 +374,10 @@ fn readonly_locs(test: &LitmusTest) -> BTreeSet<Loc> {
 struct SimCtx<'a> {
     test: &'a LitmusTest,
     model: &'a dyn ConsistencyModel,
+    /// The model's check that forbids every candidate breaking SC per
+    /// location, if it names one: Stage 3 then skips such coherence orders
+    /// (module docs, "The SC-per-location filter").
+    sc_rule: Option<&'a str>,
     config: &'a SimConfig,
     observed: &'a BTreeSet<StateKey>,
     readonly: &'a BTreeSet<Loc>,
@@ -592,11 +638,20 @@ struct Skeleton {
     /// Whether an allowed execution writes read-only memory: a property of
     /// the events' kinds and locations, not of values or rf/co.
     writes_readonly: bool,
+    /// The SC-per-location filter, when the model forbids what it skips
+    /// and the skeleton has a same-location po pair for it to act on.
+    sc: Option<ScFilter>,
 }
 
 impl Skeleton {
-    /// Builds the graph of the combo `traces`.
-    fn new(test: &LitmusTest, readonly: &BTreeSet<Loc>, traces: &[&Trace]) -> Skeleton {
+    /// Builds the graph of the combo `traces`, with the SC-per-location
+    /// filter if `sc_filter` (the model forbids every candidate it skips).
+    fn new(
+        test: &LitmusTest,
+        readonly: &BTreeSet<Loc>,
+        traces: &[&Trace],
+        sc_filter: bool,
+    ) -> Skeleton {
         let Combined {
             events,
             po,
@@ -641,6 +696,11 @@ impl Skeleton {
                     && !e.is_init()
                     && e.loc.as_ref().is_some_and(|l| readonly.contains(l))
             });
+        let sc = if sc_filter {
+            ScFilter::new(&events, &writes_by_loc)
+        } else {
+            None
+        };
         Skeleton {
             execution: Execution {
                 events,
@@ -660,6 +720,7 @@ impl Skeleton {
             co_tail,
             loc_index: writes_by_loc.into_keys().zip(0..).collect(),
             writes_readonly,
+            sc,
         }
     }
 
@@ -674,10 +735,11 @@ impl Skeleton {
     }
 
     /// The rf candidates per read under the current values: same
-    /// location, same value, not po-later in the same thread (reading from
-    /// one's own future violates coherence in every bundled model, so
-    /// filtering it statically is sound). A read of a justified combo has
-    /// at least one.
+    /// location, same value, not po-later in the same thread. Reading from
+    /// one's own future breaks SC per location, which every bundled source
+    /// and architecture model forbids; `hw-inorder` alone allows it, but it
+    /// only ever runs intersected with an architecture model. A read of a
+    /// justified combo has at least one.
     fn rf_candidates(&self) -> Vec<Vec<EventId>> {
         let events = &self.execution.events;
         self.reads
@@ -735,6 +797,114 @@ impl Skeleton {
         ]
         .into_iter()
         .find_map(|(part, same)| (!same).then_some(part))
+    }
+}
+
+/// [`ScFilter::forced`] bit no chain ever holds: the write would have to
+/// precede its location's init write, so it can never be placed.
+const NEVER: u64 = 1 << 63;
+
+/// [`ScFilter::bit`] of an init write, which heads every chain.
+const INIT_BIT: u8 = u8::MAX;
+
+/// [`ScFilter::bit`] of an event that is no write of a filtered location.
+const NO_BIT: u8 = u8::MAX - 1;
+
+/// The coherence predecessors that SC per location forces on each write
+/// (module docs, "The SC-per-location filter"). The filtered locations
+/// are those with 1 to 63 non-init writes, so a location's writes fit a
+/// `u64` mask beside [`NEVER`]; at a location with one, only a forced
+/// [`NEVER`] can refuse a pick.
+struct ScFilter {
+    /// Per event: a non-init write's bit at its filtered location (its
+    /// position in the location's writes as built), [`INIT_BIT`] for the
+    /// init write of a filtered location, [`NO_BIT`] otherwise.
+    bit: Vec<u8>,
+    /// The po-ordered pairs of accesses to one filtered location; `(a, b)`
+    /// forces the write `a` is or reads from before the write `b` is or
+    /// reads from.
+    pairs: Vec<(EventId, EventId)>,
+    /// Per event: the predecessors forced under the current rf.
+    forced: Vec<u64>,
+    /// Per event: the event itself for a write, its current rf source for
+    /// a read.
+    src: Vec<EventId>,
+    /// Per location: the bits of the writes in its chain.
+    placed: Vec<u64>,
+}
+
+impl ScFilter {
+    /// The filter of a skeleton, from its same-location po pairs; `None`
+    /// when no filtered location has one.
+    fn new(events: &[Event], writes_by_loc: &BTreeMap<Loc, Vec<EventId>>) -> Option<ScFilter> {
+        let n = events.len();
+        let mut bit = vec![NO_BIT; n];
+        for ws in writes_by_loc.values() {
+            if (2..=64).contains(&ws.len()) {
+                bit[ws[0].index()] = INIT_BIT;
+                for (b, w) in ws[1..].iter().enumerate() {
+                    bit[w.index()] = b as u8;
+                }
+            }
+        }
+        let filtered = |e: &Event| {
+            !e.is_init()
+                && matches!(e.kind, EventKind::Read | EventKind::Write)
+                && e.loc
+                    .as_ref()
+                    .and_then(|l| writes_by_loc.get(l))
+                    .is_some_and(|ws| bit[ws[0].index()] == INIT_BIT)
+        };
+        let mut pairs = Vec::new();
+        // A thread's events are contiguous and in program order.
+        for (i, a) in events.iter().enumerate().filter(|&(_, a)| filtered(a)) {
+            for b in events[i + 1..].iter().take_while(|b| b.thread == a.thread) {
+                if b.loc == a.loc && filtered(b) {
+                    pairs.push((a.id, b.id));
+                }
+            }
+        }
+        (!pairs.is_empty()).then(|| ScFilter {
+            bit,
+            pairs,
+            forced: vec![0; n],
+            src: (0..n as u32).map(EventId).collect(),
+            placed: vec![0; writes_by_loc.len()],
+        })
+    }
+
+    /// Derives the forced predecessors of every write from the complete rf
+    /// assignment in `src`.
+    fn derive(&mut self) {
+        self.forced.fill(0);
+        for &(a, b) in &self.pairs {
+            let (p, w) = (self.src[a.index()], self.src[b.index()]);
+            if p == w {
+                continue;
+            }
+            match (self.bit[p.index()], self.bit[w.index()]) {
+                (INIT_BIT, _) => {}
+                (_, INIT_BIT) => self.forced[p.index()] |= NEVER,
+                (pb, _) => self.forced[w.index()] |= 1 << pb,
+            }
+        }
+    }
+
+    /// Whether every forced predecessor of `w` is in location `li`'s chain.
+    fn allows(&self, li: usize, w: EventId) -> bool {
+        self.forced[w.index()] & !self.placed[li] == 0
+    }
+
+    /// Records that `w` joined (`on`) or left location `li`'s chain.
+    fn place(&mut self, li: usize, w: EventId, on: bool) {
+        let b = self.bit[w.index()];
+        if b < 64 {
+            if on {
+                self.placed[li] |= 1 << b;
+            } else {
+                self.placed[li] &= !(1 << b);
+            }
+        }
     }
 }
 
@@ -796,7 +966,7 @@ fn run_combo<'a>(
         }
         _ => {
             *session = None; // one graph at a time
-            let skeleton = Skeleton::new(ctx.test, ctx.readonly, &traces);
+            let skeleton = Skeleton::new(ctx.test, ctx.readonly, &traces, ctx.sc_rule.is_some());
             let checker = ctx.model.combo_checker(&skeleton.execution);
             session.insert(Session {
                 shape,
@@ -877,8 +1047,10 @@ impl ComboRun<'_, '_> {
     /// Attribution for a prune of `n` candidates, recorded just before the
     /// cut is charged: which site fired (the assignment layer × whether
     /// the incremental session or a periodic recheck said `Forbidden`),
-    /// and — when the session can name it — the first-violated rule.
-    fn attribute_prune(&mut self, n: u64, rf_site: bool) {
+    /// and — when the session can name it — the first-violated rule. A
+    /// pick the SC-per-location filter skips (`sc_skip`) is blamed on the
+    /// model's SC-per-location rule.
+    fn attribute_prune(&mut self, n: u64, rf_site: bool, sc_skip: bool) {
         let sites = &mut self.out.prune_sites;
         match (rf_site, self.incremental) {
             (true, true) => sites.rf_incremental += n,
@@ -886,9 +1058,14 @@ impl ComboRun<'_, '_> {
             (false, true) => sites.co_incremental += n,
             (false, false) => sites.co_recheck += n,
         }
+        let rule = if sc_skip {
+            self.ctx.sc_rule
+        } else {
+            self.checker.blame()
+        };
         // Look the rule up by `&str` first: only a simulation's first
         // prune per rule allocates its key.
-        if let Some(rule) = self.checker.blame() {
+        if let Some(rule) = rule {
             match self.out.rule_prunes.get_mut(rule) {
                 Some(total) => *total += n,
                 None => {
@@ -916,6 +1093,9 @@ impl ComboRun<'_, '_> {
     /// least [`PRUNE_THRESHOLD`] completions hangs off the node.
     fn assign_rf(&mut self, i: usize) -> Result<()> {
         if i == self.skel.reads.len() {
+            if let Some(sc) = &mut self.skel.sc {
+                sc.derive();
+            }
             return self.assign_co(0, 0);
         }
         let r = self.skel.reads[i];
@@ -923,6 +1103,9 @@ impl ComboRun<'_, '_> {
         for ci in 0..self.rf_choices[i].len() {
             let w = self.rf_choices[i][ci];
             self.skel.execution.rf.insert(w, r);
+            if let Some(sc) = &mut self.skel.sc {
+                sc.src[r.index()] = w;
+            }
             let verdict = if self.incremental {
                 self.out.pushes += 1;
                 self.checker.push_rf(&self.skel.execution, w, r)
@@ -932,7 +1115,7 @@ impl ComboRun<'_, '_> {
                 PartialVerdict::Undecided
             };
             let res = if verdict == PartialVerdict::Forbidden {
-                self.attribute_prune(subtree, true);
+                self.attribute_prune(subtree, true, false);
                 self.charge_pruned(subtree);
                 Ok(())
             } else {
@@ -948,7 +1131,8 @@ impl ComboRun<'_, '_> {
     }
 
     /// Stage 3: extend location `li`'s coherence chain by one write
-    /// (position `k`), lazily walking permutations with undo.
+    /// (position `k`), lazily walking permutations with undo. A pick the
+    /// SC-per-location filter refuses is charged and skipped unpushed.
     fn assign_co(&mut self, li: usize, k: usize) -> Result<()> {
         if li == self.skel.chains.len() {
             return self.leaf();
@@ -960,6 +1144,13 @@ impl ComboRun<'_, '_> {
         for pick in k..m {
             self.skel.co_writes[li].swap(k, pick);
             let w = self.skel.co_writes[li][k];
+            let subtree = fact((m - k - 1) as u64).saturating_mul(self.skel.co_tail[li + 1]);
+            if self.skel.sc.as_ref().is_some_and(|sc| !sc.allows(li, w)) {
+                self.attribute_prune(subtree, false, true);
+                self.charge_pruned(subtree);
+                self.skel.co_writes[li].swap(k, pick);
+                continue;
+            }
             // Extend co transitively: every chain element precedes `w`.
             for idx in 0..self.skel.chains[li].len() {
                 let p = self.skel.chains[li][idx];
@@ -972,7 +1163,9 @@ impl ComboRun<'_, '_> {
                 PartialVerdict::Undecided
             };
             self.skel.chains[li].push(w);
-            let subtree = fact((m - k - 1) as u64).saturating_mul(self.skel.co_tail[li + 1]);
+            if let Some(sc) = &mut self.skel.sc {
+                sc.place(li, w, true);
+            }
             let pruned = if self.incremental {
                 verdict == PartialVerdict::Forbidden
             } else {
@@ -980,12 +1173,15 @@ impl ComboRun<'_, '_> {
                     && self.checker.check_partial(&self.skel.execution) == PartialVerdict::Forbidden
             };
             let res = if pruned {
-                self.attribute_prune(subtree, false);
+                self.attribute_prune(subtree, false, false);
                 self.charge_pruned(subtree);
                 Ok(())
             } else {
                 self.assign_co(li, k + 1)
             };
+            if let Some(sc) = &mut self.skel.sc {
+                sc.place(li, w, false);
+            }
             self.skel.chains[li].pop();
             if self.incremental {
                 self.checker.pop_co(&self.skel.execution, &self.skel.chains[li], w);
@@ -1075,8 +1271,10 @@ pub(crate) struct Combined {
 
 impl Combined {
     /// rf candidates per read: same location, same value, not po-later in
-    /// the same thread (reading from one's own future violates coherence
-    /// in every bundled model, so filtering it statically is sound).
+    /// the same thread. Reading from one's own future breaks SC per
+    /// location, which every bundled source and architecture model
+    /// forbids; `hw-inorder` alone allows it, but it only ever runs
+    /// intersected with an architecture model.
     ///
     /// Returns `None` when some read has no justifying write — the combo
     /// contributes no executions at all.
@@ -1787,5 +1985,75 @@ exists (P0:r0=0)
         let with_pruning = simulate(&test, &SeqCstRef, &SimConfig::default()).unwrap();
         let exhaustive = simulate(&test, &AllowAll, &SimConfig::default()).unwrap();
         assert_eq!(with_pruning.candidates, exhaustive.candidates);
+    }
+
+    /// A model with the sessions of `M` that names no SC-per-location
+    /// rule, so the enumerator runs it unfiltered.
+    struct Unfiltered<M>(M);
+
+    impl<M: ConsistencyModel> ConsistencyModel for Unfiltered<M> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn check(&self, execution: &Execution) -> Verdict {
+            self.0.check(execution)
+        }
+
+        fn combo_checker<'a>(&'a self, skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
+            self.0.combo_checker(skeleton)
+        }
+    }
+
+    /// Every same-location pattern at once: P0's writes (CoWW), P1's
+    /// write then reads (CoWR, CoRR) and two fetch_adds (CoRW).
+    const SAME_LOCATION: &str = r#"
+C11 "SAME-LOCATION"
+{ x = 0; }
+P0 (atomic_int* x) {
+  atomic_store_explicit(x, 1, memory_order_relaxed);
+  atomic_store_explicit(x, 2, memory_order_relaxed);
+}
+P1 (atomic_int* x) {
+  atomic_store_explicit(x, 3, memory_order_relaxed);
+  int r0 = atomic_load_explicit(x, memory_order_relaxed);
+  int r1 = atomic_load_explicit(x, memory_order_relaxed);
+}
+P2 (atomic_int* x) {
+  int r0 = atomic_fetch_add_explicit(x, 1, memory_order_relaxed);
+}
+exists (P1:r0=1 /\ P1:r1=3)
+"#;
+
+    #[test]
+    fn sc_per_location_filter_moves_only_pushes_and_prune_rules() {
+        let test = parse_c11(SAME_LOCATION).unwrap();
+        let cfg = SimConfig::default();
+        let pairs: [(&dyn ConsistencyModel, &dyn ConsistencyModel); 2] = [
+            (&SeqCstRef, &Unfiltered(SeqCstRef)),
+            (&CoherenceOnly, &Unfiltered(CoherenceOnly)),
+        ];
+        for (model, unfiltered) in pairs {
+            let name = model.name();
+            let (f, u) = (
+                simulate(&test, model, &cfg).unwrap(),
+                simulate(&test, unfiltered, &cfg).unwrap(),
+            );
+            assert_eq!(f.outcomes, u.outcomes, "{name}");
+            assert_eq!(f.candidates, u.candidates, "{name}");
+            assert_eq!(f.allowed, u.allowed, "{name}");
+            assert_eq!(f.pruned_candidates, u.pruned_candidates, "{name}");
+            assert_eq!(f.prune_sites, u.prune_sites, "{name}");
+            assert_eq!(f.rule_leaves, u.rule_leaves, "{name}");
+            assert_eq!(f.flags, u.flags, "{name}");
+            assert_eq!(f.crashed, u.crashed, "{name}");
+            assert!(f.pushes < u.pushes, "{name}: {} vs {} pushes", f.pushes, u.pushes);
+            // Every prune is still attributed, now partly to the model's
+            // SC-per-location rule.
+            let total = |r: &SimResult| r.rule_prunes.values().sum::<u64>();
+            assert_eq!(total(&f), total(&u), "{name}");
+            assert_eq!(total(&f), f.pruned_candidates, "{name}");
+            assert!(f.rule_prunes[model.sc_per_location().unwrap()] > 0, "{name}");
+        }
     }
 }

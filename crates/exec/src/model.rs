@@ -120,6 +120,23 @@ pub trait ConsistencyModel: Send + Sync {
     fn combo_checker<'a>(&'a self, _skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
         Box::new(ForwardingChecker(self))
     }
+
+    /// The name of a check of this model that forbids every candidate
+    /// breaking SC per location (`acyclic po-loc | rf | co | fr`), or
+    /// `None` if the model may allow such a candidate.
+    ///
+    /// When a model names one, the enumerator skips every coherence order
+    /// that breaks SC per location before pushing it, and charges the
+    /// skipped subtree as a prune blamed on this rule (see the `enumerate`
+    /// module docs). The answer must therefore be sound: a model that
+    /// names a rule must forbid every such candidate. A model that orders
+    /// no same-location pair (the `hw-inorder` strength profile, whose
+    /// only check is `acyclic ppo | rfe | fre | coe`) allows some, even
+    /// candidates where a read takes its value from a po-later write of its
+    /// own thread. The default is `None`.
+    fn sc_per_location(&self) -> Option<&str> {
+        None
+    }
 }
 
 /// A checking session over one combo skeleton (see
@@ -297,6 +314,11 @@ impl ConsistencyModel for SeqCstRef {
     fn combo_checker<'a>(&'a self, skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
         Box::new(SeqCstSession::new(skeleton))
     }
+
+    /// `po ⊇ po-loc`, so an SC-per-location cycle is an `sc` cycle.
+    fn sc_per_location(&self) -> Option<&str> {
+        Some("sc")
+    }
 }
 
 /// [`SeqCstRef`]'s incremental combo session.
@@ -412,6 +434,10 @@ impl ConsistencyModel for CoherenceOnly {
     /// mirrors updated per edge — no re-derivation per candidate.
     fn combo_checker<'a>(&'a self, skeleton: &Execution) -> Box<dyn ComboChecker + 'a> {
         Box::new(CoherenceSession::new(skeleton))
+    }
+
+    fn sc_per_location(&self) -> Option<&str> {
+        Some("coherence")
     }
 }
 
